@@ -91,6 +91,11 @@ def half(a: AnchoredNumber) -> AnchoredNumber:
 def recip_anchored(a: AnchoredNumber) -> AnchoredNumber:
     """Reciprocal with the unique anchor making a * result = 1e0."""
     r, _ = _recip.reciprocal(a.digits)
+    return anchor_reciprocal(a, r)
+
+
+def anchor_reciprocal(a: AnchoredNumber, r: FloatingNumber) -> AnchoredNumber:
+    """Anchor ``r``, the floating reciprocal of ``a``'s digits, so a * result = 1e0."""
     prod = to_integer(a.digits) * to_integer(r)
     k = 0
     while prod > 1:

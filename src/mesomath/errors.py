@@ -63,6 +63,10 @@ class NoProgress(SexagesimalError):
     """No table factor divides the current quotient (variant tables only)."""
 
 
+class LoopMismatch(SexagesimalError):
+    """Inverting a reciprocal did not give back the number it came from."""
+
+
 class NotASquare(SexagesimalError):
     """No power-of-sixty representative is a perfect square."""
 
@@ -139,6 +143,7 @@ class UnknownOp(SexagesimalError):
 
 #: Errors produced by text handling; the CLI exits 2 on these.
 PARSE_ERRORS = (
+    AllZero,
     EmptyInput,
     DigitOutOfRange,
     MalformedSeparator,

@@ -336,12 +336,11 @@ def _apply_step(op: str, values: list, anchored: bool):
             return abacus.half(values[0]), None
         return spvn.mul(values[0], _HALF_FLOATING), None
     if op == "recip":
+        a = values[0]
         if anchored:
-            a = values[0]
             r, fact = recip.reciprocal(a.digits)
-            return abacus.recip_anchored(a), fact
-        r, fact = recip.reciprocal(values[0])
-        return r, fact
+            return abacus.anchor_reciprocal(a, r), fact
+        return recip.reciprocal(a)
     if op == "divrecip":
         a, b = values
         if anchored:

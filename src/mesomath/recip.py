@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import Irregular, NoProgress, NotACube, NotASquare
+from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare
 from .spvn import (
     ONE,
     BASE,
@@ -36,9 +36,18 @@ class ElementaryTable:
 
     Every number appearing on either side counts as "known": it can
     terminate a factorization and can serve as a peeled factor.
+
+    Construction also builds the index that :func:`reciprocal` peels
+    over, so no factorization converts or sorts the table again.  It
+    maps each known value's canonical integer representative to the
+    value and the representative of its reciprocal, and lists every
+    known value except 1 as ``(representative, 60**(len - 1), value)``,
+    largest representative first.  Representatives are distinct (the
+    integer bridge is a bijection), so that order is exactly the order
+    of sorting the values by :func:`to_integer`.
     """
 
-    __slots__ = ("_pairs", "_recip_of")
+    __slots__ = ("_pairs", "_recip_of", "_by_rep", "_divisors")
 
     def __init__(self, pairs):
         pairs = tuple((e, r) for e, r in pairs)
@@ -50,6 +59,12 @@ class ElementaryTable:
             recip_of.setdefault(rec, entry)
         self._pairs = pairs
         self._recip_of = recip_of
+        self._by_rep = {to_integer(v): (v, to_integer(r)) for v, r in recip_of.items()}
+        self._divisors = tuple(
+            (t, BASE ** (len(v) - 1), v)
+            for t, (v, _) in sorted(self._by_rep.items(), reverse=True)
+            if t > 1
+        )
 
     @property
     def pairs(self) -> tuple[tuple[FloatingNumber, FloatingNumber], ...]:
@@ -61,7 +76,7 @@ class ElementaryTable:
 
     def known_values(self) -> tuple[FloatingNumber, ...]:
         """Every number on either side, ascending by representative."""
-        return tuple(sorted(self._recip_of, key=to_integer))
+        return tuple(self._by_rep[t][0] for t in sorted(self._by_rep))
 
     def __contains__(self, n: FloatingNumber) -> bool:
         return n in self._recip_of
@@ -161,6 +176,16 @@ def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
     return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
 
 
+def _is_wedge_suffix_rep(t: int, m: int, v: int) -> bool:
+    """:func:`is_wedge_suffix` on representatives, with ``m = 60**(len(t) - 1)``.
+
+    ``v >= m`` says ``n`` has at least as many digits as ``t``; the
+    remainders mod ``m`` are the digits after ``t``'s first; and
+    ``v // m % 60`` is the digit of ``n`` under that first digit, ``t // m``.
+    """
+    return v >= m and v % m == t % m and v // m % BASE >= t // m
+
+
 def trailing_candidates(
     n: FloatingNumber, table: ElementaryTable | None = None
 ) -> tuple[TrailingCandidate, ...]:
@@ -168,31 +193,38 @@ def trailing_candidates(
 
     Division is exact division of canonical representatives; the trivial
     factor 1 is excluded since it makes no progress.  Candidates come
-    back largest first.
+    back largest first, in the order of the table's index, which is
+    already sorted by representative.
     """
     if table is None:
         table = _standard_table()
     v = to_integer(n)
-    out = [
-        TrailingCandidate(t, is_wedge_suffix(t, n))
-        for t in table.known_values()
-        if to_integer(t) > 1 and v % to_integer(t) == 0
-    ]
-    out.sort(key=lambda c: to_integer(c.factor), reverse=True)
-    return tuple(out)
+    return tuple(
+        TrailingCandidate(f, _is_wedge_suffix_rep(t, m, v))
+        for t, m, f in table._divisors
+        if v % t == 0
+    )
 
 
-def _pick_factor(
-    n: FloatingNumber, table: ElementaryTable, strategy: FactorStrategy
-) -> FloatingNumber | None:
-    cands = trailing_candidates(n, table)
-    if not cands:
-        return None
-    if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
-        for c in cands:  # already sorted largest first
-            if c.wedge_suffix:
-                return c.factor
-    return cands[0].factor
+def _pick_divisor(
+    v: int, table: ElementaryTable, strategy: FactorStrategy
+) -> tuple[int, int, FloatingNumber] | None:
+    """The index entry to peel from representative ``v``, or None.
+
+    The same choice as reading :func:`trailing_candidates` largest
+    first: the first wedge suffix, else the largest exact divisor.
+    """
+    wedge = strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST
+    largest = None
+    for d in table._divisors:
+        t, m, _ = d
+        if v % t:
+            continue
+        if not wedge or _is_wedge_suffix_rep(t, m, v):
+            return d
+        if largest is None:
+            largest = d
+    return largest
 
 
 def reciprocal(
@@ -211,20 +243,25 @@ def reciprocal(
     """
     if table is None:
         table = _standard_table()
-    if not is_regular(n):
+    v = to_integer(n)
+    if regular_exponents(v) is None:
         raise Irregular(f"{n} is without reciprocal")
+    # Exact division never introduces a factor of 60, so every quotient
+    # is already a canonical representative and indexes the table as is.
+    by_rep = table._by_rep
     factors: list[FloatingNumber] = []
-    cur = n
-    while cur not in table:
-        f = _pick_factor(cur, table, strategy)
-        if f is None:
-            raise NoProgress(f"no table factor divides {cur}")
+    acc = 1
+    while v not in by_rep:
+        d = _pick_divisor(v, table, strategy)
+        if d is None:
+            raise NoProgress(f"no table factor divides {from_integer(v)}")
+        t, _, f = d
         factors.append(f)
-        cur = from_integer(to_integer(cur) // to_integer(f))
-    factors.append(cur)
-    out = ONE
-    for f in factors:
-        out = mul(out, table.reciprocal_of(f))
+        acc *= by_rep[t][1]
+        v //= t
+    f, r = by_rep[v]
+    factors.append(f)
+    out = from_integer(acc * r)
     return out, Factorization(source=n, factors=tuple(factors), reciprocal=out)
 
 
@@ -236,10 +273,12 @@ def reciprocal_loop(
     """Invert, then invert the result: the loop must come back to ``n``.
 
     Returns both factorizations; ``back.reciprocal`` equals ``n``.
+    Raises :class:`LoopMismatch` when it does not.
     """
     r, forward = reciprocal(n, strategy, table)
     back_value, back = reciprocal(r, strategy, table)
-    assert back_value == n, f"loop failed: {n} -> {r} -> {back_value}"
+    if back_value != n:
+        raise LoopMismatch(f"loop failed: {n} -> {r} -> {back_value}")
     return forward, back
 
 

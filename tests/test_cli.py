@@ -60,6 +60,12 @@ class TestExitCodes:
     def test_parse_error_exits_2(self, capsys):
         assert run_cli(capsys, "mul", "1:75", "2")[0] == EXIT_USAGE
 
+    def test_all_zero_exits_2(self, capsys):
+        # there is no zero numeral, so "0" is unparsable input
+        code, out, err = run_cli(capsys, "recip", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_usage_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 

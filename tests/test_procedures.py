@@ -128,6 +128,31 @@ class TestRunReciprocalExercises:
             "11:51:54:50:37:30",
         ]
 
+    def test_anchored_recip_step_inverts_once(self, monkeypatch):
+        from mesomath import abacus, recip
+
+        script = parse_script(
+            'tablet "t"\n'
+            "given-spvn a 4:26:40\n"
+            "config A: a=e1\n"
+            "step recip a expect 13:30 as r\n"
+        )
+        calls = []
+        real = recip.reciprocal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(recip, "reciprocal", counting)
+        t = run(script, "A")
+        assert t.passed and len(calls) == 1
+        rec = [r for r in t.records if r.name == "r"][0]
+        a = abacus.AnchoredNumber(fn("4:26:40"), 1)
+        assert rec.computed == abacus.AnchoredNumber(fn("13:30"), -5)
+        assert rec.computed.value() == 1 / a.value()
+        assert [str(f) for f in rec.factorization.factors] == ["6:40", "40"]
+
     def test_disk(self):
         t = run(parse_script(corpus_text("ybc7302.tab")))
         assert t.passed

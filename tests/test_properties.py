@@ -2,19 +2,27 @@
 
 The population is every regular canonical value up to 60**4 (about six
 hundred numbers); each check is exact, so the whole module is a few
-seconds of work.
+seconds of work.  Hypothesis adds long regular numbers for the factor
+choice, checked against a reference picker written from the rule.
 """
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from mesomath import abacus, recip
-from mesomath.errors import NotASquare
+from mesomath.errors import NoProgress, NotASquare
 from mesomath.recip import (
+    ElementaryTable,
     FactorStrategy,
+    is_wedge_suffix,
     reciprocal,
     regular_exponents,
     sqrt,
     trailing_candidates,
 )
 from mesomath.spvn import (
+    ONE,
+    FloatingNumber,
     SimplerOrdering,
     compare_simpler,
     from_integer,
@@ -153,3 +161,86 @@ def test_divisible_predicate_agrees_with_candidates():
     for n in SMOOTH_NUMBERS[::11]:
         for c in trailing_candidates(n, table):
             assert recip.divisible(n, c.factor)
+
+
+# --- the factor choice against a reference picker ----------------------------------
+
+long_regulars = st.builds(
+    lambda a, b, c: from_integer(2**a * 3**b * 5**c),
+    st.integers(0, 120),
+    st.integers(0, 80),
+    st.integers(0, 60),
+)
+
+
+def _reference_reciprocal(n, strategy, table):
+    """The documented rule on digits: scan the known values by descending
+    representative, take the first wedge suffix that divides, else the
+    largest divisor; stop when the quotient is in the table."""
+    known = sorted(table.known_values(), key=to_integer, reverse=True)
+    factors = []
+    cur = n
+    while cur not in table:
+        v = to_integer(cur)
+        divisors = [t for t in known if to_integer(t) > 1 and v % to_integer(t) == 0]
+        if not divisors:
+            raise NoProgress(str(cur))
+        pick = divisors[0]
+        if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
+            pick = next((t for t in divisors if is_wedge_suffix(t, cur)), pick)
+        factors.append(pick)
+        cur = from_integer(v // to_integer(pick))
+    factors.append(cur)
+    answer = ONE
+    for f in factors:
+        answer = mul(answer, table.reciprocal_of(f))
+    return answer, tuple(factors)
+
+
+@pytest.mark.parametrize("strategy", list(FactorStrategy))
+@settings(deadline=None, max_examples=150)
+@given(long_regulars)
+def test_factor_choice_matches_reference(strategy, n):
+    from mesomath.tables import gen_reciprocal_table
+
+    table = gen_reciprocal_table()
+    r, fact = reciprocal(n, strategy)
+    assert (r, fact.factors) == _reference_reciprocal(n, strategy, table)
+    assert mul(n, r) == ONE
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any),
+    st.lists(st.integers(0, 59), min_size=1, max_size=8).filter(any),
+)
+def test_integer_wedge_form_agrees_with_digits(td, nd):
+    t, n = FloatingNumber(td), FloatingNumber(nd)
+    m = 60 ** (len(t) - 1)
+    assert recip._is_wedge_suffix_rep(to_integer(t), m, to_integer(n)) == (
+        is_wedge_suffix(t, n)
+    )
+
+
+# Standard pairs without the one-place numbers below 9: many quotients
+# stall, and many have divisors but no wedge suffix among them (16 and 32
+# both divide 17:4), which the standard table never leaves to the fallback.
+VARIANT = ElementaryTable(
+    (parse_spvn(e), parse_spvn(r))
+    for e, r in (("9", "6:40"), ("16", "3:45"), ("27", "2:13:20"),
+                 ("32", "1:52:30"), ("1:4", "56:15"))
+)
+
+
+@pytest.mark.parametrize("strategy", list(FactorStrategy))
+@settings(deadline=None, max_examples=300)
+@given(long_regulars)
+def test_variant_table_matches_reference_or_stalls(strategy, n):
+    try:
+        expected = _reference_reciprocal(n, strategy, VARIANT)
+    except NoProgress:
+        with pytest.raises(NoProgress):
+            reciprocal(n, strategy, VARIANT)
+    else:
+        r, fact = reciprocal(n, strategy, VARIANT)
+        assert (r, fact.factors) == expected

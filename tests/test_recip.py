@@ -1,6 +1,12 @@
 import pytest
 
-from mesomath.errors import Irregular, NoProgress, NotACube, NotASquare
+from mesomath.errors import (
+    Irregular,
+    LoopMismatch,
+    NoProgress,
+    NotACube,
+    NotASquare,
+)
 from mesomath.recip import (
     ElementaryTable,
     FactorStrategy,
@@ -170,6 +176,14 @@ class TestReciprocalLoop:
     def test_one_loop(self):
         fwd, back = reciprocal_loop(fn("1"))
         assert fwd.reciprocal == back.reciprocal == fn("1")
+
+    def test_mismatch_raises_typed_error(self, monkeypatch):
+        # a typed error, not an assert, so the check survives python -O
+        from mesomath import recip
+
+        monkeypatch.setattr(recip, "reciprocal", lambda n, s, t: (fn("2"), None))
+        with pytest.raises(LoopMismatch, match="loop failed"):
+            reciprocal_loop(fn("3"))
 
 
 class TestDivisible:
