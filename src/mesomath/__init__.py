@@ -15,7 +15,6 @@ from .spvn import (
     compare_simpler,
     from_integer,
     mul,
-    normalize,
     square,
     to_integer,
 )
@@ -46,15 +45,9 @@ from .metrology import (
     from_number,
     gen_metrological_table,
     to_number,
-    volume_from_surface,
 )
-from .abacus import AnchoredNumber, Configuration, anchor
+from .abacus import AnchoredNumber, Configuration
 from .procedures import disk_area, parse_script, run, verify_corpus
-from .textio import (
-    format_measurement,
-    format_spvn,
-    parse_measurement,
-    parse_spvn,
-)
+from .textio import parse_measurement, parse_spvn
 
 __version__ = "0.1.0"

@@ -42,10 +42,6 @@ class AnchoredNumber:
         return f"{self.digits}e{self.exponent}"
 
 
-def anchor(n: FloatingNumber, exponent: int) -> AnchoredNumber:
-    return AnchoredNumber(n, exponent)
-
-
 def _from_scaled_integer(v: int, exponent: int) -> AnchoredNumber:
     # Renormalize so the digit sequence keeps a nonzero last digit.
     while v % BASE == 0:

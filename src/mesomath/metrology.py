@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import floor
-from typing import Iterator
 
 from .errors import (
     AmbiguousReading,
@@ -30,7 +30,8 @@ from .errors import (
     UnitOrderViolation,
     UnknownUnit,
 )
-from .spvn import BASE, FloatingNumber, from_integer, mul, to_integer
+from .recip import regular_exponents
+from .spvn import BASE, FloatingNumber, from_integer, to_integer
 
 _SIXTH = Fraction(1, 6)
 _QUARTER = Fraction(1, 4)
@@ -234,18 +235,19 @@ def get_system(kind: str) -> UnitSystem:
 def floating_from_fraction(q: Fraction) -> FloatingNumber:
     """Floating number of an exact positive rational.
 
-    Exists exactly when the denominator is 5-smooth (divides some power
-    of sixty); everything the allowed fractions can build qualifies.
+    Exists exactly when the denominator is 5-smooth: 2**a 3**b 5**c
+    divides 60**k once k >= a/2, b and c.  Everything the allowed
+    fractions can build qualifies.
     """
     if q <= 0:
         raise InexactFraction(f"no floating number for {q}")
     num, den = q.numerator, q.denominator
-    p = 1
-    while p % den:
-        p *= BASE
-        if p > den * BASE**10:
-            raise InexactFraction(f"{q} is not exact in base sixty")
-    return from_integer(num * (p // den))
+    exps = regular_exponents(den)
+    if exps is None:
+        raise InexactFraction(f"{q} is not exact in base sixty")
+    a, b, c = exps
+    k = max(-(-a // 2), b, c)
+    return from_integer(num * BASE**k // den)
 
 
 def to_number(m: MeasurementValue) -> FloatingNumber:
@@ -393,112 +395,71 @@ def enumerate_readings(
 # --- table generation -----------------------------------------------------------
 
 
-def _half_steps(unit: str, upto: int) -> Iterator[tuple[str, int, Fraction]]:
-    for i in range(1, upto + 1):
-        yield (unit, i, Fraction(0))
-        yield (unit, i, _HALF)
+_WHOLE = (Fraction(0),)
+_WHOLE_AND_HALF = (Fraction(0), _HALF)
+_KUSH_STEPS = (Fraction(0), _THIRD, _HALF, _TWO_THIRDS)
+
+# A system's table as (unit, wholes, fractions) rows, ascending: each row
+# stands for whole + fraction of the unit for every positive such count,
+# spelled canonically.  Weights and surfaces share the small units.
+_SHE_AND_GIN = (
+    ("še", range(10), _WHOLE_AND_HALF),
+    ("še", range(10, 30), _WHOLE),
+    ("gin", (0,), sorted(_ALL)),
+)
+_LENGTH = (
+    ("šu-si", range(1, 10), _WHOLE),
+    ("kuš", (0,), sorted(_KUSH_STYLE)),
+    ("kuš", range(1, 6), _KUSH_STEPS),
+    ("kuš", range(6, 12), _WHOLE),  # 1/2 ninda, then 1/2 ninda 1..5 kuš
+    ("ninda", range(1, 20), _WHOLE_AND_HALF),
+    ("ninda", range(20, 60, 5), _WHOLE),
+    ("uš", (*range(1, 21), 25), _WHOLE),
+    ("danna", range(1, 60), _WHOLE),
+)
+_LADDERS = {
+    "L": _LENGTH,
+    "Lh": _LENGTH,
+    "W": (
+        *_SHE_AND_GIN,
+        ("gin", range(1, 20), _KUSH_STEPS),
+        ("ma-na", (0,), sorted(_KUSH_STYLE)),
+        ("ma-na", (*range(1, 20), *range(20, 60, 5)), _WHOLE),
+        ("gu", range(1, 60), _WHOLE),
+    ),
+    "S": (
+        *_SHE_AND_GIN,
+        ("gin", range(1, 20), _WHOLE),
+        ("sar", (0,), sorted(_KUSH_STYLE)),
+        ("sar", range(1, 20), _WHOLE_AND_HALF),
+        ("sar", range(20, 100, 5), _WHOLE),
+        ("gan", range(1, 6), _WHOLE),
+        ("eše", (1, 2), _WHOLE),
+        ("bur", range(1, 60), _WHOLE),
+    ),
+    "C": (
+        ("sila", range(1, 10), _WHOLE_AND_HALF),
+        ("ban", range(1, 6), _WHOLE),
+        ("bariga", range(1, 5), _WHOLE),
+        ("gur", range(1, 60), _WHOLE),
+    ),
+}
 
 
-def _ladder_length() -> Iterator[MeasurementValue]:
-    mk = lambda *terms: MeasurementValue("L", tuple(Term(*t) for t in terms))
-    for i in range(1, 10):
-        yield mk(("šu-si", i, Fraction(0)))
-    for f in (_THIRD, _HALF, _TWO_THIRDS, _FIVE_SIXTHS):
-        yield mk(("kuš", 0, f))
-    for i in range(1, 6):
-        yield mk(("kuš", i, Fraction(0)))
-        for f in (_THIRD, _HALF, _TWO_THIRDS):
-            if (i + f) * 30 < 180:  # stop below 1/2 ninda
-                yield mk(("kuš", i, f))
-    yield mk(("ninda", 0, _HALF))
-    for k in range(1, 6):
-        yield mk(("ninda", 0, _HALF), ("kuš", k, Fraction(0)))
-    for i in range(1, 20):
-        yield mk(("ninda", i, Fraction(0)))
-        yield mk(("ninda", i, _HALF))
-    for i in range(20, 60, 5):
-        yield mk(("ninda", i, Fraction(0)))
-    for i in range(1, 20):
-        yield mk(("uš", i, Fraction(0)))
-    for i in (20, 25):
-        yield mk(("uš", i, Fraction(0)))
-    for i in range(1, 60):
-        yield mk(("danna", i, Fraction(0)))
-
-
-def _ladder_weight() -> Iterator[MeasurementValue]:
-    mk = lambda *terms: MeasurementValue("W", tuple(Term(*t) for t in terms))
-    yield mk(("še", 0, _HALF))
-    for u, w, f in _half_steps("še", 9):
-        yield mk((u, w, f))
-    for i in range(10, 30):
-        yield mk(("še", i, Fraction(0)))
-    for f in (_SIXTH, _QUARTER, _THIRD, _HALF, _TWO_THIRDS, _FIVE_SIXTHS):
-        yield mk(("gin", 0, f))
-    for i in range(1, 20):
-        yield mk(("gin", i, Fraction(0)))
-        for f in (_THIRD, _HALF, _TWO_THIRDS):
-            yield mk(("gin", i, f))
-    for f in (_THIRD, _HALF, _TWO_THIRDS, _FIVE_SIXTHS):
-        yield mk(("ma-na", 0, f))
-    for i in range(1, 20):
-        yield mk(("ma-na", i, Fraction(0)))
-    for i in range(20, 60, 5):
-        yield mk(("ma-na", i, Fraction(0)))
-    for i in range(1, 60):
-        yield mk(("gu", i, Fraction(0)))
-
-
-def _ladder_surface() -> Iterator[MeasurementValue]:
-    mk = lambda *terms: MeasurementValue("S", tuple(Term(*t) for t in terms))
-    yield mk(("še", 0, _HALF))
-    for u, w, f in _half_steps("še", 9):
-        yield mk((u, w, f))
-    for i in range(10, 30):
-        yield mk(("še", i, Fraction(0)))
-    for f in (_SIXTH, _QUARTER, _THIRD, _HALF, _TWO_THIRDS, _FIVE_SIXTHS):
-        yield mk(("gin", 0, f))
-    for i in range(1, 20):
-        yield mk(("gin", i, Fraction(0)))
-    for f in (_THIRD, _HALF, _TWO_THIRDS, _FIVE_SIXTHS):
-        yield mk(("sar", 0, f))
-    for i in range(1, 20):
-        yield mk(("sar", i, Fraction(0)))
-        yield mk(("sar", i, _HALF))
-    for i in range(20, 100, 5):
-        yield mk(("sar", i, Fraction(0)))
-    for i in range(1, 6):
-        yield mk(("gan", i, Fraction(0)))
-    for i in (1, 2):
-        yield mk(("eše", i, Fraction(0)))
-    for i in range(1, 60):
-        yield mk(("bur", i, Fraction(0)))
-
-
-def _ladder_capacity() -> Iterator[MeasurementValue]:
-    mk = lambda *terms: MeasurementValue("C", tuple(Term(*t) for t in terms))
-    for u, w, f in _half_steps("sila", 9):
-        yield mk((u, w, f))
-    for i in range(1, 6):
-        yield mk(("ban", i, Fraction(0)))
-    for i in range(1, 5):
-        yield mk(("bariga", i, Fraction(0)))
-    for i in range(1, 60):
-        yield mk(("gur", i, Fraction(0)))
-
-
-def _ladder(system: UnitSystem) -> Iterator[MeasurementValue]:
-    gens = {
-        "L": _ladder_length,
-        "Lh": _ladder_length,
-        "W": _ladder_weight,
-        "S": _ladder_surface,
-        "C": _ladder_capacity,
-    }
-    for m in gens[system.kind]():
-        if m.system != system.kind:
-            m = MeasurementValue(system.kind, m.terms)
-        yield m
+@cache
+def _ladder(kind: str) -> tuple[tuple[Fraction, MeasurementValue, FloatingNumber], ...]:
+    """The system's table rows as (magnitude, measurement, number), ascending."""
+    system = get_system(kind)
+    rows = []
+    for name, wholes, fractions in _LADDERS[kind]:
+        size = system.unit(name).size
+        for whole in wholes:
+            for f in fractions:
+                q = size * (whole + f)
+                if q > 0:
+                    n = floating_from_fraction(q * system.base)
+                    rows.append((q, _spell(system, q), n))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -515,17 +476,11 @@ def gen_metrological_table(
 ) -> MetrologicalTable:
     """The canonical rows between ``start`` and ``stop`` inclusive."""
     system = get_system(system_kind)
-    if stop.value() < start.value():
+    lo, hi = start.value(), stop.value()
+    if hi < lo:
         raise MeasurementSyntax("empty range: stop is below start")
-    rows = []
-    for m in _ladder(system):
-        v = m.value()
-        if v < start.value():
-            continue
-        if v > stop.value():
-            break
-        rows.append((m, to_number(m)))
-    return MetrologicalTable(system=system_kind, rows=tuple(rows))
+    rows = tuple((m, n) for q, m, n in _ladder(system.kind) if lo <= q <= hi)
+    return MetrologicalTable(system=system_kind, rows=rows)
 
 
 def format_metrological_table(table: MetrologicalTable, fmt: str = "text") -> str:
@@ -537,14 +492,3 @@ def format_metrological_table(table: MetrologicalTable, fmt: str = "text") -> st
             ((str(m), str(n)) for m, n in table.rows),
         )
     return format_two_columns([(str(m), str(n)) for m, n in table.rows])
-
-
-def volume_from_surface(
-    surface_number: FloatingNumber, height_number: FloatingNumber
-) -> FloatingNumber:
-    """Surface number times height number, read against table S as a volume.
-
-    Heights put 1 kuš at 1, which is the whole trick: one surface table
-    serves for volumes too.
-    """
-    return mul(surface_number, height_number)

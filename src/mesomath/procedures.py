@@ -378,7 +378,7 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
             op = "given directly"
         value: object = computed
         if conf is not None:
-            value = abacus.anchor(computed, conf.exponent_for(g.name))
+            value = AnchoredNumber(computed, conf.exponent_for(g.name))
         scope[g.name] = value
         matched = _matches(computed, g.expect)
         records.append(
@@ -489,10 +489,26 @@ def run_file(path: Path, config: str | None = None) -> Trace:
     return run(script, config)
 
 
+def _divergence(traces: tuple[Trace, ...]) -> str | None:
+    """The first record whose digits differ between configurations."""
+    first = traces[0]
+    for records in zip(*(t.records for t in traces)):
+        want = _digits_of(records[0].computed)
+        for t, r in zip(traces[1:], records[1:]):
+            got = _digits_of(r.computed)
+            if got != want:
+                return (
+                    f"{r.kind} {r.name} differs across configurations: "
+                    f"{first.configuration} gives {want}, {t.configuration} gives {got}"
+                )
+    return None
+
+
 def verify_corpus(directory: Path) -> CorpusSummary:
     """Run every ``*.tab`` script under every configuration it declares.
 
-    A tablet passes when every expected value matches; attested scribal
+    A tablet passes when every expected value matches and every record
+    carries the same digits under every configuration; attested scribal
     errors are notes, not failures.  Reports come back sorted by tablet
     id so aggregation order never depends on the filesystem.
     """
@@ -507,7 +523,9 @@ def verify_corpus(directory: Path) -> CorpusSummary:
             script = parse_script(path.read_text(encoding="utf-8"))
             names = [c.name for c in script.configurations] or [None]
             traces = tuple(run(script, c) for c in names)
-            reports.append(TabletReport(path, script.tablet, traces))
+            reports.append(
+                TabletReport(path, script.tablet, traces, error=_divergence(traces))
+            )
         except SexagesimalError as e:
             reports.append(TabletReport(path, path.stem, (), error=str(e)))
     reports.sort(key=lambda r: r.tablet)

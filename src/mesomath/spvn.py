@@ -97,15 +97,6 @@ class SimplerOrdering(enum.Enum):
     LESS_SIMPLE = 1
 
 
-def normalize(raw: Iterable[int]) -> FloatingNumber:
-    """Return the canonical member of the class of ``raw``.
-
-    Idempotent: normalizing an already-normalized sequence returns an
-    equal value.
-    """
-    return FloatingNumber(raw)
-
-
 def to_integer(a: FloatingNumber) -> int:
     """Canonical integer representative, last digit at 60**0."""
     v = 0

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .recip import ElementaryTable
-from .spvn import FloatingNumber, mul, square
+from .spvn import FloatingNumber, from_integer, mul, square
 
 # The standard table: reciprocals of the regular one-place numbers plus
 # the frequent two-place entries 1:4 and 1:21.  The "1" row follows 54,
@@ -91,34 +91,25 @@ def gen_multiplication_table(head: FloatingNumber) -> MultiplicationTable:
     Normalization is what the originals show: times 20, the table by 9
     reads simply "3", the same sign as three.
     """
-    rows = tuple((m, mul(head, _fn_of_int(m))) for m in MULTIPLIERS)
+    rows = tuple((m, mul(head, from_integer(m))) for m in MULTIPLIERS)
     return MultiplicationTable(head=head, rows=rows)
-
-
-def _fn_of_int(m: int) -> FloatingNumber:
-    ds = []
-    v = m
-    while v:
-        ds.append(v % 60)
-        v //= 60
-    return FloatingNumber(reversed(ds))
 
 
 def gen_squares_table() -> tuple[tuple[int, FloatingNumber], ...]:
     """n and its square for n = 1..59."""
-    return tuple((n, square(_fn_of_int(n))) for n in range(1, 60))
+    return tuple((n, square(from_integer(n))) for n in range(1, 60))
 
 
 def gen_square_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """The squares table inverted: exact roots only."""
-    return tuple((square(_fn_of_int(n)), n) for n in range(1, 60))
+    return tuple((square(from_integer(n)), n) for n in range(1, 60))
 
 
 def gen_cube_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """Cubes of 1..59 inverted to their roots."""
     out = []
     for n in range(1, 60):
-        f = _fn_of_int(n)
+        f = from_integer(n)
         out.append((mul(mul(f, f), f), n))
     return tuple(out)
 
@@ -148,17 +139,6 @@ def curriculum() -> tuple[CurriculumEntry, ...]:
         CurriculumEntry(kind) for kind in ("squares", "square-roots", "cube-roots")
     )
     return tuple(items)
-
-
-def leading_magnitude_key(n: FloatingNumber) -> tuple[int, ...]:
-    """Sort key ordering numbers by their leading-digit magnitude.
-
-    7:12 sorts below 7:30 and above 7; this is the order of the
-    multiplication series, not the canonical-integer order.  Plain
-    left-to-right digit comparison gives exactly that order for
-    normalized sequences.
-    """
-    return n.digits
 
 
 # --- plain-text and CSV emitters -------------------------------------------

@@ -1,9 +1,10 @@
-"""Parsing and formatting: numbers, anchored literals, measurements.
+"""Parsing: numbers, anchored literals, measurements.
 
 One grammar shared by the CLI, the REPL and corpus files.  Digits are
-separated by ':' on output; '.' is accepted on input as well, since both
-separators circulate.  Unit names are accepted in their UTF-8 spellings
-and in ASCII aliases (kush, shu-si, she, ...).
+separated by ':', which is what the ``str`` of every value prints; '.'
+is accepted as well, since both separators circulate.  Unit names are
+accepted in their UTF-8 spellings and in ASCII aliases (kush, shu-si,
+she, ...).
 
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
@@ -64,11 +65,6 @@ def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
     return FloatingNumber(digits)
 
 
-def format_spvn(n: FloatingNumber) -> str:
-    """Colon-separated decimal digits, no padding: 1:3, never 1:03."""
-    return str(n)
-
-
 def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:
     """Parse "<digits>e<exponent>", e.g. "6:30e-1"."""
     s = text.strip()
@@ -86,10 +82,6 @@ def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:
             _diag(len(head) + 2, "exponent must be an integer", tail, line),
         ) from None
     return AnchoredNumber(parse_spvn(head, line), exponent)
-
-
-def format_anchored(a: AnchoredNumber) -> str:
-    return f"{a.digits}e{a.exponent}"
 
 
 _FRACTION_GLYPHS = {
@@ -185,8 +177,3 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
         raise UnitOrderViolation(
             str(e), _diag(1, str(e), text, line)
         ) from None
-
-
-def format_measurement(m: metrology.MeasurementValue) -> str:
-    """Canonical text: ASCII fractions, UTF-8 unit names."""
-    return str(m)

@@ -7,7 +7,6 @@ from mesomath.abacus import (
     AnchoredNumber,
     Configuration,
     add,
-    anchor,
     column_diagram,
     half,
     mul_anchored,
@@ -16,13 +15,13 @@ from mesomath.abacus import (
     sub,
 )
 from mesomath.errors import NegativeResult, NotASquare, ZeroResult
-from mesomath.spvn import mul, normalize
+from mesomath.spvn import FloatingNumber, mul
 from mesomath.textio import parse_anchored as an, parse_spvn as fn
 
 
 digit_seqs = st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any)
 anchored_values = st.builds(
-    lambda ds, e: AnchoredNumber(normalize(ds), e),
+    lambda ds, e: AnchoredNumber(FloatingNumber(ds), e),
     digit_seqs,
     st.integers(-4, 4),
 )
@@ -30,14 +29,14 @@ anchored_values = st.builds(
 
 class TestAnchor:
     def test_six_and_a_half(self):
-        a = anchor(fn("6:30"), -1)
+        a = AnchoredNumber(fn("6:30"), -1)
         assert a.value() == Fraction(13, 2)
 
     def test_five(self):
-        assert anchor(fn("5"), 0).value() == 5
+        assert AnchoredNumber(fn("5"), 0).value() == 5
 
     def test_computing_unit(self):
-        assert anchor(fn("1"), 0).value() == 1
+        assert AnchoredNumber(fn("1"), 0).value() == 1
 
     def test_literal_round_trip(self):
         assert an("6:30e-1") == AnchoredNumber(fn("6:30"), -1)

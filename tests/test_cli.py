@@ -192,6 +192,15 @@ class TestRunAndCheck:
         assert code == EXIT_VERIFY
         assert "FAIL" in out
 
+    def test_check_detects_configuration_drift(self, capsys, tmp_path):
+        (tmp_path / "drift.tab").write_text(
+            'tablet "drift"\ngiven-spvn a 1\ngiven-spvn b 1\n'
+            "config A: a=e0, b=e0\nconfig B: a=e1, b=e0\nstep add a b\n"
+        )
+        code, out, _ = run_cli(capsys, "check", str(tmp_path))
+        assert code == EXIT_VERIFY
+        assert "drift: ERROR step add differs" in out and "0/1" in out
+
     def test_check_empty_dir_warns(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", str(tmp_path))
         assert code == EXIT_OK

@@ -1,3 +1,6 @@
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,9 +15,10 @@ from mesomath.metrology import (
     from_number,
     gen_metrological_table,
     get_system,
+    _spell,
     to_number,
-    volume_from_surface,
 )
+from mesomath.spvn import mul
 from mesomath.textio import parse_measurement, parse_spvn as fn
 
 
@@ -47,6 +51,21 @@ LENGTH_EXTRACT = [
     ("1 2/3 kuš", "8:20"),
     ("2 kuš", "10"),
 ]
+
+# Each system's whole ladder: range, row count, and the leading sixteen
+# hex digits of the sha256 of its text table.
+FULL_LADDERS = {
+    "L": ("1 šu-si", "59 danna", 165, "6aef77c977f22d52"),
+    "Lh": ("1 šu-si", "59 danna", 165, "f8886f239b98af92"),
+    "W": ("1/2 še", "59 gu", 211, "f4ef739e58d9ce68"),
+    "S": ("1/2 še", "59 bur", 188, "0eac659631a64f44"),
+    "C": ("1 sila", "59 gur", 86, "8371c52a3d6c9d48"),
+}
+
+
+def full_ladder(system):
+    lo, hi, _, _ = FULL_LADDERS[system]
+    return gen_metrological_table(system, m(lo, system), m(hi, system))
 
 
 class TestToNumber:
@@ -251,15 +270,37 @@ class TestTableGeneration:
         assert "1/2 kuš,2:30" in out.splitlines()
 
 
+class TestFullLadders:
+    @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
+    def test_text_table_pinned(self, system):
+        _, _, rows, digest = FULL_LADDERS[system]
+        t = full_ladder(system)
+        text = format_metrological_table(t)
+        assert len(t) == rows
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
+    def test_rows_ascending_and_canonical(self, system):
+        # every row is the canonical spelling of its own magnitude, so a
+        # ladder is fixed by its magnitudes alone
+        t = full_ladder(system)
+        values = [mm.value() for mm, _ in t.rows]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for mm, n in t.rows:
+            assert mm.system == system
+            assert _spell(get_system(system), mm.value()) == mm
+            assert to_number(mm) == n
+
+
 class TestVolumes:
     def test_surface_times_depth(self):
-        assert volume_from_surface(fn("7:30"), fn("6")) == fn("45")
+        assert mul(fn("7:30"), fn("6")) == fn("45")
 
     def test_unit_height(self):
-        assert volume_from_surface(fn("12:30"), fn("1")) == fn("12:30")
+        assert mul(fn("12:30"), fn("1")) == fn("12:30")
 
     def test_oracle(self):
-        assert volume_from_surface(fn("1:30"), fn("2")) == fn("3")
+        assert mul(fn("1:30"), fn("2")) == fn("3")
 
 
 class TestFractionBridge:
@@ -271,3 +312,20 @@ class TestFractionBridge:
         sys = get_system("W")
         for f in sys.allowed_fractions:
             floating_from_fraction(f * sys.base)  # must not raise
+
+
+def test_import_expands_no_ladder():
+    # the ladders are built on first use, never while importing
+    code = (
+        "import sys\n"
+        "spelled = []\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call'"
+        " and frame.f_code.co_name == '_spell' and spelled.append(1))\n"
+        "import mesomath, mesomath.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(spelled), mesomath.metrology._ladder.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0"]

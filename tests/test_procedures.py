@@ -2,6 +2,7 @@ import pytest
 
 from mesomath.errors import (
     MissingConfig,
+    NotASquare,
     ScriptSyntax,
     UnknownName,
     UnknownOp,
@@ -190,6 +191,21 @@ class TestRunQuadratic:
         with pytest.raises(MissingConfig):
             run(parse_script(corpus_text("ybc4663-7.tab")))
 
+    def test_floating_sqrt_ignores_the_anchor(self):
+        # floating, 15 stands for 15 * 60 = 900 = 30**2; anchored at e0 it
+        # is fifteen, which has no root
+        script = parse_script(
+            'tablet "root"\n'
+            "given-spvn x 15\n"
+            "config A: x=e0\n"
+            "step sqrt x expect 30\n"
+        )
+        floating = run(script)
+        assert floating.passed
+        assert floating.records[-1].computed == fn("30")
+        with pytest.raises(NotASquare):
+            run(script, "A")
+
     def test_unknown_config(self):
         with pytest.raises(UnknownName):
             run(parse_script(corpus_text("ybc4663-7.tab")), "Z")
@@ -218,6 +234,26 @@ class TestVerifyCorpus:
         by_id = {r.tablet: r for r in summary.reports}
         assert by_id["YBC 4663 #1"].passed
         assert not by_id["corrupt"].passed
+
+    def test_digits_must_agree_across_configurations(self, tmp_path):
+        # no expect values: only the comparison between configurations
+        # can notice that A gives 2e0 and B gives 1:1e0
+        (tmp_path / "drift.tab").write_text(
+            'tablet "drift"\n'
+            "given-spvn a 1\n"
+            "given-spvn b 1\n"
+            "config A: a=e0, b=e0\n"
+            "config B: a=e1, b=e0\n"
+            "step add a b\n",
+            encoding="utf-8",
+        )
+        summary = verify_corpus(tmp_path)
+        assert not summary.passed
+        (report,) = summary.reports
+        assert all(t.passed for t in report.traces)
+        assert report.error == (
+            "step add differs across configurations: A gives 2, B gives 1:1"
+        )
 
     def test_empty_directory_warns(self, tmp_path):
         summary = verify_corpus(tmp_path)

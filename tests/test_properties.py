@@ -6,11 +6,14 @@ seconds of work.  Hypothesis adds long regular numbers for the factor
 choice, checked against a reference picker written from the rule.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mesomath import abacus, recip
-from mesomath.errors import NoProgress, NotASquare
+from mesomath.errors import InexactFraction, NoProgress, NotASquare
+from mesomath.metrology import floating_from_fraction
 from mesomath.recip import (
     ElementaryTable,
     FactorStrategy,
@@ -30,7 +33,7 @@ from mesomath.spvn import (
     square,
     to_integer,
 )
-from mesomath.textio import format_spvn, parse_spvn
+from mesomath.textio import parse_spvn
 
 LIMIT = 60**4
 
@@ -136,7 +139,7 @@ def test_cbrt_matches_representative_oracle():
 
 def test_parse_format_round_trip():
     for n in SMOOTH_NUMBERS:
-        assert parse_spvn(format_spvn(n)) == n
+        assert parse_spvn(str(n)) == n
 
 
 def test_anchored_ops_agree_with_rationals():
@@ -244,3 +247,40 @@ def test_variant_table_matches_reference_or_stalls(strategy, n):
     else:
         r, fact = reciprocal(n, strategy, VARIANT)
         assert (r, fact.factors) == expected
+
+
+def _fraction_oracle(q):
+    """Canonical integer of q's floating class, found with Fractions alone."""
+    v = q
+    while v.denominator != 1:
+        v *= 60
+    v = v.numerator
+    while v % 60 == 0:
+        v //= 60
+    return v
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 60**6),
+    st.integers(0, 120),
+    st.integers(0, 80),
+    st.integers(0, 60),
+)
+def test_floating_from_fraction_matches_oracle(num, a, b, c):
+    q = Fraction(num, 2**a * 3**b * 5**c)
+    assert to_integer(floating_from_fraction(q)) == _fraction_oracle(q)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 60**6),
+    st.integers(0, 40),
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.sampled_from((7, 11, 13, 49, 59, 61, 77, 7919)),
+)
+def test_floating_from_fraction_refuses_irregular_denominators(num, a, b, c, p):
+    assume(num % p)
+    with pytest.raises(InexactFraction):
+        floating_from_fraction(Fraction(num, 2**a * 3**b * 5**c * p))

@@ -8,7 +8,6 @@ from mesomath.spvn import (
     compare_simpler,
     from_integer,
     mul,
-    normalize,
     split_digit,
     square,
     to_integer,
@@ -22,21 +21,21 @@ nonzero_seqs = digit_seqs.filter(lambda ds: any(ds))
 
 class TestNormalize:
     def test_already_normalized(self):
-        assert normalize([5]).digits == (5,)
+        assert FloatingNumber([5]).digits == (5,)
 
     def test_trailing_zero_stripped(self):
         # 3 and 3x60 are written with the same sign
-        assert normalize([3, 0]) == fn("3")
+        assert FloatingNumber([3, 0]) == fn("3")
 
     def test_both_ends_stripped(self):
-        assert normalize([0, 4, 26, 40, 0]) == fn("4:26:40")
+        assert FloatingNumber([0, 4, 26, 40, 0]) == fn("4:26:40")
 
     def test_interior_zero_kept(self):
-        assert normalize([3, 0, 45]).digits == (3, 0, 45)
+        assert FloatingNumber([3, 0, 45]).digits == (3, 0, 45)
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZero):
-            normalize([0, 0])
+            FloatingNumber([0, 0])
 
     def test_digit_out_of_range(self):
         with pytest.raises(DigitOutOfRange):
@@ -44,8 +43,8 @@ class TestNormalize:
 
     @given(nonzero_seqs)
     def test_idempotent(self, ds):
-        once = normalize(ds)
-        assert normalize(once.digits) == once
+        once = FloatingNumber(ds)
+        assert FloatingNumber(once.digits) == once
 
 
 class TestIntegerBridge:
@@ -86,24 +85,24 @@ class TestMul:
 
     @given(nonzero_seqs)
     def test_identity(self, ds):
-        x = normalize(ds)
+        x = FloatingNumber(ds)
         assert mul(fn("1"), x) == x
 
     @given(nonzero_seqs, nonzero_seqs)
     def test_integer_oracle(self, da, db):
-        a, b = normalize(da), normalize(db)
+        a, b = FloatingNumber(da), FloatingNumber(db)
         assert mul(a, b) == from_integer(to_integer(a) * to_integer(b))
 
     @given(nonzero_seqs, nonzero_seqs)
     def test_commutative(self, da, db):
-        a, b = normalize(da), normalize(db)
+        a, b = FloatingNumber(da), FloatingNumber(db)
         assert mul(a, b) == mul(b, a)
 
     @given(nonzero_seqs, nonzero_seqs, st.integers(1, 3))
     def test_floating_invariance(self, da, db, k):
         # appending trailing zeros to an operand never changes the product
-        a, b = normalize(da), normalize(db)
-        padded = normalize(tuple(da) + (0,) * k)
+        a, b = FloatingNumber(da), FloatingNumber(db)
+        padded = FloatingNumber(tuple(da) + (0,) * k)
         assert mul(padded, b) == mul(a, b)
 
     def test_dunder(self):
