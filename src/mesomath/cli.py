@@ -10,6 +10,7 @@ no reading, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ _STRATEGIES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mesomath",
@@ -271,9 +273,15 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.
+
+    The argument parser is built on the first call and reused for every
+    later call in the same process; importing this module builds none.
+    argparse looks up ``sys.stdout`` and ``sys.stderr`` only when it
+    prints, so redirected or captured streams still receive its output.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -330,6 +330,15 @@ def _readings(
     return out
 
 
+def _require_system(system: UnitSystem, *bounds: MeasurementValue) -> None:
+    """Bounds count magnitudes in their own smallest unit, so they must match."""
+    for m in bounds:
+        if m.system != system.kind:
+            raise MeasurementSyntax(
+                f"bound {m} is in system {m.system}, not {system.kind}"
+            )
+
+
 def from_number(
     n: FloatingNumber, system_kind: str, hint: Window | AnchorHint
 ) -> MeasurementValue:
@@ -350,6 +359,7 @@ def from_number(
         if m is None:
             raise NoReading(f"{n} at e{hint.exponent} is not expressible in {system.kind}")
         return m
+    _require_system(system, hint.lo)
     matches = _readings(n, system, hint.lo.value(), hint.hi.value())
     if not matches:
         raise NoReading(f"no reading of {n} in {system.kind} within {hint}")
@@ -476,6 +486,7 @@ def gen_metrological_table(
 ) -> MetrologicalTable:
     """The canonical rows between ``start`` and ``stop`` inclusive."""
     system = get_system(system_kind)
+    _require_system(system, start, stop)
     lo, hi = start.value(), stop.value()
     if hi < lo:
         raise MeasurementSyntax("empty range: stop is below start")

@@ -16,7 +16,7 @@ notes it and the tablet still passes.
 
 from __future__ import annotations
 
-import shlex
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,6 +137,42 @@ class Trace:
 # --- parsing -------------------------------------------------------------------
 
 
+# One line splits the way POSIX ``shlex.split(line, comments=True)`` does:
+# whitespace is space, tab, CR and LF; ``#`` outside quotes starts a comment,
+# also in mid-token; a token joins bare runs, backslash escapes, '...' and
+# "..." segments, and ``""`` is an empty token.  Whitespace is the only text
+# no alternative matches, so ``findall`` skips exactly that.
+_DQ_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+_LEX = re.compile(
+    rf"""((?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{_DQ_BODY}")+)|#[^\n]*|(['"\\])""", re.S
+)
+_SEGMENT = re.compile(rf"""\\(.)|'([^']*)'|"({_DQ_BODY})"|([^'"\\]+)""", re.S)
+# Inside double quotes only \" and \\ are escapes; other backslashes stay.
+_DQ_ESCAPE = re.compile(r'\\([\\"])')
+
+
+def _unquote_segment(m: re.Match) -> str:
+    escaped, single, double, bare = m.groups()
+    return escaped or single or bare or _DQ_ESCAPE.sub(r"\1", double or "")
+
+
+def _split_line(raw: str) -> list[str]:
+    toks = []
+    for word, bad in _LEX.findall(raw):
+        if bad:
+            # An unclosed quote or a final backslash runs to the end of the
+            # line; an odd run of trailing backslashes leaves one unescaped.
+            odd = (len(raw) - len(raw.rstrip("\\"))) % 2
+            if bad != "'" and odd:
+                raise ValueError("No escaped character")
+            raise ValueError("No closing quotation")
+        if word:
+            if "\\" in word or "'" in word or '"' in word:
+                word = _SEGMENT.sub(_unquote_segment, word)
+            toks.append(word)
+    return toks
+
+
 def _syntax(line_no: int, msg: str, token: str = "") -> ScriptSyntax:
     return ScriptSyntax(
         f"line {line_no}: {msg}",
@@ -164,7 +200,7 @@ def parse_script(text: str) -> ProcedureScript:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         try:
-            toks = shlex.split(raw, comments=True)
+            toks = _split_line(raw)
         except ValueError as e:
             raise _syntax(line_no, f"bad quoting: {e}") from None
         if not toks:
@@ -406,7 +442,7 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
             result, fact = _apply_step(s.op, values, anchored=conf is not None)
         except SexagesimalError as e:
             raise type(e)(
-                f"{script.tablet}: step {s.op} at line {s.line}: {e}"
+                f"{script.tablet}: step {s.op} at line {s.line}: {e}", e.diagnostic
             ) from e
         if s.name:
             scope[s.name] = result

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from mesomath.cli import EXIT_ARITH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from mesomath.procedures import shipped_corpus_dir
 
@@ -208,6 +210,41 @@ class TestRunAndCheck:
 
     def test_run_missing_file(self, capsys):
         assert run_cli(capsys, "run", "/nonexistent.tab")[0] == EXIT_USAGE
+
+
+class TestCachedParser:
+    """One parser serves every call in a process without keeping state."""
+
+    def test_errors_leave_the_parser_clean(self, capsys):
+        assert run_cli(capsys, "bogus")[0] == EXIT_USAGE
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == EXIT_OK and out.startswith("usage: mesomath")
+        assert run_cli(capsys, "mul")[0] == EXIT_USAGE
+        assert run_cli(capsys, "mul", "20", "20")[:2] == (EXIT_OK, "6:40\n")
+
+    @pytest.mark.parametrize(
+        "tablet, config", [("ybc4663-1.tab", ()), ("ybc4663-7.tab", ("--config", "A"))]
+    )
+    def test_repeated_runs_are_byte_identical(self, capsys, tablet, config):
+        argv = ("run", str(shipped_corpus_dir() / tablet), *config)
+        first = run_cli(capsys, *argv)
+        assert first[0] == EXIT_OK and first[1].endswith("PASS\n")
+        assert run_cli(capsys, *argv) == first
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse, sys\n"
+            "built = []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call'"
+            " and frame.f_code.co_name == '_build_parser' and built.append(1))\n"
+            "import mesomath.cli\n"
+            "sys.setprofile(None)\n"
+            "print(len(built), mesomath.cli._build_parser.cache_info().currsize)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mesomath.errors import AmbiguousReading, NoReading
+from mesomath.errors import AmbiguousReading, MeasurementSyntax, NoReading
 from mesomath.metrology import (
     AnchorHint,
     Window,
@@ -164,6 +164,11 @@ class TestFromNumber:
         got = from_number(fn("6:40"), "S", window("1 she", "1 gin", "S"))
         assert got == m("20 she", "S")
 
+    def test_window_in_another_system_refused(self):
+        # 1..2 gin counts še, not šu-si; comparing the two would read 1 ninda
+        with pytest.raises(MeasurementSyntax, match="system W, not L"):
+            from_number(fn("1"), "L", window("1 gin", "2 gin", "W"))
+
     def test_anchor_hint(self):
         assert from_number(fn("6"), "Lh", AnchorHint(0)) == m("1/2 ninda", "Lh")
         assert from_number(fn("5"), "L", AnchorHint(0)) == m("5 ninda", "L")
@@ -220,6 +225,12 @@ class TestTableGeneration:
         got = [(str(mm), str(n)) for mm, n in t.rows]
         assert got == LENGTH_EXTRACT
         assert len(t) == 18
+
+    def test_bounds_in_another_system_refused(self):
+        with pytest.raises(MeasurementSyntax, match="system W, not L"):
+            gen_metrological_table("L", m("1 gin", "W"), m("2 gin", "W"))
+        with pytest.raises(MeasurementSyntax, match="system L, not Lh"):
+            gen_metrological_table("Lh", m("1 kush", "Lh"), m("2 kush", "L"))
 
     def test_single_row_height(self):
         t = gen_metrological_table("Lh", m("1 kush", "Lh"), m("1 kush", "Lh"))

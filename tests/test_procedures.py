@@ -1,14 +1,21 @@
-import pytest
+import shlex
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mesomath import procedures
 from mesomath.errors import (
+    DigitOutOfRange,
     MissingConfig,
     NotASquare,
+    ParseDiagnostic,
     ScriptSyntax,
     UnknownName,
     UnknownOp,
 )
 from mesomath.metrology import to_number
 from mesomath.procedures import (
+    _split_line,
     disk_area,
     parse_script,
     run,
@@ -66,6 +73,84 @@ class TestParseScript:
     def test_comments_and_blanks(self):
         s = parse_script("# nothing\n\ntablet \"t\"\ngiven-spvn a 5  # inline\n")
         assert s.givens[0].expect == fn("5")
+
+
+def _split_outcome(split, text):
+    try:
+        return split(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _shlex_split(text):
+    return shlex.split(text, comments=True)
+
+
+class TestTokenizer:
+    """Corpus lines split exactly as POSIX ``shlex`` with comments would."""
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("abc#x", ["abc"]),
+            ('""', [""]),
+            ('a"b c"d', ["ab cd"]),
+            ("a # b 'c", ["a"]),
+            ('"x#y" z', ["x#y", "z"]),
+            (r'"a\"b\\c\d"', ['a"b\\c\\d']),
+            (r"'a\b'", ["a\\b"]),
+            (r"a\ b \#c", ["a b", "#c"]),
+            ("\tx\r\ny ", ["x", "y"]),
+            ("a # one\nb", ["a", "b"]),
+            ("é'ü' ''", ["éü", ""]),
+        ],
+    )
+    def test_tokens(self, text, tokens):
+        assert _split_line(text) == tokens == _shlex_split(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('"x\\', "No escaped character"),
+            ("'x", "No closing quotation"),
+            ("x\\", "No escaped character"),
+            ('"x', "No closing quotation"),
+            ('"x\\"', "No closing quotation"),
+            ('"x\\\\', "No closing quotation"),
+            ("'x\\", "No closing quotation"),
+        ],
+    )
+    def test_errors(self, text, message):
+        with pytest.raises(ValueError) as e:
+            _split_line(text)
+        assert str(e.value) == message
+        assert _split_outcome(_shlex_split, text) == f"ValueError: {message}"
+
+    @settings(deadline=None, max_examples=2000)
+    @given(st.text(alphabet="ab1:. \t\r\"'\\#é", max_size=24))
+    def test_matches_shlex(self, text):
+        assert _split_outcome(_split_line, text) == _split_outcome(_shlex_split, text)
+
+    def test_bad_quoting_reaches_the_script_error(self):
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script('tablet "t"\ngiven-spvn a "5\n')
+        assert str(e.value) == "line 2: bad quoting: No closing quotation"
+        assert e.value.diagnostic.line == 2
+
+
+class TestStepErrors:
+    def test_reraised_step_error_keeps_its_diagnostic(self, monkeypatch):
+        diag = ParseDiagnostic(line=1, column=3, message="digit 75", token="75")
+
+        def boom(a, b):
+            raise DigitOutOfRange("digit 75 out of range", diag)
+
+        monkeypatch.setattr(procedures.spvn, "mul", boom)
+        script = parse_script('tablet "t"\ngiven-spvn a 2\nstep mul a a expect 4\n')
+        with pytest.raises(DigitOutOfRange) as e:
+            run(script)
+        assert str(e.value) == "t: step mul at line 3: digit 75 out of range"
+        assert e.value.diagnostic is diag
 
 
 class TestRunLinear:
