@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -91,7 +92,10 @@ class ElementaryTable:
             raise KeyError(f"{n} is not in the table") from None
 
 
+@cache
 def _standard_table() -> ElementaryTable:
+    # tables imports this module, so it is imported here, on first use;
+    # the table is built then too, never while importing.
     from .tables import gen_reciprocal_table
 
     return gen_reciprocal_table()

@@ -12,11 +12,22 @@ last digit at 60**0.  Because normalization strips trailing zeros, the
 representative is never divisible by 60, and :func:`to_integer` /
 :func:`from_integer` form a bijection onto such positive integers.  That
 bijection is the oracle bridge the test suite leans on.
+
+A :class:`FloatingNumber` holds both sides of the bridge in two slots,
+``_digits`` and ``_int``, so neither is ever recomputed.  There are two
+ways to build one.  The public constructor takes digits from outside:
+it validates each one, strips the zeros at both ends and folds the
+representative in a single pass.  :func:`from_integer` takes a
+representative: it strips the factors of 60, converts to digits with
+``divmod`` and fills the two slots directly, since digits made that way
+are in range by construction.  :func:`mul` and everything built on it go
+through :func:`from_integer`.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import AllZero, DigitOutOfRange, NonPositive
@@ -37,29 +48,41 @@ def split_digit(d: int) -> tuple[int, int]:
 
 
 class FloatingNumber:
-    """A normalized base-60 digit sequence, most significant digit first.
+    """A normalized base-60 digit sequence and its canonical integer.
 
-    Construction normalizes: leading and trailing zero digits are
-    stripped (they carry no floating meaning), interior zeros are kept.
-    A sequence with no nonzero digit raises :class:`AllZero`.
+    ``_digits`` holds the digits, most significant first; ``_int`` holds
+    the canonical representative (last digit at 60**0).  Construction
+    normalizes: leading and trailing zero digits are stripped (they
+    carry no floating meaning), interior zeros are kept.  Every digit
+    must be an integer in 0..59; a float, a string or any other value
+    that is not an integer raises :class:`DigitOutOfRange`, since
+    nothing here rounds.  A sequence with no nonzero digit raises
+    :class:`AllZero`.  :func:`from_integer` builds the same value from a
+    representative without going through this constructor.
     """
 
-    __slots__ = ("_digits",)
+    __slots__ = ("_digits", "_int")
 
     def __init__(self, digits: Iterable[int]):
-        ds = tuple(int(d) for d in digits)
-        for d in ds:
-            if not 0 <= d <= 59:
+        ds = []
+        v = 0
+        for d in digits:
+            try:
+                d = index(d)
+            except TypeError:
+                raise DigitOutOfRange(f"digit {d!r} is not an integer") from None
+            if not 0 <= d < BASE:
                 raise DigitOutOfRange(f"digit {d} outside 0..59")
-        lo = 0
-        hi = len(ds)
-        while lo < hi and ds[lo] == 0:
-            lo += 1
-        while hi > lo and ds[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
+            if v or d:
+                ds.append(d)
+                v = v * BASE + d
+        if not v:
             raise AllZero("a digit sequence must contain a nonzero digit")
-        self._digits = ds[lo:hi]
+        while not ds[-1]:
+            ds.pop()
+            v //= BASE
+        self._digits = tuple(ds)
+        self._int = v
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -74,10 +97,10 @@ class FloatingNumber:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FloatingNumber):
             return NotImplemented
-        return self._digits == other._digits
+        return self._int == other._int
 
     def __hash__(self) -> int:
-        return hash(self._digits)
+        return hash(self._int)
 
     def __mul__(self, other: "FloatingNumber") -> "FloatingNumber":
         return mul(self, other)
@@ -99,27 +122,33 @@ class SimplerOrdering(enum.Enum):
 
 def to_integer(a: FloatingNumber) -> int:
     """Canonical integer representative, last digit at 60**0."""
-    v = 0
-    for d in a.digits:
-        v = v * BASE + d
-    return v
+    return a._int
 
 
 def from_integer(v: int) -> FloatingNumber:
     """Floating number whose class contains the positive integer ``v``.
 
     Factors of 60 are stripped first, so 60 and 3600 both come back as
-    "1"; the result always has a nonzero last digit.
+    "1"; the result always has a nonzero last digit.  A ``v`` that is
+    not an integer raises :class:`TypeError` rather than being truncated.
     """
+    v = index(v)
     if v <= 0:
         raise NonPositive(f"no floating number for {v}")
     while v % BASE == 0:
         v //= BASE
     ds = []
-    while v:
-        ds.append(v % BASE)
-        v //= BASE
-    return FloatingNumber(reversed(ds))
+    w = v
+    while w:
+        w, d = divmod(w, BASE)
+        ds.append(d)
+    ds.reverse()
+    # Trusted construction: digits made by divmod are in range and the
+    # last one is nonzero, so the validating constructor is skipped.
+    a = object.__new__(FloatingNumber)
+    a._digits = tuple(ds)
+    a._int = v
+    return a
 
 
 def mul(a: FloatingNumber, b: FloatingNumber) -> FloatingNumber:
@@ -129,7 +158,7 @@ def mul(a: FloatingNumber, b: FloatingNumber) -> FloatingNumber:
     units position might have been, which is what makes the operation
     meaningful on equivalence classes at all.
     """
-    return from_integer(to_integer(a) * to_integer(b))
+    return from_integer(a._int * b._int)
 
 
 def square(a: FloatingNumber) -> FloatingNumber:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -49,6 +50,53 @@ class TestArithmeticCommands:
         a = run_cli(capsys, "recip", "45:30:40", "--strategy", "wedge")[1]
         b = run_cli(capsys, "recip", "45:30:40", "--strategy", "largest")[1]
         assert a == b  # same value either way
+
+
+def _sexagesimal(v):
+    # digit string of the canonical representative, independent of spvn
+    while v % 60 == 0:
+        v //= 60
+    ds = []
+    while v:
+        v, d = divmod(v, 60)
+        ds.append(d)
+    return ":".join(str(d) for d in reversed(ds))
+
+
+# 2**a * 3**b * 5**c, from 5 to 40 digits after stripping factors of 60
+PINNED_RECIP_EXPONENTS = (
+    (129, 76, 62), (25, 33, 12), (14, 14, 20), (97, 33, 38), (71, 38, 22),
+    (43, 23, 6), (105, 82, 62), (102, 35, 21), (88, 9, 16), (24, 29, 41),
+    (137, 48, 33), (44, 65, 38), (91, 3, 13), (25, 82, 13), (89, 21, 1),
+    (11, 77, 2), (66, 86, 53), (20, 81, 2), (121, 51, 15), (24, 53, 51),
+    (130, 30, 4), (110, 63, 12), (80, 7, 54), (24, 50, 63), (119, 50, 4),
+    (93, 4, 52), (127, 52, 2), (119, 78, 10), (1, 85, 39), (19, 78, 61),
+)
+
+
+class TestRecipTracePin:
+    """Every byte of ``recip --trace`` on long inputs, pinned by hash.
+
+    A speed-up may not change a single output byte or factor choice; the
+    hash was taken before the integer bridge kept its representative.
+    """
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("wedge", "693edf11a5694ccc57003722e2c753b5ef4da28446d697a14a2ac8ebf1312843"),
+            ("largest", "e83b1e2e46f8d01962f4d0fa24e41dc72395ef36a57b0326739f262b4279d335"),
+        ],
+    )
+    def test_long_reciprocals(self, capsys, strategy, digest):
+        h = hashlib.sha256()
+        for a, b, c in PINNED_RECIP_EXPONENTS:
+            n = _sexagesimal(2**a * 3**b * 5**c)
+            assert 5 <= n.count(":") + 1 <= 40
+            code, out, err = run_cli(capsys, "recip", n, "--trace", "--strategy", strategy)
+            assert code == EXIT_OK and not err
+            h.update(f"{n}\n{out}".encode())
+        assert h.hexdigest() == digest
 
 
 class TestExitCodes:

@@ -284,3 +284,77 @@ def test_floating_from_fraction_refuses_irregular_denominators(num, a, b, c, p):
     assume(num % p)
     with pytest.raises(InexactFraction):
         floating_from_fraction(Fraction(num, 2**a * 3**b * 5**c * p))
+
+
+# --- the integer bridge against an integer oracle ------------------------------
+
+def _oracle_fold(ds):
+    """Strip zeros at both ends, then fold the digits into an integer."""
+    ds = list(ds)
+    while ds and ds[0] == 0:
+        del ds[0]
+    while ds and ds[-1] == 0:
+        del ds[-1]
+    v = 0
+    for d in ds:
+        v = v * 60 + d
+    return tuple(ds), v
+
+
+def _oracle_digits(v):
+    """Digits and canonical representative of the positive integer v."""
+    while v % 60 == 0:
+        v //= 60
+    ds = []
+    w = v
+    while w:
+        ds.insert(0, w % 60)
+        w //= 60
+    return tuple(ds), v
+
+
+def _check_bridge(x, want_digits, want_int):
+    """x agrees with the oracle and with both construction paths."""
+    assert x.digits == want_digits
+    assert to_integer(x) == want_int
+    for y in (FloatingNumber(want_digits), from_integer(want_int)):
+        assert x == y and hash(x) == hash(y)
+        assert y.digits == want_digits and to_integer(y) == want_int
+    back = from_integer(to_integer(x))
+    assert back == x and back.digits == x.digits and hash(back) == hash(x)
+
+
+# interior zeros are common, and zeros can pad either end
+_digit = st.one_of(st.just(0), st.integers(0, 59))
+_padded_digits = st.tuples(
+    st.integers(0, 3),
+    st.lists(_digit, min_size=1, max_size=30).filter(any),
+    st.integers(0, 3),
+).map(lambda t: (0,) * t[0] + tuple(t[1]) + (0,) * t[2])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_padded_digits)
+def test_bridge_constructor_matches_oracle(ds):
+    _check_bridge(FloatingNumber(ds), *_oracle_fold(ds))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_padded_digits, st.integers(0, 4))
+def test_bridge_from_integer_matches_oracle(ds, k):
+    want_digits, v = _oracle_fold(ds)
+    _check_bridge(from_integer(v * 60**k), want_digits, v)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_padded_digits, _padded_digits)
+def test_bridge_mul_matches_oracle(da, db):
+    (_, va), (_, vb) = _oracle_fold(da), _oracle_fold(db)
+    want_digits, want_int = _oracle_digits(va * vb)
+    _check_bridge(mul(FloatingNumber(da), FloatingNumber(db)), want_digits, want_int)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_padded_digits, st.sampled_from(":."))
+def test_bridge_parse_matches_oracle(ds, sep):
+    _check_bridge(parse_spvn(sep.join(map(str, ds))), *_oracle_fold(ds))

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from mesomath.errors import (
@@ -9,6 +12,7 @@ from mesomath.errors import (
 )
 from mesomath.recip import (
     ElementaryTable,
+    _standard_table,
     FactorStrategy,
     cbrt,
     divisible,
@@ -239,3 +243,31 @@ class TestCbrt:
     def test_not_a_cube_long(self):
         with pytest.raises(NotACube):
             cbrt(fn("4:5:7:30"))
+
+
+def test_import_builds_no_reciprocal_table():
+    # the standard table is built on first use, never while importing
+    code = (
+        "import sys\n"
+        "built = []\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and frame.f_code.co_name"
+        " in ('_standard_table', 'gen_reciprocal_table') and built.append(1))\n"
+        "import mesomath, mesomath.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(built), mesomath.recip._standard_table.cache_info().currsize,"
+        " mesomath.tables.gen_reciprocal_table.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0", "0"]
+
+
+def test_standard_table_is_built_once():
+    n = fn("4:26:40")
+    reciprocal(n)
+    hits = _standard_table.cache_info().hits
+    reciprocal(n)
+    factor_reciprocals(reciprocal(n)[1])
+    assert _standard_table.cache_info().hits == hits + 3
+    assert _standard_table() is gen_reciprocal_table()

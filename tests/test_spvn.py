@@ -41,6 +41,27 @@ class TestNormalize:
         with pytest.raises(DigitOutOfRange):
             FloatingNumber([60])
 
+    def test_negative_digit(self):
+        with pytest.raises(DigitOutOfRange):
+            FloatingNumber([1, -1])
+
+    # nothing rounds and nothing is coerced: a digit must be an integer
+    def test_float_digit_rejected(self):
+        with pytest.raises(DigitOutOfRange):
+            FloatingNumber([1.7, 2])
+
+    def test_integral_float_digit_rejected(self):
+        with pytest.raises(DigitOutOfRange):
+            FloatingNumber([2.0])
+
+    def test_string_of_digits_rejected(self):
+        with pytest.raises(DigitOutOfRange):
+            FloatingNumber("123")
+
+    def test_string_with_separator_rejected(self):
+        with pytest.raises(DigitOutOfRange):
+            FloatingNumber("1:30")
+
     @given(nonzero_seqs)
     def test_idempotent(self, ds):
         once = FloatingNumber(ds)
@@ -60,6 +81,11 @@ class TestIntegerBridge:
     def test_nonpositive(self):
         with pytest.raises(NonPositive):
             from_integer(0)
+
+    def test_non_integer_refused(self):
+        # a float is not truncated into some nearby number
+        with pytest.raises(TypeError):
+            from_integer(16000.5)
 
     @given(st.integers(1, 60**6))
     def test_round_trip_strips_sixties(self, v):
