@@ -183,9 +183,9 @@ def _repl() -> int:
             line = line.strip()
         toks = line.split()
         try:
-            if toks[0] == "mul" and len(toks) == 3:
+            if len(toks) == 3 and toks[0] == "mul":
                 value = spvn.mul(resolve(toks[1]), resolve(toks[2]))
-            elif toks[0] in unary and len(toks) == 2:
+            elif len(toks) == 2 and toks[0] in unary:
                 value = unary[toks[0]](resolve(toks[1]))
             elif len(toks) == 1:
                 value = resolve(toks[0])
@@ -245,17 +245,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             m = textio.parse_measurement(args.measurement, args.system)
             print(metrology.to_number(m))
         elif args.convert_kind == "from-spvn":
-            lo_text, sep, hi_text = args.window.partition("..")
-            if not sep:
-                raise SexagesimalError(f'window must look like "<m>".."<m>": {args.window!r}')
-            window = metrology.Window(
-                textio.parse_measurement(lo_text.strip().strip('"'), args.system),
-                textio.parse_measurement(hi_text.strip().strip('"'), args.system),
-            )
-            m = metrology.from_number(
-                textio.parse_spvn(args.number), args.system, window
-            )
-            print(m)
+            window = textio.parse_window(args.window, args.system)
+            n = textio.parse_spvn(args.number)
+            print(metrology.from_number(n, args.system, window))
         else:
             for m in metrology.enumerate_readings(
                 textio.parse_spvn(args.number), args.system, args.span
@@ -292,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except SexagesimalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARITH
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -170,16 +170,6 @@ class MeasurementValue:
     def __str__(self) -> str:
         return " ".join(str(t) for t in self.terms)
 
-    def __lt__(self, other: "MeasurementValue") -> bool:
-        if self.system != other.system:
-            raise ValueError("cannot compare across systems")
-        return self.value() < other.value()
-
-    def __le__(self, other: "MeasurementValue") -> bool:
-        if self.system != other.system:
-            raise ValueError("cannot compare across systems")
-        return self.value() <= other.value()
-
 
 # --- the five standard systems ------------------------------------------------
 

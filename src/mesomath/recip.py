@@ -71,10 +71,6 @@ class ElementaryTable:
     def pairs(self) -> tuple[tuple[FloatingNumber, FloatingNumber], ...]:
         return self._pairs
 
-    @property
-    def entries(self) -> tuple[FloatingNumber, ...]:
-        return tuple(e for e, _ in self._pairs)
-
     def known_values(self) -> tuple[FloatingNumber, ...]:
         """Every number on either side, ascending by representative."""
         return tuple(self._by_rep[t][0] for t in sorted(self._by_rep))

@@ -1,4 +1,4 @@
-"""Parsing: numbers, anchored literals, measurements.
+"""Parsing: numbers, anchored literals, measurements, reading windows.
 
 One grammar shared by the CLI, the REPL and corpus files.  Digits are
 separated by ':', which is what the ``str`` of every value prints; '.'
@@ -177,3 +177,17 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
         raise UnitOrderViolation(
             str(e), _diag(1, str(e), text, line)
         ) from None
+
+
+def parse_window(text: str, system_kind: str, line: int = 1) -> metrology.Window:
+    """Parse a reading window "<m>".."<m>"; the quotes are optional."""
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise MeasurementSyntax(
+            f'window must look like "<m>".."<m>": {text!r}',
+            _diag(1, 'window needs "<m>".."<m>"', text, line),
+        )
+    return metrology.Window(
+        parse_measurement(lo.strip().strip('"'), system_kind, line),
+        parse_measurement(hi.strip().strip('"'), system_kind, line),
+    )

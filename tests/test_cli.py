@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesomath.cli import EXIT_ARITH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from mesomath.procedures import shipped_corpus_dir
+from mesomath.procedures import parse_script, shipped_corpus_dir
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +164,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(p), "--config", "A")
         assert code == EXIT_ARITH and "negative" in err
 
+    def test_window_without_dots_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "convert", "from-spvn", "L", "10", "--window", "x")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("latin1.tab", b'tablet "t"\n# caf\xe9\n'),
+            ("unanchored.tab", b'tablet "t"\ngiven-spvn a 2\ngiven-spvn b 3\nconfig c1: a=e0\n'),
+            ("dir.tab", None),
+        ],
+    )
+    def test_file_refusals_exit_2(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run_cli(capsys, "run", str(path), "--config", "c1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_degenerate_ranges_exit_2(self, capsys):
         assert run_cli(capsys, "convert", "readings", "L", "3", "--span", "0")[0] == EXIT_USAGE
         assert run_cli(
@@ -251,6 +280,21 @@ class TestRunAndCheck:
         assert code == EXIT_VERIFY
         assert "drift: ERROR step add differs" in out and "0/1" in out
 
+    def test_check_reports_refused_tablets_and_goes_on(self, capsys, tmp_path):
+        (tmp_path / "good.tab").write_bytes((shipped_corpus_dir() / "ybc7302.tab").read_bytes())
+        (tmp_path / "latin1.tab").write_bytes(b'tablet "t"\n# caf\xe9\n')
+        (tmp_path / "un.tab").write_text(
+            'tablet "u"\ngiven-spvn a 2\ngiven-spvn b 3\nconfig c1: a=e0\n'
+        )
+        code, out, err = run_cli(capsys, "check", str(tmp_path))
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "YBC 7302: pass",
+            "latin1: ERROR line 2: not UTF-8 text: invalid continuation byte",
+            "un: ERROR line 4: configuration 'c1' does not anchor given 'b'",
+            "1/3 tablets pass",
+        ]
+
     def test_check_empty_dir_warns(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", str(tmp_path))
         assert code == EXIT_OK
@@ -258,6 +302,30 @@ class TestRunAndCheck:
 
     def test_run_missing_file(self, capsys):
         assert run_cli(capsys, "run", "/nonexistent.tab")[0] == EXIT_USAGE
+
+
+class TestRunCheckPin:
+    """Every byte and exit code of ``run`` and ``check`` on the shipped corpus.
+
+    Each tablet runs with no configuration, under each configuration it
+    declares and under one it does not; the hash was taken before the
+    replay step ops moved into one table.
+    """
+
+    def test_corpus_outputs(self, capsys):
+        corpus = shipped_corpus_dir()
+        h = hashlib.sha256()
+        for path in sorted(corpus.glob("*.tab")):
+            script = parse_script(path.read_text(encoding="utf-8"))
+            for config in (None, *(c.name for c in script.configurations), "Z"):
+                argv = ("run", str(path)) + (("--config", config) if config else ())
+                code, out, err = run_cli(capsys, *argv)
+                h.update(f"{path.name} {config}\n{code}\n{out}\n{err}\n".encode())
+        code, out, err = run_cli(capsys, "check", str(corpus))
+        h.update(f"check\n{code}\n{out}\n{err}\n".encode())
+        assert h.hexdigest() == (
+            "7fb89ba1da4638e7c78d7a1963bdf85b1831b90b7dbd0bc003a08805af02fe01"
+        )
 
 
 class TestCachedParser:
@@ -317,6 +385,15 @@ class TestRepl:
         assert proc.returncode == 0
         assert proc.stdout.decode().splitlines() == ["1:3", "13:30", "1"]
 
+    def test_nothing_after_equals(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mesomath.cli", "repl"],
+            input=b"x =\n=\nmul 2 3\n",
+            capture_output=True,
+        )
+        assert proc.returncode == 0 and proc.stdout.decode().splitlines() == ["6"]
+        assert proc.stderr.decode().splitlines() == ["error: cannot evaluate ''"] * 2
+
     def test_error_recovery(self):
         session = "recip 7\nmul 2 3\n"
         proc = subprocess.run(
@@ -326,3 +403,106 @@ class TestRepl:
         )
         assert proc.stdout.decode().splitlines() == ["6"]
         assert "without reciprocal" in proc.stderr.decode()
+
+
+_TABLETS = tuple(p.read_bytes() for p in sorted(shipped_corpus_dir().glob("*.tab")))
+_SNIPPETS = (
+    b"..", b'"', b"'", b"\\", b"#", b"=", b"e", b"e-1", b":", b"0", b"75", b" ", b"\n",
+    b"\xff", b"\xe9", b"as", b"expect", b"window", b"config Z: a=e0\n", b"step add a b\n",
+)
+
+
+@st.composite
+def _file_bytes(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=120))
+    data = bytearray(draw(st.sampled_from(_TABLETS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = min(len(data), i + draw(st.integers(0, 12)))
+        insert = draw(st.sampled_from(_SNIPPETS) | st.binary(min_size=1, max_size=2))
+        data[i:j] = insert
+    return bytes(data)
+
+
+_NUMBER = st.sampled_from(["1", "7", "0", "1:75", "4:26:40", "3.30", "x", ""]) | st.text(
+    "0123456789:.e- ", max_size=6
+)
+_SYSTEM = st.sampled_from(["L", "Lh", "S", "W", "C", "Q"])
+_MEASUREMENT = st.sampled_from(
+    ["1 ninda", "2 kush", "1/2 ninda", "6 she", "9 gin", "1 sar", "1 kush 3 shu-si", "x", ""]
+)
+_WINDOW = st.builds(
+    lambda a, sep, b: a + sep + b, _MEASUREMENT, st.sampled_from(["..", ".", ""]), _MEASUREMENT
+)
+_PATH = st.sampled_from(["FILE", "DIR", "MISSING"])
+
+
+def _opt(*flags):
+    return st.sampled_from([[], list(flags)])
+
+
+_FILE_COMMANDS = (
+    ["run", _PATH, st.sampled_from([[], ["--config", "A"], ["--config", "B"], ["--config", "Z"]])],
+    ["check", _PATH],
+)
+_OTHER_COMMANDS = (
+    ["mul", _NUMBER, _NUMBER],
+    ["mul", _NUMBER],
+    ["square", _NUMBER],
+    ["sqrt", _NUMBER],
+    ["cbrt", _NUMBER],
+    ["recip", _NUMBER, _opt("--trace"), _opt("--strategy", "largest")],
+    ["table", "recip", _opt("--format", "csv")],
+    ["table", "squares"],
+    ["table", "mult", _NUMBER],
+    ["table", "metro", _SYSTEM, "--from", _MEASUREMENT, "--to", _MEASUREMENT],
+    ["convert", "to-spvn", _SYSTEM, _MEASUREMENT],
+    ["convert", "from-spvn", _SYSTEM, _NUMBER, "--window", _WINDOW],
+    ["convert", "readings", _SYSTEM, _NUMBER, "--span", st.sampled_from(["-1", "0", "4", "x"])],
+    ["repl"],
+    [],
+    ["bogus"],
+    ["--help"],
+)
+_REPL_LINES = st.lists(
+    st.sampled_from(["mul 9 7", "x = recip 4:26:40", "mul x 2", "recip 7", "x =", "=", "quit"])
+    | st.text("mulrecp 0123456789:=x#", max_size=12),
+    max_size=5,
+).map("\n".join)
+
+
+@st.composite
+def _argv(draw):
+    """A command line from the sub-command grammar; half of them read a file."""
+    commands = _FILE_COMMANDS if draw(st.booleans()) else _OTHER_COMMANDS
+    argv = []
+    for part in draw(st.sampled_from(commands)):
+        value = draw(part) if isinstance(part, st.SearchStrategy) else part
+        argv.extend(value if isinstance(value, list) else [value])
+    return argv
+
+
+class TestCliTotality:
+    """Any argv from the command grammar and any file bytes give a documented exit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv(), content=_file_bytes(), stdin=_REPL_LINES)
+    def test_every_exit_is_documented(self, argv, content, stdin):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "fuzz.tab"
+            path.write_bytes(content)
+            where = {"FILE": str(path), "DIR": d, "MISSING": str(Path(d) / "missing.tab")}
+            argv = [where.get(a, a) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_ARITH)
+        assert "Traceback" not in err
+        if code == EXIT_VERIFY:
+            # run ends in FAIL; check names each failed or refused tablet
+            assert "FAIL" in out.splitlines() or any(
+                ": FAIL" in line or ": ERROR " in line for line in out.splitlines()
+            ), (argv, out)

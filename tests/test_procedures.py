@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mesomath import procedures
 from mesomath.errors import (
     DigitOutOfRange,
+    MeasurementSyntax,
     MissingConfig,
     NotASquare,
     ParseDiagnostic,
@@ -73,6 +74,28 @@ class TestParseScript:
     def test_comments_and_blanks(self):
         s = parse_script("# nothing\n\ntablet \"t\"\ngiven-spvn a 5  # inline\n")
         assert s.givens[0].expect == fn("5")
+
+    def test_every_config_anchors_every_given(self):
+        text = (
+            'tablet "t"\ngiven-spvn a 2\nconfig c1: a=e0\n'
+            "given-spvn b 3\nstep add a b\n"
+        )
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == "line 3: configuration 'c1' does not anchor given 'b'"
+        assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "c1"
+
+    def test_window_without_dots(self):
+        text = 'tablet "t"\ngiven-spvn a 2\nanswer a L window "1 ninda" expect "2 ninda"\n'
+        with pytest.raises(MeasurementSyntax) as e:
+            parse_script(text)
+        assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "1 ninda"
+
+    def test_window_quotes_are_optional(self):
+        head = 'tablet "t"\ngiven-spvn a 2\nanswer a L window '
+        plain = parse_script(head + '"1 ninda..3 ninda"\n')
+        quoted = parse_script(head + "'\"1 ninda\"..\"3 ninda\"'\n")
+        assert plain.answers[0].window == quoted.answers[0].window
 
 
 def _split_outcome(split, text):
@@ -340,6 +363,22 @@ class TestVerifyCorpus:
             "step add differs across configurations: A gives 2, B gives 1:1"
         )
 
+    def test_refused_files_are_reported_not_raised(self, tmp_path):
+        (tmp_path / "good.tab").write_text(corpus_text("ybc7302.tab"), encoding="utf-8")
+        (tmp_path / "latin1.tab").write_bytes(b'tablet "t"\n# caf\xe9\n')
+        (tmp_path / "unanchored.tab").write_text(
+            'tablet "u"\ngiven-spvn a 2\ngiven-spvn b 3\nconfig c1: a=e0\n',
+            encoding="utf-8",
+        )
+        (tmp_path / "folder.tab").mkdir()
+        by_id = {r.tablet: r for r in verify_corpus(tmp_path).reports}
+        assert by_id["YBC 7302"].passed
+        assert "Is a directory" in by_id["folder"].error
+        assert by_id["latin1"].error.startswith("line 2: not UTF-8 text")
+        assert by_id["unanchored"].error == (
+            "line 4: configuration 'c1' does not anchor given 'b'"
+        )
+
     def test_empty_directory_warns(self, tmp_path):
         summary = verify_corpus(tmp_path)
         assert summary.passed
@@ -350,3 +389,10 @@ class TestRunFile:
     def test_run_file(self):
         t = run_file(CORPUS / "ybc7302.tab")
         assert t.passed
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.tab"
+        path.write_bytes(b'tablet "t"\ngiven-spvn a 2\n# caf\xe9\n')
+        with pytest.raises(ScriptSyntax) as e:
+            run_file(path)
+        assert e.value.diagnostic.line == 3

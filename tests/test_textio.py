@@ -12,7 +12,7 @@ from mesomath.errors import (
     UnknownUnit,
 )
 from mesomath.spvn import FloatingNumber
-from mesomath.textio import parse_anchored, parse_measurement, parse_spvn
+from mesomath.textio import parse_anchored, parse_measurement, parse_spvn, parse_window
 
 
 class TestParseSpvn:
@@ -119,6 +119,25 @@ class TestParseMeasurement:
             parse_measurement("3 ninda", "W")
 
 
+class TestParseWindow:
+    @pytest.mark.parametrize(
+        "text", ["1 kush..2 ninda", '"1 kush".."2 ninda"', ' "1 kush" .. 2 ninda ']
+    )
+    def test_quotes_and_spaces_are_optional(self, text):
+        w = parse_window(text, "L")
+        assert (str(w.lo), str(w.hi)) == ("1 kuš", "2 ninda")
+
+    def test_missing_dots(self):
+        with pytest.raises(MeasurementSyntax) as e:
+            parse_window("1 kush", "L", line=4)
+        assert e.value.diagnostic.line == 4 and e.value.diagnostic.token == "1 kush"
+
+    def test_bound_error_keeps_its_line(self):
+        with pytest.raises(UnknownUnit) as e:
+            parse_window("1 kush..2 furlong", "L", line=7)
+        assert e.value.diagnostic.line == 7
+
+
 class TestParserTotality:
     @given(st.text(max_size=30))
     def test_spvn_never_crashes(self, text):
@@ -138,5 +157,12 @@ class TestParserTotality:
     def test_anchored_never_crashes(self, text):
         try:
             parse_anchored(text)
+        except SexagesimalError:
+            pass
+
+    @given(st.text(alphabet='12 kushnda/."', max_size=30), st.sampled_from(["L", "W"]))
+    def test_window_never_crashes(self, text, system):
+        try:
+            parse_window(text, system)
         except SexagesimalError:
             pass
