@@ -28,6 +28,14 @@ _STRATEGIES = {
     "largest": FactorStrategy.ANY_DIVISOR_LARGEST,
 }
 
+#: The plain arithmetic sub-commands: name -> (function, operands, help).
+_ARITH = {
+    "mul": (spvn.mul, ("a", "b"), "multiply two numbers"),
+    "square": (spvn.square, ("a",), "square a number"),
+    "sqrt": (recip.sqrt, ("a",), "exact square root"),
+    "cbrt": (recip.cbrt, ("a",), "exact cube root"),
+}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,17 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    for op in ("mul",):
-        q = sub.add_parser(op, help="multiply two numbers")
-        q.add_argument("a")
-        q.add_argument("b")
-    for op, desc in (
-        ("square", "square a number"),
-        ("sqrt", "exact square root"),
-        ("cbrt", "exact cube root"),
-    ):
+    for op, (_, operands, desc) in _ARITH.items():
         q = sub.add_parser(op, help=desc)
-        q.add_argument("a")
+        for name in operands:
+            q.add_argument(name)
 
     q = sub.add_parser("recip", help="reciprocal by trailing-part factorization")
     q.add_argument("a")
@@ -158,11 +159,9 @@ def _repl() -> int:
             return scope[tok]
         return textio.parse_spvn(tok)
 
-    unary = {
-        "square": spvn.square,
-        "sqrt": recip.sqrt,
-        "cbrt": recip.cbrt,
-        "recip": lambda a: recip.reciprocal(a)[0],
+    ops = {
+        **_ARITH,
+        "recip": (lambda a: recip.reciprocal(a)[0], ("a",), ""),
     }
     interactive = sys.stdin.isatty()
     while True:
@@ -183,12 +182,10 @@ def _repl() -> int:
             line = line.strip()
         toks = line.split()
         try:
-            if len(toks) == 3 and toks[0] == "mul":
-                value = spvn.mul(resolve(toks[1]), resolve(toks[2]))
-            elif len(toks) == 2 and toks[0] in unary:
-                value = unary[toks[0]](resolve(toks[1]))
-            elif len(toks) == 1:
+            if len(toks) == 1:
                 value = resolve(toks[0])
+            elif toks and toks[0] in ops and len(toks) == 1 + len(ops[toks[0]][1]):
+                value = ops[toks[0]][0](*map(resolve, toks[1:]))
             else:
                 print(f"error: cannot evaluate {line!r}", file=sys.stderr)
                 continue
@@ -204,14 +201,9 @@ def _repl() -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
 
-    if cmd == "mul":
-        print(spvn.mul(textio.parse_spvn(args.a), textio.parse_spvn(args.b)))
-    elif cmd == "square":
-        print(spvn.square(textio.parse_spvn(args.a)))
-    elif cmd == "sqrt":
-        print(recip.sqrt(textio.parse_spvn(args.a)))
-    elif cmd == "cbrt":
-        print(recip.cbrt(textio.parse_spvn(args.a)))
+    if cmd in _ARITH:
+        fn, operands, _ = _ARITH[cmd]
+        print(fn(*(textio.parse_spvn(getattr(args, name)) for name in operands)))
     elif cmd == "recip":
         r, fact = recip.reciprocal(
             textio.parse_spvn(args.a), _STRATEGIES[args.strategy]

@@ -11,16 +11,23 @@ Heights use the same units as lengths but put 1 kuš at 1 instead of 5,
 so that a surface number times a height number is directly a volume
 number in table S.
 
-All magnitudes are exact ``Fraction`` counts of the system's smallest
-unit; nothing here rounds.
+Every allowed fraction has a denominator dividing 12 and every unit
+size is a whole number of smallest units, so a magnitude is one integer:
+:attr:`MeasurementValue.twelfths`, the count of twelfths of the
+system's smallest unit.  Spelling, the cycle walk of reverse readings
+and the ladder search all run on that integer;
+:meth:`MeasurementValue.value` is the exact ``Fraction`` edge.  Nothing
+here rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import floor
+from functools import cache, cached_property
+from itertools import islice
+from typing import Iterator
 
 from .errors import (
     AmbiguousReading,
@@ -40,12 +47,10 @@ _HALF = Fraction(1, 2)
 _TWO_THIRDS = Fraction(2, 3)
 _FIVE_SIXTHS = Fraction(5, 6)
 
-#: Fractions a measurement may carry, in any system.
-ALLOWED_FRACTIONS = frozenset(
-    (_SIXTH, _QUARTER, _THIRD, _HALF, _TWO_THIRDS, _FIVE_SIXTHS)
-)
-
 _ALL = (_FIVE_SIXTHS, _TWO_THIRDS, _HALF, _THIRD, _QUARTER, _SIXTH)
+#: Fractions a measurement may carry, in any system; every denominator
+#: divides 12, which is what makes a magnitude a whole count of twelfths.
+ALLOWED_FRACTIONS = frozenset(_ALL)
 _KUSH_STYLE = (_FIVE_SIXTHS, _TWO_THIRDS, _HALF, _THIRD)
 
 
@@ -65,9 +70,6 @@ class Unit:
     spelling_fractions: tuple[Fraction, ...]
     aliases: tuple[str, ...] = ()
 
-    def answers_to(self, token: str) -> bool:
-        return token == self.name or token in self.aliases
-
 
 @dataclass(frozen=True)
 class UnitSystem:
@@ -84,27 +86,20 @@ class UnitSystem:
     units: tuple[Unit, ...]
     base: Fraction
     anchor_offset: int = 0
-    allowed_fractions: frozenset[Fraction] = ALLOWED_FRACTIONS
 
-    @property
-    def anchored_base(self) -> Fraction:
-        return self.base * Fraction(BASE) ** self.anchor_offset
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {n: i for i, u in enumerate(self.units) for n in (u.name, *u.aliases)}
 
-    def unit_named(self, token: str) -> Unit | None:
-        for u in self.units:
-            if u.answers_to(token):
-                return u
-        return None
+    def position(self, name: str) -> int:
+        """Index in ``units`` of the unit with this name or alias."""
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise UnknownUnit(f"unknown unit {name!r} in system {self.kind}") from None
 
     def unit(self, name: str) -> Unit:
-        u = self.unit_named(name)
-        if u is None:
-            raise UnknownUnit(f"unknown unit {name!r} in system {self.kind}")
-        return u
-
-    @property
-    def smallest(self) -> Unit:
-        return self.units[-1]
+        return self.units[self.position(name)]
 
 
 @dataclass(frozen=True)
@@ -134,41 +129,49 @@ class MeasurementValue:
 
     Units strictly descending, every count positive, fractions from the
     allowed set.  "1/2 kuš 3 šu-si" carries its fraction on the kuš
-    term; "2 1/4 še" on its only term.
+    term; "2 1/4 še" on its only term.  ``twelfths`` is the magnitude as
+    a count of twelfths of the system's smallest unit, computed on
+    construction with integers only.
     """
 
     system: str
     terms: tuple[Term, ...]
+    twelfths: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sys = get_system(self.system)
         if not self.terms:
             raise UnitOrderViolation("a measurement needs at least one term")
         last_index = -1
+        twelfths = 0
         for t in self.terms:
-            u = sys.unit(t.unit)
-            idx = sys.units.index(u)
+            idx = sys.position(t.unit)
             if idx <= last_index:
                 raise UnitOrderViolation(
                     f"units out of descending order at {t.unit!r}"
                 )
             last_index = idx
-            if t.whole < 0 or t.count <= 0:
+            f = t.frac
+            if t.whole < 0 or t.whole * f.denominator + f.numerator <= 0:
                 raise UnitOrderViolation(f"count of {t.unit!r} must be positive")
-            if t.frac and t.frac not in sys.allowed_fractions:
+            if f and f not in ALLOWED_FRACTIONS:
                 raise UnitOrderViolation(
                     f"fraction {t.frac} of {t.unit!r} not allowed"
                 )
+            twelfths += (12 * t.whole + _in_twelfths(f)) * sys.units[idx].size
+        object.__setattr__(self, "twelfths", twelfths)
 
     def value(self) -> Fraction:
         """Exact magnitude in multiples of the system's smallest unit."""
-        sys = get_system(self.system)
-        return sum(
-            (t.count * sys.unit(t.unit).size for t in self.terms), Fraction(0)
-        )
+        return Fraction(self.twelfths, 12)
 
     def __str__(self) -> str:
         return " ".join(str(t) for t in self.terms)
+
+
+def _in_twelfths(f: Fraction) -> int:
+    """An allowed fraction, or zero, as a count of twelfths."""
+    return 12 // f.denominator * f.numerator
 
 
 # --- the five standard systems ------------------------------------------------
@@ -245,34 +248,36 @@ def to_number(m: MeasurementValue) -> FloatingNumber:
     return floating_from_fraction(m.value() * get_system(m.system).base)
 
 
-def _spell(system: UnitSystem, q: Fraction) -> MeasurementValue | None:
-    """Canonical spelling of a magnitude, or None if not expressible.
+def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
+    """Canonical spelling of ``t`` twelfths of the smallest unit, or None.
 
-    Greedy from the largest unit down, preferring the largest usable
-    fraction at each rung, with backtracking so a fraction is only taken
-    when the remainder can still be spelled by smaller units.
+    None when ``t`` is not positive or cannot be spelled.  Greedy from
+    the largest unit down, preferring the largest usable fraction at
+    each rung, with backtracking so a fraction is only taken when the
+    remainder can still be spelled by smaller units.
     """
 
-    def walk(i: int, rem: Fraction) -> list[Term] | None:
+    def walk(i: int, rem: int) -> list[Term] | None:
         if rem == 0:
             return []
         if i == len(system.units):
             return None
         u = system.units[i]
-        s = rem / u.size
-        whole = floor(s)
-        for f in (*[f for f in u.spelling_fractions if f <= s - whole], Fraction(0)):
-            take = whole + f
-            if take == 0:
-                return walk(i + 1, rem)
-            rest = walk(i + 1, rem - take * u.size)
-            if rest is not None:
-                return [Term(u.name, whole, f)] + rest
-        return None
+        whole, left = divmod(rem, 12 * u.size)
+        for f in u.spelling_fractions:
+            part = _in_twelfths(f) * u.size
+            if part <= left:
+                rest = walk(i + 1, left - part)
+                if rest is not None:
+                    return [Term(u.name, whole, f)] + rest
+        if whole == 0:
+            return walk(i + 1, rem)
+        rest = walk(i + 1, left)
+        return None if rest is None else [Term(u.name, whole)] + rest
 
-    if q <= 0:
+    if t <= 0:
         return None
-    terms = walk(0, q)
+    terms = walk(0, t)
     if terms is None:
         return None
     return MeasurementValue(system.kind, tuple(terms))
@@ -286,7 +291,7 @@ class Window:
     hi: MeasurementValue
 
     def __post_init__(self):
-        if self.lo.system != self.hi.system or self.lo.value() > self.hi.value():
+        if self.lo.system != self.hi.system or self.lo.twelfths > self.hi.twelfths:
             raise MeasurementSyntax("window bounds must be ordered, same system")
 
     def __str__(self) -> str:
@@ -300,24 +305,25 @@ class AnchorHint:
     exponent: int
 
 
-def _readings(
-    n: FloatingNumber, system: UnitSystem, lo: Fraction, hi: Fraction
-) -> list[MeasurementValue]:
-    v = to_integer(n)
-    out = []
-    k = 0
-    while Fraction(v) * Fraction(BASE) ** k / system.base > lo:
-        k -= 1
+def _cycles(n: FloatingNumber, system: UnitSystem) -> Iterator[int]:
+    """``n``'s magnitude in twelfths of the smallest unit, cycle by cycle.
+
+    Ascending from the first cycle of at least 2 twelfths, a sixth of
+    the smallest unit: nothing smaller can be spelled.  Cycles whose
+    magnitude is not a whole number of twelfths hold no reading and are
+    skipped; sixty times a whole number is whole, so they all come
+    before the first one yielded and every later cycle is yielded.
+    """
+    num = 12 * to_integer(n) * system.base.denominator
+    den = system.base.numerator
+    while num >= 2 * BASE * den:
+        den *= BASE
+    while num < 2 * den or num % den:
+        num *= BASE
+    t = num // den
     while True:
-        q = Fraction(v) * Fraction(BASE) ** k / system.base
-        if q > hi:
-            break
-        if q >= lo:
-            m = _spell(system, q)
-            if m is not None:
-                out.append(m)
-        k += 1
-    return out
+        yield t
+        t *= BASE
 
 
 def _require_system(system: UnitSystem, *bounds: MeasurementValue) -> None:
@@ -340,17 +346,20 @@ def from_number(
     """
     system = get_system(system_kind)
     if isinstance(hint, AnchorHint):
-        q = (
-            Fraction(to_integer(n))
-            * Fraction(BASE) ** hint.exponent
-            / system.anchored_base
-        )
-        m = _spell(system, q)
+        k = hint.exponent - system.anchor_offset
+        num = 12 * to_integer(n) * system.base.denominator * BASE ** max(k, 0)
+        t, r = divmod(num, system.base.numerator * BASE ** max(-k, 0))
+        m = None if r else _spell(system, t)
         if m is None:
             raise NoReading(f"{n} at e{hint.exponent} is not expressible in {system.kind}")
         return m
     _require_system(system, hint.lo)
-    matches = _readings(n, system, hint.lo.value(), hint.hi.value())
+    matches = []
+    for t in _cycles(n, system):
+        if t > hint.hi.twelfths:
+            break
+        if t >= hint.lo.twelfths and (m := _spell(system, t)) is not None:
+            matches.append(m)
     if not matches:
         raise NoReading(f"no reading of {n} in {system.kind} within {hint}")
     if len(matches) > 1:
@@ -372,24 +381,9 @@ def enumerate_readings(
     if span < 1:
         raise MeasurementSyntax("span must be at least 1")
     system = get_system(system_kind)
-    v = Fraction(to_integer(n))
-    # Nothing smaller than a sixth of the smallest unit is expressible.
-    k = 0
-    while v * Fraction(BASE) ** k / system.base >= _SIXTH:
-        k -= 1
-    k += 1
-    out: list[MeasurementValue] = []
-    first_k: int | None = None
-    while True:
-        if first_k is not None and k >= first_k + span:
-            break
-        m = _spell(system, v * Fraction(BASE) ** k / system.base)
-        if m is not None:
-            if first_k is None:
-                first_k = k
-            out.append(m)
-        k += 1
-    return tuple(out)
+    readings = (_spell(system, t) for t in _cycles(n, system))
+    first = next(m for m in readings if m is not None)
+    return (first, *(m for m in islice(readings, span - 1) if m is not None))
 
 
 # --- table generation -----------------------------------------------------------
@@ -447,19 +441,23 @@ _LADDERS = {
 
 
 @cache
-def _ladder(kind: str) -> tuple[tuple[Fraction, MeasurementValue, FloatingNumber], ...]:
-    """The system's table rows as (magnitude, measurement, number), ascending."""
+def _ladder(
+    kind: str,
+) -> tuple[tuple[tuple[MeasurementValue, FloatingNumber], ...], tuple[int, ...]]:
+    """The system's table rows as (measurement, number), ascending, and
+    the parallel tuple of their magnitudes in twelfths."""
     system = get_system(kind)
-    rows = []
+    rows, keys = [], []
     for name, wholes, fractions in _LADDERS[kind]:
         size = system.unit(name).size
         for whole in wholes:
             for f in fractions:
-                q = size * (whole + f)
-                if q > 0:
-                    n = floating_from_fraction(q * system.base)
-                    rows.append((q, _spell(system, q), n))
-    return tuple(rows)
+                t = (12 * whole + _in_twelfths(f)) * size
+                if t > 0:
+                    n = floating_from_fraction(Fraction(t, 12) * system.base)
+                    rows.append((_spell(system, t), n))
+                    keys.append(t)
+    return tuple(rows), tuple(keys)
 
 
 @dataclass(frozen=True)
@@ -477,10 +475,11 @@ def gen_metrological_table(
     """The canonical rows between ``start`` and ``stop`` inclusive."""
     system = get_system(system_kind)
     _require_system(system, start, stop)
-    lo, hi = start.value(), stop.value()
+    lo, hi = start.twelfths, stop.twelfths
     if hi < lo:
         raise MeasurementSyntax("empty range: stop is below start")
-    rows = tuple((m, n) for q, m, n in _ladder(system.kind) if lo <= q <= hi)
+    rows, keys = _ladder(system.kind)
+    rows = rows[bisect_left(keys, lo) : bisect_right(keys, hi)]
     return MetrologicalTable(system=system_kind, rows=rows)
 
 

@@ -66,7 +66,6 @@ class Step:
 @dataclass(frozen=True)
 class Answer:
     name: str
-    system: str | None = None
     window: metrology.Window | None = None
     expect: metrology.MeasurementValue | None = None
     line: int = 0
@@ -273,14 +272,15 @@ def parse_script(text: str) -> ProcedureScript:
                         line_no,
                         'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"',
                     )
-                system = rest[1]
+                system, tail = rest[1], rest[4:]
                 window = textio.parse_window(rest[3], system, line_no)
                 expect_m = None
-                if len(rest) >= 6 and rest[4] == "expect":
-                    expect_m = textio.parse_measurement(rest[5], system, line_no)
-                answers.append(
-                    Answer(name, system=system, window=window, expect=expect_m, line=line_no)
-                )
+                if len(tail) >= 2 and tail[0] == "expect":
+                    expect_m = textio.parse_measurement(tail[1], system, line_no)
+                    tail = tail[2:]
+                if tail:
+                    raise _syntax(line_no, f"unexpected token {tail[0]!r}", tail[0])
+                answers.append(Answer(name, window=window, expect=expect_m, line=line_no))
 
         else:
             raise _syntax(line_no, f"unknown directive {kw!r}", kw)
@@ -452,12 +452,13 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
                 )
             )
             continue
-        reading = metrology.from_number(digits, a.system, a.window)
+        system = a.window.lo.system
+        reading = metrology.from_number(digits, system, a.window)
         records.append(
             TraceRecord(
                 kind="answer",
                 name=a.name,
-                operation=f"read table {a.system} within {a.window}",
+                operation=f"read table {system} within {a.window}",
                 computed=reading,
                 expected=a.expect,
                 matched=a.expect is None or reading == a.expect,

@@ -107,7 +107,7 @@ def _parse_fraction_token(tok: str, system, col: int, line: int) -> Fraction | N
         f = Fraction(int(num), int(den))
     else:
         return None
-    if f not in system.allowed_fractions:
+    if f not in metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {tok} is not used in system {system.kind}",
             _diag(col, "fraction not in the allowed set", tok, line),
@@ -149,12 +149,12 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
                     )
                 frac = f
             else:
-                unit = system.unit_named(tok)
-                if unit is None:
+                try:
+                    unit = system.unit(tok)
+                except UnknownUnit as e:
                     raise UnknownUnit(
-                        f"unknown unit {tok!r} in system {system.kind}",
-                        _diag(col, "unknown unit", tok, line),
-                    )
+                        str(e), _diag(col, "unknown unit", tok, line)
+                    ) from None
                 if whole is None and frac is None:
                     raise MeasurementSyntax(
                         f"unit {tok!r} has no count",

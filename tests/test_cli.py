@@ -187,6 +187,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tail", ["expect", 'whatever "9 ninda" extra'])
+    def test_answer_tail_refused_exits_2(self, capsys, tmp_path, tail):
+        path = tmp_path / "tail.tab"
+        path.write_text(
+            f'tablet "t"\ngiven-spvn a 2\nanswer a L window "1 ninda..3 ninda" {tail}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: line 3: unexpected token {tail.split()[0]!r}\n"
+
     def test_degenerate_ranges_exit_2(self, capsys):
         assert run_cli(capsys, "convert", "readings", "L", "3", "--span", "0")[0] == EXIT_USAGE
         assert run_cli(

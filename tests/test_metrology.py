@@ -4,10 +4,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesomath.errors import AmbiguousReading, MeasurementSyntax, NoReading
 from mesomath.metrology import (
+    ALLOWED_FRACTIONS,
+    SYSTEMS,
     AnchorHint,
+    MeasurementValue,
+    Term,
     Window,
     enumerate_readings,
     floating_from_fraction,
@@ -299,7 +304,7 @@ class TestFullLadders:
         assert all(a < b for a, b in zip(values, values[1:]))
         for mm, n in t.rows:
             assert mm.system == system
-            assert _spell(get_system(system), mm.value()) == mm
+            assert _spell(get_system(system), mm.twelfths) == mm
             assert to_number(mm) == n
 
 
@@ -321,8 +326,72 @@ class TestFractionBridge:
 
     def test_cannot_be_inexact_from_allowed_set(self):
         sys = get_system("W")
-        for f in sys.allowed_fractions:
+        for f in ALLOWED_FRACTIONS:
             floating_from_fraction(f * sys.base)  # must not raise
+
+
+def test_fractions_are_twelfths_and_sizes_whole():
+    # the two facts that make every magnitude a whole count of twelfths
+    assert all(12 % f.denominator == 0 for f in ALLOWED_FRACTIONS)
+    for system in SYSTEMS.values():
+        for u in system.units:
+            assert type(u.size) is int and u.size > 0
+
+
+@st.composite
+def measurements(draw):
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    units = get_system(system).units
+    picked = draw(st.sets(st.integers(0, len(units) - 1), min_size=1))
+    terms = []
+    for i in sorted(picked):
+        frac = draw(st.sampled_from([Fraction(0), *sorted(ALLOWED_FRACTIONS)]))
+        whole = draw(st.integers(0 if frac else 1, 10**6))
+        terms.append(Term(units[i].name, whole, frac))
+    return MeasurementValue(system, tuple(terms))
+
+
+@settings(deadline=None, max_examples=300)
+@given(measurements())
+def test_twelfths_against_fraction_oracle(mm):
+    sizes = {u.name: u.size for u in get_system(mm.system).units}
+    exact = sum((t.count * sizes[t.unit] for t in mm.terms), Fraction(0))
+    assert mm.twelfths == 12 * exact
+    assert mm.value() == exact
+    assert parse_measurement(str(mm), mm.system) == mm
+
+
+def test_magnitudes_build_and_compare_no_fraction():
+    # a measurement's magnitude and a slice of an expanded ladder are
+    # integer work; the control shows the hook sees Fraction work
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from mesomath.metrology import MeasurementValue as M, Term, gen_metrological_table\n"
+        "lo, hi = M('L', (Term('šu-si', 1),)), M('L', (Term('danna', 59),))\n"
+        "terms = (Term('ninda', 2, Fraction(1, 2)), Term('kuš', 3))\n"
+        "assert len(gen_metrological_table('L', lo, hi)) == 165\n"
+        "seen = []\n"
+        "def hook(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_filename.endswith('fractions.py')"
+        " and code.co_name in ('__new__', '_richcmp'):\n"
+        "        seen.append(code.co_name)\n"
+        "sys.setprofile(hook)\n"
+        "M('L', terms)\n"
+        "gen_metrological_table('L', lo, hi)\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(set(seen)))\n"
+        "seen.clear()\n"
+        "sys.setprofile(hook)\n"
+        "Fraction(1, 3) < 1\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(set(seen)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["[]", "['__new__', '_richcmp']"]
 
 
 def test_import_expands_no_ladder():
@@ -340,3 +409,58 @@ def test_import_expands_no_ladder():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["0", "0"]
+
+
+# Reverse readings and table slices over a fixed grid, hashed: any change
+# to the spelling, the cycle walk or the ladder search shows here.
+PIN_NUMBERS = [str(i) for i in range(1, 60)] + [
+    "1:15", "1:30", "1:40", "2:30", "3:20", "3:45", "4:10", "6:15", "6:40",
+    "7:30", "8:20", "12:30", "13:20", "22:30", "1:0:1", "1:7:30", "2:13:20",
+    "44:26:40",
+]
+PIN_WINDOWS = {
+    "L": (("1 šu-si", "1 kuš"), ("1 šu-si", "2 ninda"), ("1 ninda", "1 uš"),
+          ("1/6 šu-si", "59 danna")),
+    "W": (("1/6 še", "1 gin"), ("1 še", "1 ma-na"), ("1 gin", "1 gu"),
+          ("1/6 še", "59 gu")),
+    "S": (("1/6 še", "1 gin"), ("1 še", "1 sar"), ("1 sar", "1 bur"),
+          ("1/6 še", "59 bur")),
+    "C": (("1/6 sila", "1 ban"), ("1 sila", "1 gur"), ("1 ban", "59 gur"),
+          ("1/6 sila", "59 gur")),
+}
+PIN_WINDOWS["Lh"] = PIN_WINDOWS["L"]
+READINGS_DIGEST = "85d63301724a919d"
+
+
+def _outcome(f, *args):
+    try:
+        r = f(*args)
+    except (NoReading, AmbiguousReading, MeasurementSyntax) as e:
+        return f"{type(e).__name__}: {e}"
+    return "; ".join(str(x) for x in r) if isinstance(r, tuple) else str(r)
+
+
+def test_readings_and_slices_pinned():
+    lines = []
+    for system in sorted(FULL_LADDERS):
+        for text in PIN_NUMBERS:
+            n = fn(text)
+            lines.append(f"{system} {text} enum {_outcome(enumerate_readings, n, system, 4)}")
+            for e in range(-4, 3):
+                got = _outcome(from_number, n, system, AnchorHint(e))
+                lines.append(f"{system} {text} e{e} {got}")
+            for lo, hi in PIN_WINDOWS[system]:
+                got = _outcome(from_number, n, system, window(lo, hi, system))
+                lines.append(f"{system} {text} {lo}..{hi} {got}")
+        rows = [mm for mm, _ in full_ladder(system).rows]
+        bounds = rows[::9] + list(enumerate_readings(fn("7"), system, 4))
+        for a in bounds:
+            for b in bounds[::3]:
+                got = _outcome(
+                    lambda: format_metrological_table(
+                        gen_metrological_table(system, a, b), "csv"
+                    )
+                )
+                lines.append(f"{system} {a}..{b} {got}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == READINGS_DIGEST

@@ -91,6 +91,21 @@ class TestParseScript:
             parse_script(text)
         assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "1 ninda"
 
+    @pytest.mark.parametrize(
+        "tail, token",
+        [
+            ("expect", "expect"),
+            ('whatever "9 ninda" extra', "whatever"),
+            ('expect "2 ninda" extra', "extra"),
+        ],
+    )
+    def test_answer_tail_is_expect_or_nothing(self, tail, token):
+        text = f'tablet "t"\ngiven-spvn a 2\nanswer a L window "1 ninda..3 ninda" {tail}\n'
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == f"line 3: unexpected token {token!r}"
+        assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == token
+
     def test_window_quotes_are_optional(self):
         head = 'tablet "t"\ngiven-spvn a 2\nanswer a L window '
         plain = parse_script(head + '"1 ninda..3 ninda"\n')
