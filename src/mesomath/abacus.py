@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping
 
-from .errors import NegativeResult, NotASquare, ZeroResult
+from .errors import AnchorGap, NegativeResult, NotASquare, ZeroResult
 from .spvn import BASE, FloatingNumber, from_integer, to_integer
 from . import recip as _recip
 
@@ -50,19 +50,35 @@ def _from_scaled_integer(v: int, exponent: int) -> AnchoredNumber:
     return AnchoredNumber(from_integer(v), exponent)
 
 
-def add(a: AnchoredNumber, b: AnchoredNumber) -> AnchoredNumber:
+#: Largest difference between two anchors that :func:`add` and :func:`sub`
+#: accept.  Both operands are scaled to the lower anchor, so the gap sets
+#: the size of the integer they work on; a wider gap is refused before any
+#: power of sixty is built.
+MAX_ANCHOR_GAP = 1000
+
+
+def _aligned(a: AnchoredNumber, b: AnchoredNumber) -> tuple[int, int, int]:
+    """Both operands as integers counted in the lower anchor's column."""
+    gap = abs(a.exponent - b.exponent)
+    if gap > MAX_ANCHOR_GAP:
+        raise AnchorGap(
+            f"{a} and {b} are anchored {gap} columns apart,"
+            f" more than {MAX_ANCHOR_GAP}"
+        )
     e = min(a.exponent, b.exponent)
-    v = to_integer(a.digits) * BASE ** (a.exponent - e) + to_integer(
-        b.digits
-    ) * BASE ** (b.exponent - e)
-    return _from_scaled_integer(v, e)
+    va = to_integer(a.digits) * BASE ** (a.exponent - e)
+    vb = to_integer(b.digits) * BASE ** (b.exponent - e)
+    return va, vb, e
+
+
+def add(a: AnchoredNumber, b: AnchoredNumber) -> AnchoredNumber:
+    va, vb, e = _aligned(a, b)
+    return _from_scaled_integer(va + vb, e)
 
 
 def sub(a: AnchoredNumber, b: AnchoredNumber) -> AnchoredNumber:
-    e = min(a.exponent, b.exponent)
-    v = to_integer(a.digits) * BASE ** (a.exponent - e) - to_integer(
-        b.digits
-    ) * BASE ** (b.exponent - e)
+    va, vb, e = _aligned(a, b)
+    v = va - vb
     if v == 0:
         raise ZeroResult(f"{a} - {b} is zero, which has no numeral")
     if v < 0:

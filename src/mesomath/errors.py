@@ -99,6 +99,10 @@ class NegativeResult(SexagesimalError):
     """Subtrahend exceeded the minuend."""
 
 
+class AnchorGap(SexagesimalError):
+    """Operands of add or sub anchored too many columns apart."""
+
+
 class MissingConfig(SexagesimalError):
     """Additive steps present but no configuration selected."""
 

@@ -14,10 +14,14 @@ number in table S.
 Every allowed fraction has a denominator dividing 12 and every unit
 size is a whole number of smallest units, so a magnitude is one integer:
 :attr:`MeasurementValue.twelfths`, the count of twelfths of the
-system's smallest unit.  Spelling, the cycle walk of reverse readings
-and the ladder search all run on that integer;
-:meth:`MeasurementValue.value` is the exact ``Fraction`` edge.  Nothing
-here rounds.
+system's smallest unit.  Every base has a denominator dividing 60 (a
+:class:`UnitSystem` refuses any other), so :func:`to_number` turns that
+integer into a number with integer arithmetic alone.  Spelling, the
+cycle walk of reverse readings and the ladder search all run on it;
+:meth:`MeasurementValue.value` is the exact ``Fraction`` edge.  Each
+system's ladder is expanded once, on first use, together with the
+printed text of every row, so formatting a table renders nothing.
+Nothing here rounds.
 """
 
 from __future__ import annotations
@@ -76,7 +80,8 @@ class UnitSystem:
     """Units in descending order plus the base correspondence.
 
     ``base`` is the abstract number of one smallest unit, as an exact
-    fraction; every other correspondence follows from the ladder.
+    fraction whose denominator divides 60; every other correspondence
+    follows from the ladder.
     ``anchor_offset`` fixes the conventional computing scale used by
     explicit-exponent hints: the power of sixty that places the
     customary unit (ninda, kuš, gin, sar, sila) at 1e0.
@@ -86,6 +91,13 @@ class UnitSystem:
     units: tuple[Unit, ...]
     base: Fraction
     anchor_offset: int = 0
+
+    def __post_init__(self):
+        if BASE % self.base.denominator:
+            raise ValueError(
+                f"system {self.kind}: the denominator of base {self.base}"
+                f" does not divide {BASE}"
+            )
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -243,9 +255,20 @@ def floating_from_fraction(q: Fraction) -> FloatingNumber:
     return from_integer(num * BASE**k // den)
 
 
+def _number(system: UnitSystem, t: int) -> FloatingNumber:
+    """Floating number of ``t`` twelfths of the smallest unit.
+
+    A floating number does not change when multiplied by 60, so the
+    exact ``t / 12 * base`` is taken times 60**2: the integer below, as
+    the base's denominator divides 60.  No ``Fraction`` is built.
+    """
+    base = system.base
+    return from_integer(t * 5 * base.numerator * (BASE // base.denominator))
+
+
 def to_number(m: MeasurementValue) -> FloatingNumber:
     """The table read left to right: exact correspondence of ``m``."""
-    return floating_from_fraction(m.value() * get_system(m.system).base)
+    return _number(get_system(m.system), m.twelfths)
 
 
 def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
@@ -440,30 +463,38 @@ _LADDERS = {
 }
 
 
+_Row = tuple[MeasurementValue, FloatingNumber]
+
+
 @cache
 def _ladder(
     kind: str,
-) -> tuple[tuple[tuple[MeasurementValue, FloatingNumber], ...], tuple[int, ...]]:
-    """The system's table rows as (measurement, number), ascending, and
-    the parallel tuple of their magnitudes in twelfths."""
+) -> tuple[tuple[_Row, ...], tuple[int, ...], tuple[tuple[str, str], ...]]:
+    """The system's table rows as (measurement, number), ascending, with
+    two parallel tuples: their magnitudes in twelfths, and their printed
+    (measurement, number) texts."""
     system = get_system(kind)
-    rows, keys = [], []
+    rows, keys, texts = [], [], []
     for name, wholes, fractions in _LADDERS[kind]:
         size = system.unit(name).size
         for whole in wholes:
             for f in fractions:
                 t = (12 * whole + _in_twelfths(f)) * size
                 if t > 0:
-                    n = floating_from_fraction(Fraction(t, 12) * system.base)
-                    rows.append((_spell(system, t), n))
+                    m, n = _spell(system, t), _number(system, t)
+                    rows.append((m, n))
                     keys.append(t)
-    return tuple(rows), tuple(keys)
+                    texts.append((str(m), str(n)))
+    return tuple(rows), tuple(keys), tuple(texts)
 
 
 @dataclass(frozen=True)
 class MetrologicalTable:
+    """Rows of a system's table; ``texts`` holds each row as printed."""
+
     system: str
-    rows: tuple[tuple[MeasurementValue, FloatingNumber], ...]
+    rows: tuple[_Row, ...]
+    texts: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -478,17 +509,14 @@ def gen_metrological_table(
     lo, hi = start.twelfths, stop.twelfths
     if hi < lo:
         raise MeasurementSyntax("empty range: stop is below start")
-    rows, keys = _ladder(system.kind)
-    rows = rows[bisect_left(keys, lo) : bisect_right(keys, hi)]
-    return MetrologicalTable(system=system_kind, rows=rows)
+    rows, keys, texts = _ladder(system.kind)
+    i, j = bisect_left(keys, lo), bisect_right(keys, hi)
+    return MetrologicalTable(system=system_kind, rows=rows[i:j], texts=texts[i:j])
 
 
 def format_metrological_table(table: MetrologicalTable, fmt: str = "text") -> str:
     from .tables import _csv_text, format_two_columns
 
     if fmt == "csv":
-        return _csv_text(
-            ("measurement", "number"),
-            ((str(m), str(n)) for m, n in table.rows),
-        )
-    return format_two_columns([(str(m), str(n)) for m, n in table.rows])
+        return _csv_text(("measurement", "number"), table.texts)
+    return format_two_columns(table.texts)

@@ -12,10 +12,10 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .recip import ElementaryTable
-from .spvn import FloatingNumber, from_integer, mul, square
+from .spvn import FloatingNumber, from_integer, to_integer
 
 # The standard table: reciprocals of the regular one-place numbers plus
 # the frequent two-place entries 1:4 and 1:21.  The "1" row follows 54,
@@ -91,27 +91,24 @@ def gen_multiplication_table(head: FloatingNumber) -> MultiplicationTable:
     Normalization is what the originals show: times 20, the table by 9
     reads simply "3", the same sign as three.
     """
-    rows = tuple((m, mul(head, from_integer(m))) for m in MULTIPLIERS)
+    h = to_integer(head)
+    rows = tuple((m, from_integer(h * m)) for m in MULTIPLIERS)
     return MultiplicationTable(head=head, rows=rows)
 
 
 def gen_squares_table() -> tuple[tuple[int, FloatingNumber], ...]:
     """n and its square for n = 1..59."""
-    return tuple((n, square(from_integer(n))) for n in range(1, 60))
+    return tuple((n, from_integer(n * n)) for n in range(1, 60))
 
 
 def gen_square_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """The squares table inverted: exact roots only."""
-    return tuple((square(from_integer(n)), n) for n in range(1, 60))
+    return tuple((from_integer(n * n), n) for n in range(1, 60))
 
 
 def gen_cube_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """Cubes of 1..59 inverted to their roots."""
-    out = []
-    for n in range(1, 60):
-        f = from_integer(n)
-        out.append((mul(mul(f, f), f), n))
-    return tuple(out)
+    return tuple((from_integer(n**3), n) for n in range(1, 60))
 
 
 class CurriculumEntry(NamedTuple):
@@ -143,7 +140,7 @@ def curriculum() -> tuple[CurriculumEntry, ...]:
 
 # --- plain-text and CSV emitters -------------------------------------------
 
-def format_two_columns(rows: list[tuple[str, str]]) -> str:
+def format_two_columns(rows: Sequence[tuple[str, str]]) -> str:
     if not rows:
         return ""
     width = max(len(a) for a, _ in rows)

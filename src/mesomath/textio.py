@@ -30,6 +30,9 @@ from . import metrology
 from .abacus import AnchoredNumber
 
 
+_NO_FRACTION = Fraction(0)
+
+
 def _diag(col: int, message: str, token: str = "", line: int = 1) -> ParseDiagnostic:
     return ParseDiagnostic(line=line, column=col, message=message, token=token)
 
@@ -161,7 +164,7 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
                         _diag(col, "missing count before unit", tok, line),
                     )
                 terms.append(
-                    metrology.Term(unit.name, whole or 0, frac or Fraction(0))
+                    metrology.Term(unit.name, whole or 0, frac or _NO_FRACTION)
                 )
                 whole = None
                 frac = None

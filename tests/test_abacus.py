@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mesomath.abacus import (
+    MAX_ANCHOR_GAP,
     AnchoredNumber,
     Configuration,
     add,
@@ -14,7 +15,7 @@ from mesomath.abacus import (
     sqrt_anchored,
     sub,
 )
-from mesomath.errors import NegativeResult, NotASquare, ZeroResult
+from mesomath.errors import AnchorGap, NegativeResult, NotASquare, ZeroResult
 from mesomath.spvn import FloatingNumber, mul
 from mesomath.textio import parse_anchored as an, parse_spvn as fn
 
@@ -60,6 +61,18 @@ class TestAddSub:
     def test_negative_result(self):
         with pytest.raises(NegativeResult):
             sub(an("1:45e-1"), an("3:15e-1"))
+
+    def test_widest_gap(self):
+        a, b = an("1e0"), an(f"1e{MAX_ANCHOR_GAP}")
+        assert add(a, b).value() == a.value() + b.value()
+        assert sub(b, a).value() == b.value() - a.value()
+
+    @pytest.mark.parametrize("op", [add, sub])
+    def test_wider_gap_refused(self, op):
+        for a, b in ((an("1e0"), an(f"1e{MAX_ANCHOR_GAP + 1}")),
+                     (an(f"2e{-MAX_ANCHOR_GAP - 1}"), an("1e0"))):
+            with pytest.raises(AnchorGap, match=f"{MAX_ANCHOR_GAP + 1} columns apart"):
+                op(a, b)
 
     @given(anchored_values, anchored_values)
     def test_rational_oracle(self, a, b):

@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -163,6 +164,19 @@ class TestExitCodes:
         p.write_text(script)
         code, _, err = run_cli(capsys, "run", str(p), "--config", "A")
         assert code == EXIT_ARITH and "negative" in err
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_anchor_gap_exits_3_at_once(self, capsys, tmp_path, op):
+        p = tmp_path / "gap.tab"
+        p.write_text(
+            'tablet "t"\ngiven-spvn a 1\ngiven-spvn b 1\n'
+            f"config A: a=e0, b=e200000\nstep {op} b a expect 1\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", str(p), "--config", "A")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ARITH and out == ""
+        assert err.count("\n") == 1 and "200000 columns apart" in err
 
     def test_window_without_dots_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "convert", "from-spvn", "L", "10", "--window", "x")

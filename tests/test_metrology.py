@@ -13,6 +13,7 @@ from mesomath.metrology import (
     AnchorHint,
     MeasurementValue,
     Term,
+    UnitSystem,
     Window,
     enumerate_readings,
     floating_from_fraction,
@@ -464,3 +465,95 @@ def test_readings_and_slices_pinned():
                 lines.append(f"{system} {a}..{b} {got}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     assert digest == READINGS_DIGEST
+
+
+# Text tables over whole ladders and over sub-ranges whose bounds are on
+# and off the ladder, hashed: any change to what a row prints shows here.
+TEXT_TABLES_DIGEST = "b00c1e8c1c4567c2"
+
+
+def test_text_tables_pinned():
+    lines = []
+    for system in sorted(FULL_LADDERS):
+        lines.append(format_metrological_table(full_ladder(system)))
+        rows = [mm for mm, _ in full_ladder(system).rows]
+        bounds = rows[::7] + [
+            r for v in ("7", "1:40", "44:26:40") for r in enumerate_readings(fn(v), system, 4)
+        ]
+        for a in bounds:
+            for b in bounds[::4]:
+                got = _outcome(
+                    lambda: format_metrological_table(gen_metrological_table(system, a, b))
+                )
+                lines.append(f"{system} {a}..{b}\n{got}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == TEXT_TABLES_DIGEST
+
+
+def _fraction_route(mm):
+    return floating_from_fraction(mm.value() * get_system(mm.system).base)
+
+
+@settings(deadline=None, max_examples=300)
+@given(measurements())
+def test_to_number_against_fraction_route(mm):
+    assert to_number(mm) == _fraction_route(mm)
+
+
+@pytest.mark.parametrize("system", sorted(FULL_LADDERS))
+def test_ladder_numbers_against_fraction_route(system):
+    for mm, n in full_ladder(system).rows:
+        assert n == _fraction_route(mm) == to_number(mm)
+
+
+def test_formatting_and_to_number_render_and_build_nothing():
+    # a table sliced from an expanded ladder prints without rendering a
+    # row, and to_number is integer work; the control shows the hook sees
+    # both kinds of call
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from mesomath.metrology import MeasurementValue as M, Term,"
+        " format_metrological_table as fmt, gen_metrological_table, to_number\n"
+        "from mesomath.spvn import FloatingNumber\n"
+        "lo, hi = M('S', (Term('še', 1),)), M('S', (Term('bur', 59),))\n"
+        "assert len(gen_metrological_table('S', lo, hi)) > 150\n"
+        "w = M('W', (Term('ma-na', 2, Fraction(1, 3)), Term('še', 5, Fraction(1, 4))))\n"
+        "watched = {'Term.__str__', 'MeasurementValue.__str__',"
+        " 'FloatingNumber.__str__', 'Fraction.__new__'}\n"
+        "seen = []\n"
+        "def hook(frame, event, arg):\n"
+        "    name = frame.f_code.co_qualname\n"
+        "    if event == 'call' and name in watched:\n"
+        "        seen.append(name)\n"
+        "sys.setprofile(hook)\n"
+        "t = gen_metrological_table('S', lo, hi)\n"
+        "fmt(t)\n"
+        "fmt(t, 'csv')\n"
+        "to_number(w)\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(set(seen)))\n"
+        "seen.clear()\n"
+        "sys.setprofile(hook)\n"
+        "str(w)\n"
+        "str(FloatingNumber((1, 30)))\n"
+        "Fraction(1, 3)\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(set(seen)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "[]",
+        "['FloatingNumber.__str__', 'Fraction.__new__', 'MeasurementValue.__str__',"
+        " 'Term.__str__']",
+    ]
+
+
+def test_system_bases_divide_sixty():
+    # to_number scales by 60**2 on integers, which needs 60 % den == 0
+    for s in SYSTEMS.values():
+        assert UnitSystem(s.kind, s.units, s.base, s.anchor_offset) == s
+    with pytest.raises(ValueError, match="system X"):
+        UnitSystem("X", get_system("L").units, Fraction(1, 7))

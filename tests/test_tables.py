@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mesomath.spvn import from_integer, mul, to_integer
@@ -6,6 +8,7 @@ from mesomath.tables import (
     curriculum,
     format_multiplication_table,
     format_reciprocal_table,
+    format_squares_table,
     gen_cube_roots_table,
     gen_multiplication_table,
     gen_reciprocal_table,
@@ -142,3 +145,15 @@ class TestEmitters:
         assert lines[0] == "head,multiplier,product"
         assert "9,7,1:3" in lines
         assert "9,20,3" in lines
+
+
+def test_curriculum_tables_pinned():
+    # every multiplication, square and root table in both formats, hashed
+    parts = [format_squares_table(fmt) for fmt in ("text", "csv")]
+    for head in multiplication_heads():
+        t = gen_multiplication_table(head)
+        parts += [format_multiplication_table(t, fmt) for fmt in ("text", "csv")]
+    for rows in (gen_square_roots_table(), gen_cube_roots_table()):
+        parts.append("".join(f"{p} {n}\n" for p, n in rows))
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
+    assert digest == "28449b4502008f63"
