@@ -103,6 +103,10 @@ class AnchorGap(SexagesimalError):
     """Operands of add or sub anchored too many columns apart."""
 
 
+class ProductTooLong(SexagesimalError):
+    """Operands of a product step holding too many digits together."""
+
+
 class MissingConfig(SexagesimalError):
     """Additive steps present but no configuration selected."""
 

@@ -25,6 +25,7 @@ from .abacus import AnchoredNumber, Configuration
 from .errors import (
     MissingConfig,
     ParseDiagnostic,
+    ProductTooLong,
     ScriptSyntax,
     SexagesimalError,
     UnknownName,
@@ -366,6 +367,26 @@ _OPS = {
 }
 STEP_OPS = tuple(_OPS)
 
+#: Most digits that the operands of one product step may hold together.
+#: A product is about as long as its operands together, so a chain of
+#: squarings doubles a number's length at every line; the bound stops
+#: such a chain while its integers are still quick to convert, far above
+#: any attested computation.
+MAX_PRODUCT_DIGITS = 10_000
+#: op -> how often each operand enters the product the step builds;
+#: divrecip's operands are the dividend and the divisor.
+_PRODUCT_OPS = {"mul": 1, "square": 2, "divrecip": 1}
+
+
+def _check_product(op: str, operands: list) -> None:
+    """Refuse a product step whose operands exceed MAX_PRODUCT_DIGITS."""
+    total = _PRODUCT_OPS[op] * sum(len(_digits_of(x)) for x in operands)
+    if total > MAX_PRODUCT_DIGITS:
+        raise ProductTooLong(
+            f"operands of {op} hold {total} digits together,"
+            f" more than {MAX_PRODUCT_DIGITS}"
+        )
+
 
 def run(script: ProcedureScript, config: str | None = None) -> Trace:
     """Execute a script, recording every expected/computed pair.
@@ -412,8 +433,11 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
             raise MissingConfig(
                 f"{script.tablet}: step {s.op} at line {s.line} needs a configuration"
             )
+        operands = [scope[a] for a in s.args]
         try:
-            result, fact = form(*(scope[a] for a in s.args))
+            if s.op in _PRODUCT_OPS:
+                _check_product(s.op, operands)
+            result, fact = form(*operands)
         except SexagesimalError as e:
             raise type(e)(
                 f"{script.tablet}: step {s.op} at line {s.line}: {e}", e.diagnostic

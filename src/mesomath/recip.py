@@ -46,9 +46,15 @@ class ElementaryTable:
     largest representative first.  Representatives are distinct (the
     integer bridge is a bijection), so that order is exactly the order
     of sorting the values by :func:`to_integer`.
+
+    A second, 60-entry index narrows the wedge-suffix search by the last
+    digit ``d`` of the number being peeled.  Entry ``d`` keeps, in the
+    same order, only the values that can be read at the end of such a
+    number: those of several digits whose own last digit is ``d``, and
+    the one-digit values at most ``d`` (readable inside that digit).
     """
 
-    __slots__ = ("_pairs", "_recip_of", "_by_rep", "_divisors")
+    __slots__ = ("_pairs", "_recip_of", "_by_rep", "_divisors", "_wedge_by_last")
 
     def __init__(self, pairs):
         pairs = tuple((e, r) for e, r in pairs)
@@ -65,6 +71,14 @@ class ElementaryTable:
             (t, BASE ** (len(v) - 1), v)
             for t, (v, _) in sorted(self._by_rep.items(), reverse=True)
             if t > 1
+        )
+        self._wedge_by_last = tuple(
+            tuple(
+                e
+                for e in self._divisors
+                if (e[0] <= d if e[1] == 1 else e[0] % BASE == d)
+            )
+            for d in range(BASE)
         )
 
     @property
@@ -152,13 +166,24 @@ def regular_exponents(v: int) -> tuple[int, int, int] | None:
     return tuple(out)
 
 
+def _is_regular_rep(v: int) -> bool:
+    """Is the positive integer ``v`` 5-smooth?
+
+    ``v = 2**a * 3**b * 5**c`` has every exponent below its bit length,
+    so it divides ``30**v.bit_length()``; an irregular ``v`` keeps a
+    prime that no power of 30 holds.  One modular power decides it.
+    """
+    return pow(30, v.bit_length(), v) == 0
+
+
 def is_regular(n: FloatingNumber) -> bool:
     """True when the only prime factors are 2, 3 and 5.
 
     Exactly these numbers have finite reciprocals in base 60; the others
-    were labelled "igi nu", without reciprocal.
+    were labelled "igi nu", without reciprocal.  The test is that the
+    representative divides a power of 30, one call to ``pow``.
     """
-    return regular_exponents(to_integer(n)) is not None
+    return _is_regular_rep(to_integer(n))
 
 
 def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
@@ -212,19 +237,21 @@ def _pick_divisor(
     """The index entry to peel from representative ``v``, or None.
 
     The same choice as reading :func:`trailing_candidates` largest
-    first: the first wedge suffix, else the largest exact divisor.
+    first: the first wedge suffix, else the largest exact divisor.  A
+    wedge suffix is looked for only among the entries that the table's
+    last-digit index lists for ``v``'s last digit; that list keeps the
+    index order and holds every possible suffix, so its first hit is
+    the first hit of a full scan.
     """
-    wedge = strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST
-    largest = None
+    if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
+        for d in table._wedge_by_last[v % BASE]:
+            t, m, _ = d
+            if not v % t and _is_wedge_suffix_rep(t, m, v):
+                return d
     for d in table._divisors:
-        t, m, _ = d
-        if v % t:
-            continue
-        if not wedge or _is_wedge_suffix_rep(t, m, v):
+        if not v % d[0]:
             return d
-        if largest is None:
-            largest = d
-    return largest
+    return None
 
 
 def reciprocal(
@@ -239,12 +266,13 @@ def reciprocal(
     default strategy takes the largest factor readable as a wedge
     suffix, falling back to the largest exact divisor; this reproduces
     the school choices (6:40 out of 4:26:40, then 40; and the 6:40,
-    40, 16, 16, 16 run of the long exercises).
+    40, 16, 16, 16 run of the long exercises).  Regularity is checked
+    first, with the single ``pow`` of :func:`is_regular`.
     """
     if table is None:
         table = _standard_table()
     v = to_integer(n)
-    if regular_exponents(v) is None:
+    if not _is_regular_rep(v):
         raise Irregular(f"{n} is without reciprocal")
     # Exact division never introduces a factor of 60, so every quotient
     # is already a canonical representative and indexes the table as is.
@@ -297,17 +325,34 @@ def running_products(
     """Cumulative products of the reciprocal column, bottom up.
 
     The exercises multiply from the last factor's reciprocal upward and
-    write each partial product; the final one is the answer.
+    write each partial product; the final one is the answer.  When the
+    integers show that it equals ``fact.reciprocal``, that number is
+    returned as the final product instead of being converted again.
     """
     recs = factor_reciprocals(fact, table)
     if len(recs) < 2:
         return recs
     out = []
     acc = recs[-1]
-    for r in reversed(recs[:-1]):
+    for r in reversed(recs[1:-1]):
         acc = mul(acc, r)
         out.append(acc)
+    last = to_integer(acc) * to_integer(recs[0])
+    answer = fact.reciprocal
+    if not isinstance(answer, FloatingNumber) or not _represents(answer, last):
+        answer = from_integer(last)
+    out.append(answer)
     return tuple(out)
+
+
+def _represents(a: FloatingNumber, p: int) -> bool:
+    """Is ``p`` the canonical representative of ``a`` times a power of 60?"""
+    q, rest = divmod(p, to_integer(a))
+    if rest:
+        return False
+    while not q % BASE:
+        q //= BASE
+    return q == 1
 
 
 def divisible(a: FloatingNumber, b: FloatingNumber) -> bool:

@@ -178,6 +178,20 @@ class TestExitCodes:
         assert code == EXIT_ARITH and out == ""
         assert err.count("\n") == 1 and "200000 columns apart" in err
 
+    def test_square_chain_exits_3_at_once(self, capsys, tmp_path):
+        # each square doubles the digits: 59 squared twenty times would
+        # end near a million digits
+        lines = ['tablet "t"', "given-spvn a0 59"]
+        lines += [f"step square a{i - 1} as a{i}" for i in range(1, 21)]
+        p = tmp_path / "squares.tab"
+        p.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", str(p))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ARITH and out == ""
+        assert err.count("\n") == 1
+        assert "step square at line 16: operands of square hold" in err
+
     def test_window_without_dots_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "convert", "from-spvn", "L", "10", "--window", "x")
         assert code == EXIT_USAGE and out == ""

@@ -10,6 +10,7 @@ from mesomath.errors import (
     MissingConfig,
     NotASquare,
     ParseDiagnostic,
+    ProductTooLong,
     ScriptSyntax,
     UnknownName,
     UnknownOp,
@@ -189,6 +190,55 @@ class TestStepErrors:
             run(script)
         assert str(e.value) == "t: step mul at line 3: digit 75 out of range"
         assert e.value.diagnostic is diag
+
+
+def _product_script(op: str, lengths) -> str:
+    """A tablet whose one ``op`` step reads givens of the given digit counts."""
+    names = "ab"[: len(lengths)]
+    return "\n".join(
+        ['tablet "t"']
+        + [f"given-spvn {x} {':'.join(['1'] * k)}" for x, k in zip(names, lengths)]
+        + ["config A: " + ", ".join(f"{x}=e0" for x in names)]
+        + [f"step {op} {' '.join(names)}"]
+    )
+
+
+class TestProductBound:
+    HALF = procedures.MAX_PRODUCT_DIGITS // 2
+
+    @pytest.mark.parametrize("config", [None, "A"])
+    @pytest.mark.parametrize("op, lengths", [("mul", (HALF, HALF)), ("square", (HALF,))])
+    def test_at_the_bound(self, op, lengths, config):
+        script = parse_script(_product_script(op, lengths))
+        a, b = (fn(":".join(["1"] * k)) for k in (lengths[0], lengths[-1]))
+        step = run(script, config).records[-1]
+        assert procedures._digits_of(step.computed) == a * b
+
+    @pytest.mark.parametrize("config", [None, "A"])
+    @pytest.mark.parametrize(
+        "op, lengths, total",
+        [
+            ("mul", (HALF, HALF + 1), 2 * HALF + 1),
+            ("square", (HALF + 1,), 2 * HALF + 2),
+            ("divrecip", (HALF + 1, HALF), 2 * HALF + 1),
+        ],
+    )
+    def test_beyond_the_bound(self, monkeypatch, op, lengths, total, config):
+        # refused before any product is built, on both paths
+        def boom(*args):
+            raise AssertionError("a product was built")
+
+        monkeypatch.setattr(procedures.spvn, "mul", boom)
+        monkeypatch.setattr(procedures.abacus, "mul_anchored", boom)
+        script = parse_script(_product_script(op, lengths))
+        limit = procedures.MAX_PRODUCT_DIGITS
+        line = len(lengths) + 3
+        with pytest.raises(ProductTooLong) as e:
+            run(script, config)
+        assert str(e.value) == (
+            f"t: step {op} at line {line}: operands of {op} hold {total} digits"
+            f" together, more than {limit}"
+        )
 
 
 class TestRunLinear:

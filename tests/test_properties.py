@@ -226,8 +226,8 @@ def test_integer_wedge_form_agrees_with_digits(td, nd):
 
 
 # Standard pairs without the one-place numbers below 9: many quotients
-# stall, and many have divisors but no wedge suffix among them (16 and 32
-# both divide 17:4), which the standard table never leaves to the fallback.
+# stall, and many have divisors but no wedge suffix among them (1:4 and 32
+# both divide 2:8), which the standard table never leaves to the fallback.
 VARIANT = ElementaryTable(
     (parse_spvn(e), parse_spvn(r))
     for e, r in (("9", "6:40"), ("16", "3:45"), ("27", "2:13:20"),
@@ -247,6 +247,63 @@ def test_variant_table_matches_reference_or_stalls(strategy, n):
     else:
         r, fact = reciprocal(n, strategy, VARIANT)
         assert (r, fact.factors) == expected
+
+
+@pytest.mark.parametrize("which", ["standard", "variant"])
+def test_wedge_index_lists_exactly_the_possible_suffixes(which):
+    from mesomath.tables import gen_reciprocal_table
+
+    table = gen_reciprocal_table() if which == "standard" else VARIANT
+    # The wedge test reads v only through v % (60 * m) and whether v >= m,
+    # so v in range(m, 61 * m) meets every case it can ever see.
+    endings = {
+        (t, m, f): {
+            v % 60 for v in range(m, 61 * m) if recip._is_wedge_suffix_rep(t, m, v)
+        }
+        for t, m, f in table._divisors
+    }
+    assert len(table._wedge_by_last) == 60
+    for d in range(60):
+        want = tuple(e for e in table._divisors if d in endings[e])
+        assert table._wedge_by_last[d] == want, d
+
+
+def test_variant_table_reaches_the_fallback():
+    # 2:8 (= 128): no entry the index lists for its last digit 8 is a
+    # dividing suffix, so the pick is the largest exact divisor, 1:4 (= 64)
+    v = 128
+    assert not any(
+        v % t == 0 and recip._is_wedge_suffix_rep(t, m, v)
+        for t, m, _ in VARIANT._wedge_by_last[v % 60]
+    )
+    pick = recip._pick_divisor(v, VARIANT, FactorStrategy.WEDGE_SUFFIX_LONGEST)
+    assert pick[2] == parse_spvn("1:4")
+    assert not is_wedge_suffix(parse_spvn("1:4"), parse_spvn("2:8"))
+
+
+# --- regularity by one modular power, against the exponent oracle --------------
+
+_smooth_ints = st.builds(
+    lambda a, b, c: 2**a * 3**b * 5**c,
+    st.integers(0, 200),
+    st.integers(0, 200),
+    st.integers(0, 200),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_smooth_ints, st.sampled_from((7, 11, 13, 49, 59, 61, 7919, 2**61 - 1)))
+def test_regularity_by_pow_matches_exponents(v, p):
+    assert recip._is_regular_rep(v) is True
+    assert regular_exponents(v) is not None
+    assert recip._is_regular_rep(v * p) is False
+    assert regular_exponents(v * p) is None
+
+
+def test_regularity_by_pow_below_20000():
+    assert recip._is_regular_rep(1)
+    for v in range(1, 20_000):
+        assert recip._is_regular_rep(v) == (regular_exponents(v) is not None), v
 
 
 def _fraction_oracle(q):

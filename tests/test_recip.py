@@ -10,10 +10,12 @@ from mesomath.errors import (
     NotACube,
     NotASquare,
 )
+from mesomath import recip, spvn
 from mesomath.recip import (
     ElementaryTable,
     _standard_table,
     FactorStrategy,
+    Factorization,
     cbrt,
     divisible,
     factor_reciprocals,
@@ -21,6 +23,7 @@ from mesomath.recip import (
     is_wedge_suffix,
     reciprocal,
     reciprocal_loop,
+    regular_exponents,
     running_products,
     sqrt,
     trailing_candidates,
@@ -137,6 +140,13 @@ class TestReciprocal:
         with pytest.raises(Irregular):
             reciprocal(fn("7"))
 
+    @pytest.mark.parametrize("s", ["7", "1:10", "5:3:24:26:41", "59:59:59:59:59:59"])
+    def test_irregular_message(self, s):
+        n = fn(s)
+        assert regular_exponents(to_integer(n)) is None
+        with pytest.raises(Irregular, match=f"^{s} is without reciprocal$"):
+            reciprocal(n)
+
     def test_product_contract(self):
         for s in ("2", "1:21", "4:26:40", "5:3:24:26:40", "2:5"):
             r, fact = reciprocal(fn(s))
@@ -164,6 +174,68 @@ class TestReciprocal:
         table = ElementaryTable([(fn("2"), fn("30"))])
         with pytest.raises(NoProgress):
             reciprocal(fn("2:5"), table=table)
+
+
+def _count_conversions(monkeypatch) -> list:
+    """Record every call of ``from_integer`` that ``recip`` can make.
+
+    ``recip`` calls it under its own imported name and, through
+    ``spvn.mul``, under the name in ``spvn``; both are patched.
+    """
+    calls = []
+    real = spvn.from_integer
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(recip, "from_integer", counted)
+    monkeypatch.setattr(spvn, "from_integer", counted)
+    return calls
+
+
+def _product_chain(recs):
+    """The running products by plain floating multiplication."""
+    out, acc = [], recs[-1]
+    for r in reversed(recs[:-1]):
+        acc = mul(acc, r)
+        out.append(acc)
+    return out
+
+
+class TestConversionsSaved:
+    @pytest.mark.parametrize("s", ["1", "2", "4:26:40", "45:30:40", "5:3:24:26:40"])
+    def test_each_answer_converted_once(self, monkeypatch, s):
+        n = fn(s)
+        calls = _count_conversions(monkeypatch)
+        r, fact = reciprocal(n)
+        assert len(calls) == 1
+        del calls[:]
+        products = running_products(fact)
+        k = len(fact.factors)
+        if k < 2:
+            assert calls == [] and products == factor_reciprocals(fact)
+        else:
+            assert len(calls) == k - 2
+            assert list(products) == _product_chain(factor_reciprocals(fact))
+            assert products[-1] is r
+
+    @pytest.mark.parametrize("wrong", [fn("7"), fn("27"), fn("13:30:1"), None])
+    def test_inconsistent_factorization_gets_the_true_product(self, wrong):
+        # 6:40 and 40 have reciprocals 9 and 1:30, whose product is 13:30;
+        # 27 divides that product, but not by a power of 60
+        fact = Factorization(
+            source=fn("4:26:40"), factors=(fn("6:40"), fn("40")), reciprocal=wrong
+        )
+        products = running_products(fact)
+        assert products == (fn("13:30"),)
+        assert products[-1] is not wrong
+
+    def test_long_inconsistent_factorization(self):
+        _, fact = reciprocal(fn("5:3:24:26:40"))
+        wrong = Factorization(fact.source, fact.factors, reciprocal=fn("1:19:6:5:37:30"))
+        assert running_products(wrong) == running_products(fact)
+        assert running_products(wrong)[-1] == fn("11:51:54:50:37:30")
 
 
 class TestReciprocalLoop:
