@@ -100,20 +100,15 @@ def half(a: AnchoredNumber) -> AnchoredNumber:
     return mul_anchored(a, HALF)
 
 
-def recip_anchored(a: AnchoredNumber) -> AnchoredNumber:
-    """Reciprocal with the unique anchor making a * result = 1e0."""
-    r, _ = _recip.reciprocal(a.digits)
-    return anchor_reciprocal(a, r)
-
-
-def anchor_reciprocal(a: AnchoredNumber, r: FloatingNumber) -> AnchoredNumber:
-    """Anchor ``r``, the floating reciprocal of ``a``'s digits, so a * result = 1e0."""
+def recip_anchored(a: AnchoredNumber) -> tuple[AnchoredNumber, _recip.Factorization]:
+    """Reciprocal anchored so a * result = 1e0, with its factorization."""
+    r, fact = _recip.reciprocal(a.digits)
     prod = to_integer(a.digits) * to_integer(r)
     k = 0
     while prod > 1:
         prod //= BASE
         k += 1
-    return AnchoredNumber(r, -a.exponent - k)
+    return AnchoredNumber(r, -a.exponent - k), fact
 
 
 def sqrt_anchored(a: AnchoredNumber) -> AnchoredNumber:

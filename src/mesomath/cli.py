@@ -98,13 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_recip_trace(fact: recip.Factorization) -> None:
-    table = tables.gen_reciprocal_table()
     quots = fact.quotients()
-    recs = recip.factor_reciprocals(fact, table)
     width = max(len(str(q)) for q in quots)
-    for q, r in zip(quots, recs):
+    for q, r in zip(quots, fact.reciprocals):
         print(f"{str(q).ljust(width)}  {r}")
-    for pr in recip.running_products(fact, table):
+    for pr in recip.running_products(fact):
         print(pr)
 
 

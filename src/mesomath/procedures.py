@@ -339,23 +339,18 @@ def _matches(computed, expected) -> bool:
 _HALF_FLOATING = FloatingNumber((30,))
 
 
-def _recip_anchored(a: AnchoredNumber):
-    r, fact = recip.reciprocal(a.digits)
-    return abacus.anchor_reciprocal(a, r), fact
-
-
 #: op -> (arity, floating form, anchored form).  Each form returns
 #: (result, factorization-or-None); add and sub have no floating form.
 #: The forms look their functions up on the module at call time, so a
-#: patched ``spvn.mul`` or ``recip.reciprocal`` is the one that runs.
+#: patched ``spvn.mul`` or ``abacus.recip_anchored`` is the one that runs.
 _OPS = {
     "mul": (2, lambda a, b: (spvn.mul(a, b), None),
                lambda a, b: (abacus.mul_anchored(a, b), None)),
-    "recip": (1, lambda a: recip.reciprocal(a), _recip_anchored),
+    "recip": (1, lambda a: recip.reciprocal(a), lambda a: abacus.recip_anchored(a)),
     # divrecip drops its factorization on both paths: the benchmark's run
     # checker accepts factor lines on recip steps only
     "divrecip": (2, lambda a, b: (spvn.mul(a, recip.reciprocal(b)[0]), None),
-                    lambda a, b: (abacus.mul_anchored(a, abacus.recip_anchored(b)), None)),
+                    lambda a, b: (abacus.mul_anchored(a, abacus.recip_anchored(b)[0]), None)),
     "half": (1, lambda a: (spvn.mul(a, _HALF_FLOATING), None),
                 lambda a: (abacus.half(a), None)),
     "square": (1, lambda a: (spvn.square(a), None),
@@ -371,11 +366,14 @@ STEP_OPS = tuple(_OPS)
 #: A product is about as long as its operands together, so a chain of
 #: squarings doubles a number's length at every line; the bound stops
 #: such a chain while its integers are still quick to convert, far above
-#: any attested computation.
+#: any attested computation.  A reciprocal is bounded too: its peel
+#: divides and multiplies integers as long as its operand, so a recip
+#: step on such a square is refused before the peel starts.
 MAX_PRODUCT_DIGITS = 10_000
 #: op -> how often each operand enters the product the step builds;
-#: divrecip's operands are the dividend and the divisor.
-_PRODUCT_OPS = {"mul": 1, "square": 2, "divrecip": 1}
+#: divrecip's operands are the dividend and the divisor, and recip's
+#: one operand counts once.
+_PRODUCT_OPS = {"mul": 1, "square": 2, "divrecip": 1, "recip": 1}
 
 
 def _check_product(op: str, operands: list) -> None:
@@ -554,9 +552,12 @@ def verify_corpus(directory: Path) -> CorpusSummary:
     carries the same digits under every configuration; attested scribal
     errors are notes, not failures.  A file that cannot be read or parsed
     becomes that tablet's error.  Reports come back sorted by tablet id so
-    aggregation order never depends on the filesystem.
+    aggregation order never depends on the filesystem.  A ``directory``
+    that is not one raises :class:`OSError`.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"not a directory: {directory}")
     paths = sorted(directory.glob("*.tab"))
     warnings = ()
     if not paths:

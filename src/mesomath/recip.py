@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache
-from math import isqrt
+from math import isqrt, prod
 from typing import NamedTuple
 
 from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare
@@ -41,8 +41,8 @@ class ElementaryTable:
     Construction also builds the index that :func:`reciprocal` peels
     over, so no factorization converts or sorts the table again.  It
     maps each known value's canonical integer representative to the
-    value and the representative of its reciprocal, and lists every
-    known value except 1 as ``(representative, 60**(len - 1), value)``,
+    value, its reciprocal and that reciprocal's representative, and lists
+    every known value but 1 as ``(representative, 60**(len - 1), value)``,
     largest representative first.  Representatives are distinct (the
     integer bridge is a bijection), so that order is exactly the order
     of sorting the values by :func:`to_integer`.
@@ -54,22 +54,22 @@ class ElementaryTable:
     the one-digit values at most ``d`` (readable inside that digit).
     """
 
-    __slots__ = ("_pairs", "_recip_of", "_by_rep", "_divisors", "_wedge_by_last")
+    __slots__ = ("_pairs", "_by_rep", "_divisors", "_wedge_by_last")
 
     def __init__(self, pairs):
         pairs = tuple((e, r) for e, r in pairs)
-        recip_of: dict[FloatingNumber, FloatingNumber] = {}
+        by_rep: dict[int, tuple[FloatingNumber, FloatingNumber, int]] = {}
         for entry, rec in pairs:
             if mul(entry, rec) != ONE:
                 raise ValueError(f"{entry} and {rec} are not a reciprocal pair")
-            recip_of.setdefault(entry, rec)
-            recip_of.setdefault(rec, entry)
+            te, tr = to_integer(entry), to_integer(rec)
+            by_rep.setdefault(te, (entry, rec, tr))
+            by_rep.setdefault(tr, (rec, entry, te))
         self._pairs = pairs
-        self._recip_of = recip_of
-        self._by_rep = {to_integer(v): (v, to_integer(r)) for v, r in recip_of.items()}
+        self._by_rep = by_rep
         self._divisors = tuple(
             (t, BASE ** (len(v) - 1), v)
-            for t, (v, _) in sorted(self._by_rep.items(), reverse=True)
+            for t, (v, _, _) in sorted(by_rep.items(), reverse=True)
             if t > 1
         )
         self._wedge_by_last = tuple(
@@ -90,16 +90,15 @@ class ElementaryTable:
         return tuple(self._by_rep[t][0] for t in sorted(self._by_rep))
 
     def __contains__(self, n: FloatingNumber) -> bool:
-        return n in self._recip_of
+        return isinstance(n, FloatingNumber) and to_integer(n) in self._by_rep
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def reciprocal_of(self, n: FloatingNumber) -> FloatingNumber:
-        try:
-            return self._recip_of[n]
-        except KeyError:
-            raise KeyError(f"{n} is not in the table") from None
+        if n not in self:
+            raise KeyError(f"{n} is not in the table")
+        return self._by_rep[to_integer(n)][1]
 
 
 @cache
@@ -125,15 +124,17 @@ class TrailingCandidate(NamedTuple):
 
 @dataclass(frozen=True)
 class Factorization:
-    """Record of one extraction: peeled factors, their product, the answer.
+    """Record of one extraction: the peeled factors, their reciprocals, the answer.
 
     ``factors`` multiply (as floating numbers) back to ``source``; every
     factor but the last was chosen as a trailing part of the then-current
     quotient, and the last is the table lookup that ended the run.
+    ``reciprocals`` holds each factor's reciprocal as the peel read it.
     """
 
     source: FloatingNumber
     factors: tuple[FloatingNumber, ...]
+    reciprocals: tuple[FloatingNumber, ...]
     reciprocal: FloatingNumber
 
     def quotients(self) -> tuple[FloatingNumber, ...]:
@@ -276,21 +277,19 @@ def reciprocal(
         raise Irregular(f"{n} is without reciprocal")
     # Exact division never introduces a factor of 60, so every quotient
     # is already a canonical representative and indexes the table as is.
+    # Each peeled entry is (factor, its reciprocal, that reciprocal's rep).
     by_rep = table._by_rep
-    factors: list[FloatingNumber] = []
-    acc = 1
+    peeled = []
     while v not in by_rep:
         d = _pick_divisor(v, table, strategy)
         if d is None:
             raise NoProgress(f"no table factor divides {from_integer(v)}")
-        t, _, f = d
-        factors.append(f)
-        acc *= by_rep[t][1]
-        v //= t
-    f, r = by_rep[v]
-    factors.append(f)
-    out = from_integer(acc * r)
-    return out, Factorization(source=n, factors=tuple(factors), reciprocal=out)
+        peeled.append(by_rep[d[0]])
+        v //= d[0]
+    peeled.append(by_rep[v])
+    factors, recips, reps = zip(*peeled)
+    out = from_integer(prod(reps))
+    return out, Factorization(n, factors, recips, out)
 
 
 def reciprocal_loop(
@@ -310,49 +309,26 @@ def reciprocal_loop(
     return forward, back
 
 
-def factor_reciprocals(
-    fact: Factorization, table: ElementaryTable | None = None
-) -> tuple[FloatingNumber, ...]:
+def factor_reciprocals(fact: Factorization) -> tuple[FloatingNumber, ...]:
     """The right-hand column: the memorized reciprocal of each factor."""
-    if table is None:
-        table = _standard_table()
-    return tuple(table.reciprocal_of(f) for f in fact.factors)
+    return fact.reciprocals
 
 
-def running_products(
-    fact: Factorization, table: ElementaryTable | None = None
-) -> tuple[FloatingNumber, ...]:
+def running_products(fact: Factorization) -> tuple[FloatingNumber, ...]:
     """Cumulative products of the reciprocal column, bottom up.
 
     The exercises multiply from the last factor's reciprocal upward and
-    write each partial product; the final one is the answer.  When the
-    integers show that it equals ``fact.reciprocal``, that number is
-    returned as the final product instead of being converted again.
+    write each partial product; the final one is the answer, so
+    ``fact.reciprocal`` itself closes the column.
     """
-    recs = factor_reciprocals(fact, table)
-    if len(recs) < 2:
-        return recs
+    recs = fact.reciprocals
     out = []
     acc = recs[-1]
     for r in reversed(recs[1:-1]):
         acc = mul(acc, r)
         out.append(acc)
-    last = to_integer(acc) * to_integer(recs[0])
-    answer = fact.reciprocal
-    if not isinstance(answer, FloatingNumber) or not _represents(answer, last):
-        answer = from_integer(last)
-    out.append(answer)
+    out.append(fact.reciprocal)
     return tuple(out)
-
-
-def _represents(a: FloatingNumber, p: int) -> bool:
-    """Is ``p`` the canonical representative of ``a`` times a power of 60?"""
-    q, rest = divmod(p, to_integer(a))
-    if rest:
-        return False
-    while not q % BASE:
-        q //= BASE
-    return q == 1
 
 
 def divisible(a: FloatingNumber, b: FloatingNumber) -> bool:

@@ -16,6 +16,7 @@ from mesomath.abacus import (
     sub,
 )
 from mesomath.errors import AnchorGap, NegativeResult, NotASquare, ZeroResult
+from mesomath.recip import reciprocal
 from mesomath.spvn import FloatingNumber, mul
 from mesomath.textio import parse_anchored as an, parse_spvn as fn
 
@@ -118,13 +119,13 @@ class TestHalf:
 
 class TestRecipAnchored:
     def test_two(self):
-        assert recip_anchored(an("2e0")) == an("30e-1")
+        assert recip_anchored(an("2e0"))[0] == an("30e-1")
 
     def test_ten(self):
-        assert recip_anchored(an("10e0")) == an("6e-1")
+        assert recip_anchored(an("10e0"))[0] == an("6e-1")
 
     def test_one(self):
-        assert recip_anchored(an("1e0")) == an("1e0")
+        assert recip_anchored(an("1e0"))[0] == an("1e0")
 
     @given(
         st.integers(0, 8),
@@ -137,7 +138,9 @@ class TestRecipAnchored:
         from mesomath.spvn import from_integer
 
         x = AnchoredNumber(from_integer(v), e)
-        assert recip_anchored(x).value() == 1 / x.value()
+        r, fact = recip_anchored(x)
+        assert r.value() == 1 / x.value()
+        assert fact == reciprocal(x.digits)[1]
 
 
 class TestSqrtAnchored:

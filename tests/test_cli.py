@@ -11,8 +11,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mesomath import cli
 from mesomath.cli import EXIT_ARITH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from mesomath.procedures import parse_script, shipped_corpus_dir
+from mesomath.recip import ElementaryTable, reciprocal
+from mesomath.textio import parse_spvn as fn
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +56,18 @@ class TestArithmeticCommands:
         assert "14:3:45" in lines and "52:44:3:45" in lines
         assert lines[-1] == "11:51:54:50:37:30"
 
+    @pytest.mark.parametrize(
+        "n, lines",
+        [("7:12", ["7:12  8:20", "8:20"]), ("14:24", ["14:24  30", "7:12   8:20", "4:10"])],
+    )
+    def test_recip_trace_of_another_table(self, capsys, n, lines):
+        # 7:12 is not in the standard table: the columns come from the
+        # table that the peel read, without being handed it again
+        table = ElementaryTable([(fn("2"), fn("30")), (fn("7:12"), fn("8:20"))])
+        _, fact = reciprocal(fn(n), table=table)
+        cli._print_recip_trace(fact)
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_recip_strategy_flag(self, capsys):
         a = run_cli(capsys, "recip", "45:30:40", "--strategy", "wedge")[1]
         b = run_cli(capsys, "recip", "45:30:40", "--strategy", "largest")[1]
@@ -79,6 +94,17 @@ PINNED_RECIP_EXPONENTS = (
     (130, 30, 4), (110, 63, 12), (80, 7, 54), (24, 50, 63), (119, 50, 4),
     (93, 4, 52), (127, 52, 2), (119, 78, 10), (1, 85, 39), (19, 78, 61),
 )
+
+
+@pytest.fixture(scope="module")
+def long_recip_tablet(tmp_path_factory):
+    """A tablet whose one step inverts a number of 36,415 digits."""
+    p = tmp_path_factory.mktemp("recip") / "long.tab"
+    p.write_text(
+        f'tablet "t"\ngiven-spvn a {_sexagesimal(2**120000 * 3**60000)}\n'
+        "config A: a=e0\nstep recip a as r\n"
+    )
+    return p
 
 
 class TestRecipTracePin:
@@ -191,6 +217,15 @@ class TestExitCodes:
         assert code == EXIT_ARITH and out == ""
         assert err.count("\n") == 1
         assert "step square at line 16: operands of square hold" in err
+
+    @pytest.mark.parametrize("config", [[], ["--config", "A"]])
+    def test_long_recip_exits_3_at_once(self, capsys, long_recip_tablet, config):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", str(long_recip_tablet), *config)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ARITH and out == ""
+        assert err.count("\n") == 1
+        assert "step recip at line 4: operands of recip hold 36415 digits" in err
 
     def test_window_without_dots_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "convert", "from-spvn", "L", "10", "--window", "x")
@@ -338,6 +373,18 @@ class TestRunAndCheck:
         code, out, err = run_cli(capsys, "check", str(tmp_path))
         assert code == EXIT_OK
         assert "warning" in err and "0/0" in out
+
+    def test_check_missing_dir_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "check", str(tmp_path / "missing"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: not a directory: {tmp_path / 'missing'}\n"
+
+    def test_check_regular_file_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "ybc7302.tab"
+        p.write_bytes((shipped_corpus_dir() / "ybc7302.tab").read_bytes())
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: not a directory: {p}\n"
 
     def test_run_missing_file(self, capsys):
         assert run_cli(capsys, "run", "/nonexistent.tab")[0] == EXIT_USAGE

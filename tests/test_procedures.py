@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mesomath import procedures
 from mesomath.errors import (
     DigitOutOfRange,
+    Irregular,
     MeasurementSyntax,
     MissingConfig,
     NotASquare,
@@ -221,6 +222,7 @@ class TestProductBound:
             ("mul", (HALF, HALF + 1), 2 * HALF + 1),
             ("square", (HALF + 1,), 2 * HALF + 2),
             ("divrecip", (HALF + 1, HALF), 2 * HALF + 1),
+            ("recip", (2 * HALF + 1,), 2 * HALF + 1),
         ],
     )
     def test_beyond_the_bound(self, monkeypatch, op, lengths, total, config):
@@ -230,6 +232,7 @@ class TestProductBound:
 
         monkeypatch.setattr(procedures.spvn, "mul", boom)
         monkeypatch.setattr(procedures.abacus, "mul_anchored", boom)
+        monkeypatch.setattr(procedures.recip, "reciprocal", boom)
         script = parse_script(_product_script(op, lengths))
         limit = procedures.MAX_PRODUCT_DIGITS
         line = len(lengths) + 3
@@ -239,6 +242,13 @@ class TestProductBound:
             f"t: step {op} at line {line}: operands of {op} hold {total} digits"
             f" together, more than {limit}"
         )
+
+    @pytest.mark.parametrize("config", [None, "A"])
+    def test_recip_at_the_bound_reaches_the_peel(self, config):
+        # 1:1:...:1 is (60**k - 1) / 59, prime to 2, 3 and 5
+        script = parse_script(_product_script("recip", (2 * self.HALF,)))
+        with pytest.raises(Irregular):
+            run(script, config)
 
 
 class TestRunLinear:
@@ -443,6 +453,12 @@ class TestVerifyCorpus:
         assert by_id["unanchored"].error == (
             "line 4: configuration 'c1' does not anchor given 'b'"
         )
+
+    def test_path_that_is_not_a_directory(self, tmp_path):
+        (tmp_path / "a.tab").write_text('tablet "t"\n')
+        for path in (tmp_path / "missing", tmp_path / "a.tab"):
+            with pytest.raises(OSError, match="not a directory"):
+                verify_corpus(path)
 
     def test_empty_directory_warns(self, tmp_path):
         summary = verify_corpus(tmp_path)

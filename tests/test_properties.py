@@ -7,6 +7,7 @@ choice, checked against a reference picker written from the rule.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -150,7 +151,7 @@ def test_anchored_ops_agree_with_rationals():
         assert abacus.add(a, b).value() == a.value() + b.value()
         assert abacus.mul_anchored(a, b).value() == a.value() * b.value()
         assert abacus.half(a).value() == a.value() / 2
-        assert abacus.recip_anchored(a).value() == 1 / a.value()
+        assert abacus.recip_anchored(a)[0].value() == 1 / a.value()
         if a.value() > b.value():
             assert abacus.sub(a, b).value() == a.value() - b.value()
 
@@ -247,6 +248,27 @@ def test_variant_table_matches_reference_or_stalls(strategy, n):
     else:
         r, fact = reciprocal(n, strategy, VARIANT)
         assert (r, fact.factors) == expected
+
+
+@pytest.mark.parametrize("which", ["standard", "variant"])
+@pytest.mark.parametrize("strategy", list(FactorStrategy))
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(SMOOTH_NUMBERS) | long_regulars)
+def test_factorization_records_the_reciprocal_column(which, strategy, n):
+    from mesomath.tables import gen_reciprocal_table
+
+    table = gen_reciprocal_table() if which == "standard" else VARIANT
+    try:
+        r, fact = reciprocal(n, strategy, table)
+    except NoProgress:
+        return  # where the variant table stalls is checked above
+    recs = tuple(table.reciprocal_of(f) for f in fact.factors)
+    assert recip.factor_reciprocals(fact) == recs
+    # bottom up: the last factor's reciprocal, then each partial product
+    chain = list(accumulate(reversed(recs), mul))
+    products = recip.running_products(fact)
+    assert list(products) == (chain[1:] if len(recs) > 1 else chain)
+    assert products[-1] is fact.reciprocal is r
 
 
 @pytest.mark.parametrize("which", ["standard", "variant"])

@@ -15,7 +15,6 @@ from mesomath.recip import (
     ElementaryTable,
     _standard_table,
     FactorStrategy,
-    Factorization,
     cbrt,
     divisible,
     factor_reciprocals,
@@ -175,6 +174,13 @@ class TestReciprocal:
         with pytest.raises(NoProgress):
             reciprocal(fn("2:5"), table=table)
 
+    def test_table_lookup_both_ways(self):
+        table = ElementaryTable([(fn("2"), fn("30"))])
+        assert table.reciprocal_of(fn("30")) == fn("2")
+        assert fn("2") in table and fn("7") not in table and 2 not in table
+        with pytest.raises(KeyError, match="7 is not in the table"):
+            table.reciprocal_of(fn("7"))
+
 
 def _count_conversions(monkeypatch) -> list:
     """Record every call of ``from_integer`` that ``recip`` can make.
@@ -219,23 +225,6 @@ class TestConversionsSaved:
             assert len(calls) == k - 2
             assert list(products) == _product_chain(factor_reciprocals(fact))
             assert products[-1] is r
-
-    @pytest.mark.parametrize("wrong", [fn("7"), fn("27"), fn("13:30:1"), None])
-    def test_inconsistent_factorization_gets_the_true_product(self, wrong):
-        # 6:40 and 40 have reciprocals 9 and 1:30, whose product is 13:30;
-        # 27 divides that product, but not by a power of 60
-        fact = Factorization(
-            source=fn("4:26:40"), factors=(fn("6:40"), fn("40")), reciprocal=wrong
-        )
-        products = running_products(fact)
-        assert products == (fn("13:30"),)
-        assert products[-1] is not wrong
-
-    def test_long_inconsistent_factorization(self):
-        _, fact = reciprocal(fn("5:3:24:26:40"))
-        wrong = Factorization(fact.source, fact.factors, reciprocal=fn("1:19:6:5:37:30"))
-        assert running_products(wrong) == running_products(fact)
-        assert running_products(wrong)[-1] == fn("11:51:54:50:37:30")
 
 
 class TestReciprocalLoop:
@@ -341,5 +330,5 @@ def test_standard_table_is_built_once():
     hits = _standard_table.cache_info().hits
     reciprocal(n)
     factor_reciprocals(reciprocal(n)[1])
-    assert _standard_table.cache_info().hits == hits + 3
+    assert _standard_table.cache_info().hits == hits + 2
     assert _standard_table() is gen_reciprocal_table()
