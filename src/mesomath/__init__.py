@@ -23,12 +23,10 @@ from .recip import (
     Factorization,
     FactorStrategy,
     cbrt,
-    divisible,
     is_regular,
     reciprocal,
     reciprocal_loop,
     sqrt,
-    trailing_candidates,
 )
 from .tables import (
     curriculum,

@@ -143,31 +143,3 @@ class Configuration:
             raise KeyError(
                 f"configuration {self.name!r} does not anchor {given_name!r}"
             ) from None
-
-
-def column_diagram(rows: list[tuple[str, AnchoredNumber]]) -> str:
-    """Render values in aligned columns with the units column marked U.
-
-    Purely a display aid for traces; the rightmost column shown is the
-    lowest exponent any row reaches.
-    """
-    if not rows:
-        return ""
-    lo = min(r.exponent for _, r in rows)
-    hi = max(r.exponent + len(r.digits.digits) - 1 for _, r in rows)
-    label_w = max(len(name) for name, _ in rows)
-    width = 2 + max(
-        len(str(d)) for _, r in rows for d in r.digits.digits
-    )
-    header = " " * (label_w + 2) + "".join(
-        ("U" if e == 0 else "").rjust(width) for e in range(hi, lo - 1, -1)
-    )
-    lines = [header.rstrip()]
-    for name, r in rows:
-        cells = {r.exponent + i: d for i, d in enumerate(reversed(r.digits.digits))}
-        line = name.ljust(label_w + 2) + "".join(
-            (str(cells[e]) if e in cells else "").rjust(width)
-            for e in range(hi, lo - 1, -1)
-        )
-        lines.append(line.rstrip())
-    return "\n".join(lines) + "\n"

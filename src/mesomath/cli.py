@@ -4,7 +4,7 @@ Results go to stdout, diagnostics to stderr, and behavior is fully
 determined by the arguments, so identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 corpus verification failure, 2 bad
 usage or unparsable input, 3 arithmetic error (no reciprocal, no root,
-no reading, ...).
+no reading, operands too long, ...).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import abacus, metrology, procedures, recip, spvn, tables, textio
+from . import metrology, procedures, recip, spvn, tables, textio
 from .errors import PARSE_ERRORS, SexagesimalError
 from .recip import FactorStrategy
 
@@ -22,11 +22,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_ARITH = 3
-
-_STRATEGIES = {
-    "wedge": FactorStrategy.WEDGE_SUFFIX_LONGEST,
-    "largest": FactorStrategy.ANY_DIVISOR_LARGEST,
-}
 
 #: The plain arithmetic sub-commands: name -> (function, operands, help).
 _ARITH = {
@@ -54,7 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("recip", help="reciprocal by trailing-part factorization")
     q.add_argument("a")
     q.add_argument("--trace", action="store_true", help="show the factor columns")
-    q.add_argument("--strategy", choices=sorted(_STRATEGIES), default="wedge")
+    q.add_argument(
+        "--strategy", choices=sorted(s.value for s in FactorStrategy), default="wedge"
+    )
 
     q = sub.add_parser("table", help="print a curriculum table")
     tsub = q.add_subparsers(dest="table_kind", required=True)
@@ -183,7 +180,9 @@ def _repl() -> int:
             if len(toks) == 1:
                 value = resolve(toks[0])
             elif toks and toks[0] in ops and len(toks) == 1 + len(ops[toks[0]][1]):
-                value = ops[toks[0]][0](*map(resolve, toks[1:]))
+                operands = [resolve(t) for t in toks[1:]]
+                spvn.check_product(toks[0], *operands)
+                value = ops[toks[0]][0](*operands)
             else:
                 print(f"error: cannot evaluate {line!r}", file=sys.stderr)
                 continue
@@ -200,12 +199,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
 
     if cmd in _ARITH:
-        fn, operands, _ = _ARITH[cmd]
-        print(fn(*(textio.parse_spvn(getattr(args, name)) for name in operands)))
+        fn, names, _ = _ARITH[cmd]
+        operands = [textio.parse_spvn(getattr(args, name)) for name in names]
+        spvn.check_product(cmd, *operands)
+        print(fn(*operands))
     elif cmd == "recip":
-        r, fact = recip.reciprocal(
-            textio.parse_spvn(args.a), _STRATEGIES[args.strategy]
-        )
+        a = textio.parse_spvn(args.a)
+        spvn.check_product(cmd, a)
+        r, fact = recip.reciprocal(a, FactorStrategy(args.strategy))
         if args.trace:
             _print_recip_trace(fact)
         else:

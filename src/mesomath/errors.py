@@ -77,10 +77,6 @@ class NotACube(SexagesimalError):
 
 # --- metrology ---------------------------------------------------------------
 
-class InexactFraction(SexagesimalError):
-    """A fraction whose correspondence is not exact in base sixty."""
-
-
 class NoReading(SexagesimalError):
     """No measurement inside the hint window corresponds to the number."""
 

@@ -35,13 +35,11 @@ from typing import Iterator
 
 from .errors import (
     AmbiguousReading,
-    InexactFraction,
     MeasurementSyntax,
     NoReading,
     UnitOrderViolation,
     UnknownUnit,
 )
-from .recip import regular_exponents
 from .spvn import BASE, FloatingNumber, from_integer, to_integer
 
 _SIXTH = Fraction(1, 6)
@@ -236,24 +234,6 @@ def get_system(kind: str) -> UnitSystem:
 
 
 # --- conversion ---------------------------------------------------------------
-
-def floating_from_fraction(q: Fraction) -> FloatingNumber:
-    """Floating number of an exact positive rational.
-
-    Exists exactly when the denominator is 5-smooth: 2**a 3**b 5**c
-    divides 60**k once k >= a/2, b and c.  Everything the allowed
-    fractions can build qualifies.
-    """
-    if q <= 0:
-        raise InexactFraction(f"no floating number for {q}")
-    num, den = q.numerator, q.denominator
-    exps = regular_exponents(den)
-    if exps is None:
-        raise InexactFraction(f"{q} is not exact in base sixty")
-    a, b, c = exps
-    k = max(-(-a // 2), b, c)
-    return from_integer(num * BASE**k // den)
-
 
 def _number(system: UnitSystem, t: int) -> FloatingNumber:
     """Floating number of ``t`` twelfths of the smallest unit.

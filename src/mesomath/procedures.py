@@ -25,7 +25,6 @@ from .abacus import AnchoredNumber, Configuration
 from .errors import (
     MissingConfig,
     ParseDiagnostic,
-    ProductTooLong,
     ScriptSyntax,
     SexagesimalError,
     UnknownName,
@@ -336,9 +335,6 @@ def _matches(computed, expected) -> bool:
     return _digits_of(computed) == expected
 
 
-_HALF_FLOATING = FloatingNumber((30,))
-
-
 #: op -> (arity, floating form, anchored form).  Each form returns
 #: (result, factorization-or-None); add and sub have no floating form.
 #: The forms look their functions up on the module at call time, so a
@@ -351,7 +347,7 @@ _OPS = {
     # checker accepts factor lines on recip steps only
     "divrecip": (2, lambda a, b: (spvn.mul(a, recip.reciprocal(b)[0]), None),
                     lambda a, b: (abacus.mul_anchored(a, abacus.recip_anchored(b)[0]), None)),
-    "half": (1, lambda a: (spvn.mul(a, _HALF_FLOATING), None),
+    "half": (1, lambda a: (spvn.mul(a, abacus.HALF.digits), None),
                 lambda a: (abacus.half(a), None)),
     "square": (1, lambda a: (spvn.square(a), None),
                   lambda a: (abacus.mul_anchored(a, a), None)),
@@ -360,30 +356,6 @@ _OPS = {
     "add": (2, None, lambda a, b: (abacus.add(a, b), None)),
     "sub": (2, None, lambda a, b: (abacus.sub(a, b), None)),
 }
-STEP_OPS = tuple(_OPS)
-
-#: Most digits that the operands of one product step may hold together.
-#: A product is about as long as its operands together, so a chain of
-#: squarings doubles a number's length at every line; the bound stops
-#: such a chain while its integers are still quick to convert, far above
-#: any attested computation.  A reciprocal is bounded too: its peel
-#: divides and multiplies integers as long as its operand, so a recip
-#: step on such a square is refused before the peel starts.
-MAX_PRODUCT_DIGITS = 10_000
-#: op -> how often each operand enters the product the step builds;
-#: divrecip's operands are the dividend and the divisor, and recip's
-#: one operand counts once.
-_PRODUCT_OPS = {"mul": 1, "square": 2, "divrecip": 1, "recip": 1}
-
-
-def _check_product(op: str, operands: list) -> None:
-    """Refuse a product step whose operands exceed MAX_PRODUCT_DIGITS."""
-    total = _PRODUCT_OPS[op] * sum(len(_digits_of(x)) for x in operands)
-    if total > MAX_PRODUCT_DIGITS:
-        raise ProductTooLong(
-            f"operands of {op} hold {total} digits together,"
-            f" more than {MAX_PRODUCT_DIGITS}"
-        )
 
 
 def run(script: ProcedureScript, config: str | None = None) -> Trace:
@@ -433,8 +405,7 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
             )
         operands = [scope[a] for a in s.args]
         try:
-            if s.op in _PRODUCT_OPS:
-                _check_product(s.op, operands)
+            spvn.check_product(s.op, *map(_digits_of, operands))
             result, fact = form(*operands)
         except SexagesimalError as e:
             raise type(e)(

@@ -17,15 +17,12 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt, prod
-from typing import NamedTuple
 
 from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare
 from .spvn import (
     ONE,
     BASE,
     FloatingNumber,
-    SimplerOrdering,
-    compare_simpler,
     from_integer,
     mul,
     to_integer,
@@ -85,10 +82,6 @@ class ElementaryTable:
     def pairs(self) -> tuple[tuple[FloatingNumber, FloatingNumber], ...]:
         return self._pairs
 
-    def known_values(self) -> tuple[FloatingNumber, ...]:
-        """Every number on either side, ascending by representative."""
-        return tuple(self._by_rep[t][0] for t in sorted(self._by_rep))
-
     def __contains__(self, n: FloatingNumber) -> bool:
         return isinstance(n, FloatingNumber) and to_integer(n) in self._by_rep
 
@@ -115,11 +108,6 @@ class FactorStrategy(enum.Enum):
 
     WEDGE_SUFFIX_LONGEST = "wedge"
     ANY_DIVISOR_LARGEST = "largest"
-
-
-class TrailingCandidate(NamedTuple):
-    factor: FloatingNumber
-    wedge_suffix: bool
 
 
 @dataclass(frozen=True)
@@ -153,20 +141,6 @@ class Factorization:
         return acc
 
 
-def regular_exponents(v: int) -> tuple[int, int, int] | None:
-    """(a, b, c) with v = 2**a * 3**b * 5**c, or None if v is irregular."""
-    out = []
-    for p in (2, 3, 5):
-        k = 0
-        while v % p == 0:
-            v //= p
-            k += 1
-        out.append(k)
-    if v != 1:
-        return None
-    return tuple(out)
-
-
 def _is_regular_rep(v: int) -> bool:
     """Is the positive integer ``v`` 5-smooth?
 
@@ -187,49 +161,19 @@ def is_regular(n: FloatingNumber) -> bool:
     return _is_regular_rep(to_integer(n))
 
 
-def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
-    """Can ``t`` be read in the final wedge groups of ``n``?
-
-    All digits of ``t`` but the first must equal the final digits of
-    ``n``, and ``t``'s leading digit must be at most the digit of ``n``
-    in that position: 6:40 is visible at the end of 4:26:40 because the
-    6 can be read inside the 26.
-    """
-    td, nd = t.digits, n.digits
-    if len(td) > len(nd):
-        return False
-    k = len(td)
-    return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
-
-
 def _is_wedge_suffix_rep(t: int, m: int, v: int) -> bool:
-    """:func:`is_wedge_suffix` on representatives, with ``m = 60**(len(t) - 1)``.
+    """Can the table value ``t`` be read in the final wedge groups of ``v``?
 
-    ``v >= m`` says ``n`` has at least as many digits as ``t``; the
-    remainders mod ``m`` are the digits after ``t``'s first; and
-    ``v // m % 60`` is the digit of ``n`` under that first digit, ``t // m``.
+    ``t`` and ``v`` are representatives and ``m = 60**(len(t) - 1)``.
+    All digits of ``t`` but the first must equal the final digits of
+    ``v``, and ``t``'s leading digit must be at most the digit of ``v``
+    in that position: 6:40 is visible at the end of 4:26:40 because the
+    6 can be read inside the 26.  On integers: ``v >= m`` says ``v`` has
+    at least as many digits as ``t``; the remainders mod ``m`` are the
+    digits after ``t``'s first; and ``v // m % 60`` is the digit of ``v``
+    under that first digit, ``t // m``.
     """
     return v >= m and v % m == t % m and v // m % BASE >= t // m
-
-
-def trailing_candidates(
-    n: FloatingNumber, table: ElementaryTable | None = None
-) -> tuple[TrailingCandidate, ...]:
-    """Table values that divide ``n`` exactly, flagged as wedge-suffixes.
-
-    Division is exact division of canonical representatives; the trivial
-    factor 1 is excluded since it makes no progress.  Candidates come
-    back largest first, in the order of the table's index, which is
-    already sorted by representative.
-    """
-    if table is None:
-        table = _standard_table()
-    v = to_integer(n)
-    return tuple(
-        TrailingCandidate(f, _is_wedge_suffix_rep(t, m, v))
-        for t, m, f in table._divisors
-        if v % t == 0
-    )
 
 
 def _pick_divisor(
@@ -237,12 +181,13 @@ def _pick_divisor(
 ) -> tuple[int, int, FloatingNumber] | None:
     """The index entry to peel from representative ``v``, or None.
 
-    The same choice as reading :func:`trailing_candidates` largest
-    first: the first wedge suffix, else the largest exact divisor.  A
-    wedge suffix is looked for only among the entries that the table's
-    last-digit index lists for ``v``'s last digit; that list keeps the
-    index order and holds every possible suffix, so its first hit is
-    the first hit of a full scan.
+    Only table values that divide ``v`` exactly qualify, 1 excluded.
+    Under the wedge strategy the largest of them that is a wedge suffix
+    of ``v`` wins; otherwise, or when none is, the largest of them does.
+    Wedge suffixes are looked for only among the entries that the
+    table's last-digit index lists for ``v``'s last digit; that list
+    keeps the index order (largest first) and holds every possible
+    suffix, so its first hit is the first hit of a full scan.
     """
     if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
         for d in table._wedge_by_last[v % BASE]:
@@ -329,19 +274,6 @@ def running_products(fact: Factorization) -> tuple[FloatingNumber, ...]:
         out.append(acc)
     out.append(fact.reciprocal)
     return tuple(out)
-
-
-def divisible(a: FloatingNumber, b: FloatingNumber) -> bool:
-    """Divisibility in the productive sense.
-
-    Formally any number divides any other here (2 divided by 5 "gives
-    24"); ``a`` counts as divisible by regular ``b`` only when
-    multiplying by the reciprocal of ``b`` yields something simpler.
-    """
-    if not is_regular(b):
-        raise Irregular(f"{b} is without reciprocal")
-    r, _ = reciprocal(b)
-    return compare_simpler(mul(a, r), a) is SimplerOrdering.SIMPLER
 
 
 def sqrt(n: FloatingNumber) -> FloatingNumber:

@@ -30,21 +30,9 @@ import enum
 from operator import index
 from typing import Iterable, Iterator
 
-from .errors import AllZero, DigitOutOfRange, NonPositive
+from .errors import AllZero, DigitOutOfRange, NonPositive, ProductTooLong
 
 BASE = 60
-
-
-def split_digit(d: int) -> tuple[int, int]:
-    """Split a digit into its tens count (0..5) and units count (0..9).
-
-    A digit was written as a group of ten-wedges followed by a group of
-    unit-wedges; the split is what lets a smaller digit be read inside a
-    larger one when hunting for trailing parts.
-    """
-    if not 0 <= d <= 59:
-        raise DigitOutOfRange(f"digit {d} outside 0..59")
-    return d // 10, d % 10
 
 
 class FloatingNumber:
@@ -163,6 +151,35 @@ def mul(a: FloatingNumber, b: FloatingNumber) -> FloatingNumber:
 
 def square(a: FloatingNumber) -> FloatingNumber:
     return mul(a, a)
+
+
+#: Most digits that the operands of one product may hold together.  A
+#: product is about as long as its operands together, so a chain of
+#: squarings doubles a number's length at every line; the bound stops
+#: such a chain while its integers are still quick to convert, far above
+#: any attested computation.  A reciprocal is bounded too: its peel
+#: divides and multiplies integers as long as its operand.
+MAX_PRODUCT_DIGITS = 10_000
+#: op -> how often each operand enters the product the op builds;
+#: divrecip's operands are the dividend and the divisor, and recip's one
+#: operand counts once.
+_PRODUCT_OPS = {"mul": 1, "square": 2, "divrecip": 1, "recip": 1}
+
+
+def check_product(op: str, *operands: FloatingNumber) -> None:
+    """Refuse ``op`` when its operands exceed MAX_PRODUCT_DIGITS together.
+
+    Raises :class:`ProductTooLong` before any product is built.  An op
+    that builds no product, such as ``sqrt`` or ``add``, is never refused.
+    """
+    weight = _PRODUCT_OPS.get(op)
+    if weight:
+        total = weight * sum(map(len, operands))
+        if total > MAX_PRODUCT_DIGITS:
+            raise ProductTooLong(
+                f"operands of {op} hold {total} digits together,"
+                f" more than {MAX_PRODUCT_DIGITS}"
+            )
 
 
 def compare_simpler(a: FloatingNumber, b: FloatingNumber) -> SimplerOrdering:

@@ -1,0 +1,58 @@
+"""Reference implementations the tests compare the library against.
+
+Each one is written straight from the rule it checks, on digits or on
+``Fraction``, with no shortcut the library takes; none is used by the
+library itself.
+"""
+
+from fractions import Fraction
+
+from mesomath.spvn import FloatingNumber
+
+
+def regular_exponents(v: int) -> tuple[int, int, int] | None:
+    """(a, b, c) with v = 2**a * 3**b * 5**c, or None if v is irregular."""
+    out = []
+    for p in (2, 3, 5):
+        k = 0
+        while v % p == 0:
+            v //= p
+            k += 1
+        out.append(k)
+    if v != 1:
+        return None
+    return tuple(out)
+
+
+def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
+    """Can ``t`` be read in the final wedge groups of ``n``?
+
+    All digits of ``t`` but the first must equal the final digits of
+    ``n``, and ``t``'s leading digit must be at most the digit of ``n``
+    in that position: 6:40 is visible at the end of 4:26:40 because the
+    6 can be read inside the 26.
+    """
+    td, nd = t.digits, n.digits
+    if len(td) > len(nd):
+        return False
+    k = len(td)
+    return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
+
+
+def canonical_integer(q: Fraction) -> int | None:
+    """Canonical integer of the positive ``q``'s floating class, or None.
+
+    Found with Fractions alone: scale by 60 until the value is whole,
+    then strip the factors of 60.  A scaling that leaves the denominator
+    unchanged shows it is prime to 60, so ``q`` has no finite base-60
+    form and the answer is None.
+    """
+    while q.denominator != 1:
+        scaled = q * 60
+        if scaled.denominator == q.denominator:
+            return None
+        q = scaled
+    v = q.numerator
+    while v % 60 == 0:
+        v //= 60
+    return v

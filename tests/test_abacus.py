@@ -8,7 +8,6 @@ from mesomath.abacus import (
     AnchoredNumber,
     Configuration,
     add,
-    column_diagram,
     half,
     mul_anchored,
     recip_anchored,
@@ -169,22 +168,3 @@ class TestConfiguration:
         assert c.exponent_for("sum") == -1
         with pytest.raises(KeyError):
             c.exponent_for("other")
-
-
-class TestColumnDiagram:
-    def test_marks_units_column(self):
-        out = column_diagram([("sum", an("6:30e-1")), ("half", an("3:15e-1"))])
-        lines = out.splitlines()
-        assert lines[0].endswith("U")
-        assert "6" in lines[1] and "30" in lines[1]
-
-    def test_alignment_across_rows(self):
-        out = column_diagram(
-            [("sq", an("10:33:45e-2")), ("base", an("7:30e-1"))]
-        )
-        sq_line, base_line = out.splitlines()[1:3]
-        # 45 (at e-2) sits one cell right of 30 (at e-1)
-        assert sq_line.rstrip().endswith("45")
-        assert base_line.rstrip().endswith("30") and len(
-            base_line.rstrip()
-        ) < len(sq_line.rstrip())

@@ -97,14 +97,25 @@ PINNED_RECIP_EXPONENTS = (
 
 
 @pytest.fixture(scope="module")
-def long_recip_tablet(tmp_path_factory):
+def long_operand():
+    """The 36,415 digits of 2**120000 * 3**60000, converted once per module."""
+    return _sexagesimal(2**120000 * 3**60000)
+
+
+@pytest.fixture(scope="module")
+def long_recip_tablet(tmp_path_factory, long_operand):
     """A tablet whose one step inverts a number of 36,415 digits."""
     p = tmp_path_factory.mktemp("recip") / "long.tab"
     p.write_text(
-        f'tablet "t"\ngiven-spvn a {_sexagesimal(2**120000 * 3**60000)}\n'
+        f'tablet "t"\ngiven-spvn a {long_operand}\n'
         "config A: a=e0\nstep recip a as r\n"
     )
     return p
+
+
+#: operands one digit past the bound when multiplied or squared
+_OVER_BOUND = ":".join(["1"] * 5001)
+_AT_HALF_BOUND = ":".join(["1"] * 5000)
 
 
 class TestRecipTracePin:
@@ -226,6 +237,27 @@ class TestExitCodes:
         assert code == EXIT_ARITH and out == ""
         assert err.count("\n") == 1
         assert "step recip at line 4: operands of recip hold 36415 digits" in err
+
+    def test_long_recip_argument_exits_3_at_once(self, capsys, long_operand):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "recip", long_operand)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ARITH and out == ""
+        assert err == (
+            "error: operands of recip hold 36415 digits together, more than 10000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, total",
+        [(["mul", _OVER_BOUND, _AT_HALF_BOUND], 10001), (["square", _OVER_BOUND], 10002)],
+    )
+    def test_long_product_arguments_exit_3(self, capsys, argv, total):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ARITH and out == ""
+        assert err == (
+            f"error: operands of {argv[0]} hold {total} digits together,"
+            " more than 10000\n"
+        )
 
     def test_window_without_dots_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "convert", "from-spvn", "L", "10", "--window", "x")
@@ -479,6 +511,20 @@ class TestRepl:
         )
         assert proc.returncode == 0 and proc.stdout.decode().splitlines() == ["6"]
         assert proc.stderr.decode().splitlines() == ["error: cannot evaluate ''"] * 2
+
+    def test_long_operands_are_refused_and_the_session_goes_on(
+        self, capsys, monkeypatch, long_operand
+    ):
+        session = f"recip {long_operand}\nx = square {_OVER_BOUND}\nmul 2 3\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "repl")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and out == "6\n"
+        assert err.splitlines() == [
+            "error: operands of recip hold 36415 digits together, more than 10000",
+            "error: operands of square hold 10002 digits together, more than 10000",
+        ]
 
     def test_error_recovery(self):
         session = "recip 7\nmul 2 3\n"

@@ -16,7 +16,6 @@ from mesomath.metrology import (
     UnitSystem,
     Window,
     enumerate_readings,
-    floating_from_fraction,
     format_metrological_table,
     from_number,
     gen_metrological_table,
@@ -24,8 +23,9 @@ from mesomath.metrology import (
     _spell,
     to_number,
 )
-from mesomath.spvn import mul
+from mesomath.spvn import mul, to_integer
 from mesomath.textio import parse_measurement, parse_spvn as fn
+from oracles import canonical_integer
 
 
 def m(text, system):
@@ -322,13 +322,14 @@ class TestVolumes:
 
 class TestFractionBridge:
     def test_smooth_denominator(self):
-        assert floating_from_fraction(Fraction(1, 3)) == fn("20")
-        assert floating_from_fraction(Fraction(10, 3)) == fn("3:20")
+        assert canonical_integer(Fraction(1, 3)) == to_integer(fn("20"))
+        assert canonical_integer(Fraction(10, 3)) == to_integer(fn("3:20"))
+        assert canonical_integer(Fraction(1, 7)) is None
 
     def test_cannot_be_inexact_from_allowed_set(self):
-        sys = get_system("W")
-        for f in ALLOWED_FRACTIONS:
-            floating_from_fraction(f * sys.base)  # must not raise
+        for system in SYSTEMS.values():
+            for f in ALLOWED_FRACTIONS:
+                assert canonical_integer(f * system.base) is not None
 
 
 def test_fractions_are_twelfths_and_sizes_whole():
@@ -491,19 +492,20 @@ def test_text_tables_pinned():
 
 
 def _fraction_route(mm):
-    return floating_from_fraction(mm.value() * get_system(mm.system).base)
+    return canonical_integer(mm.value() * get_system(mm.system).base)
 
 
 @settings(deadline=None, max_examples=300)
 @given(measurements())
 def test_to_number_against_fraction_route(mm):
-    assert to_number(mm) == _fraction_route(mm)
+    assert to_integer(to_number(mm)) == _fraction_route(mm)
 
 
 @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
 def test_ladder_numbers_against_fraction_route(system):
     for mm, n in full_ladder(system).rows:
-        assert n == _fraction_route(mm) == to_number(mm)
+        assert n == to_number(mm)
+        assert to_integer(n) == _fraction_route(mm)
 
 
 def test_formatting_and_to_number_render_and_build_nothing():

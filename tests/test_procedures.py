@@ -3,7 +3,7 @@ import shlex
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesomath import procedures
+from mesomath import procedures, spvn
 from mesomath.errors import (
     DigitOutOfRange,
     Irregular,
@@ -205,7 +205,7 @@ def _product_script(op: str, lengths) -> str:
 
 
 class TestProductBound:
-    HALF = procedures.MAX_PRODUCT_DIGITS // 2
+    HALF = spvn.MAX_PRODUCT_DIGITS // 2
 
     @pytest.mark.parametrize("config", [None, "A"])
     @pytest.mark.parametrize("op, lengths", [("mul", (HALF, HALF)), ("square", (HALF,))])
@@ -234,7 +234,7 @@ class TestProductBound:
         monkeypatch.setattr(procedures.abacus, "mul_anchored", boom)
         monkeypatch.setattr(procedures.recip, "reciprocal", boom)
         script = parse_script(_product_script(op, lengths))
-        limit = procedures.MAX_PRODUCT_DIGITS
+        limit = spvn.MAX_PRODUCT_DIGITS
         line = len(lengths) + 3
         with pytest.raises(ProductTooLong) as e:
             run(script, config)

@@ -6,24 +6,14 @@ seconds of work.  Hypothesis adds long regular numbers for the factor
 choice, checked against a reference picker written from the rule.
 """
 
-from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mesomath import abacus, recip
-from mesomath.errors import InexactFraction, NoProgress, NotASquare
-from mesomath.metrology import floating_from_fraction
-from mesomath.recip import (
-    ElementaryTable,
-    FactorStrategy,
-    is_wedge_suffix,
-    reciprocal,
-    regular_exponents,
-    sqrt,
-    trailing_candidates,
-)
+from mesomath.errors import NoProgress, NotASquare
+from mesomath.recip import ElementaryTable, FactorStrategy, reciprocal, sqrt
 from mesomath.spvn import (
     ONE,
     FloatingNumber,
@@ -35,6 +25,7 @@ from mesomath.spvn import (
     to_integer,
 )
 from mesomath.textio import parse_spvn
+from oracles import is_wedge_suffix, regular_exponents
 
 LIMIT = 60**4
 
@@ -96,15 +87,15 @@ def test_any_divisor_strategy_also_correct():
 
 
 def test_candidates_divide_and_simplify():
-    # every candidate divides exactly, and dividing by it simplifies;
-    # this is the equivalence the cheap integer test relies on
+    # every peeled factor divides its quotient exactly, and dividing by it
+    # gives a simpler number: each peel step is a productive division
     for n in SMOOTH_NUMBERS[::5]:
-        v = to_integer(n)
-        for c in trailing_candidates(n):
-            fv = to_integer(c.factor)
-            assert v % fv == 0
-            q = from_integer(v // fv)
-            assert compare_simpler(q, n) is SimplerOrdering.SIMPLER
+        for strategy in FactorStrategy:
+            _, fact = reciprocal(n, strategy)
+            for q, f in zip(fact.quotients(), fact.factors[:-1]):
+                v, fv = to_integer(q), to_integer(f)
+                assert v % fv == 0
+                assert compare_simpler(from_integer(v // fv), q) is SimplerOrdering.SIMPLER
 
 
 def test_sqrt_parity_criterion():
@@ -156,17 +147,6 @@ def test_anchored_ops_agree_with_rationals():
             assert abacus.sub(a, b).value() == a.value() - b.value()
 
 
-def test_divisible_predicate_agrees_with_candidates():
-    # on table values, the simpler-product divisibility is implied by
-    # exact division of representatives
-    from mesomath.tables import gen_reciprocal_table
-
-    table = gen_reciprocal_table()
-    for n in SMOOTH_NUMBERS[::11]:
-        for c in trailing_candidates(n, table):
-            assert recip.divisible(n, c.factor)
-
-
 # --- the factor choice against a reference picker ----------------------------------
 
 long_regulars = st.builds(
@@ -181,7 +161,7 @@ def _reference_reciprocal(n, strategy, table):
     """The documented rule on digits: scan the known values by descending
     representative, take the first wedge suffix that divides, else the
     largest divisor; stop when the quotient is in the table."""
-    known = sorted(table.known_values(), key=to_integer, reverse=True)
+    known = sorted({t for pair in table.pairs for t in pair}, key=to_integer, reverse=True)
     factors = []
     cur = n
     while cur not in table:
@@ -326,43 +306,6 @@ def test_regularity_by_pow_below_20000():
     assert recip._is_regular_rep(1)
     for v in range(1, 20_000):
         assert recip._is_regular_rep(v) == (regular_exponents(v) is not None), v
-
-
-def _fraction_oracle(q):
-    """Canonical integer of q's floating class, found with Fractions alone."""
-    v = q
-    while v.denominator != 1:
-        v *= 60
-    v = v.numerator
-    while v % 60 == 0:
-        v //= 60
-    return v
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    st.integers(1, 60**6),
-    st.integers(0, 120),
-    st.integers(0, 80),
-    st.integers(0, 60),
-)
-def test_floating_from_fraction_matches_oracle(num, a, b, c):
-    q = Fraction(num, 2**a * 3**b * 5**c)
-    assert to_integer(floating_from_fraction(q)) == _fraction_oracle(q)
-
-
-@settings(deadline=None)
-@given(
-    st.integers(1, 60**6),
-    st.integers(0, 40),
-    st.integers(0, 20),
-    st.integers(0, 20),
-    st.sampled_from((7, 11, 13, 49, 59, 61, 77, 7919)),
-)
-def test_floating_from_fraction_refuses_irregular_denominators(num, a, b, c, p):
-    assume(num % p)
-    with pytest.raises(InexactFraction):
-        floating_from_fraction(Fraction(num, 2**a * 3**b * 5**c * p))
 
 
 # --- the integer bridge against an integer oracle ------------------------------

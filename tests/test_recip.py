@@ -16,20 +16,17 @@ from mesomath.recip import (
     _standard_table,
     FactorStrategy,
     cbrt,
-    divisible,
     factor_reciprocals,
     is_regular,
-    is_wedge_suffix,
     reciprocal,
     reciprocal_loop,
-    regular_exponents,
     running_products,
     sqrt,
-    trailing_candidates,
 )
-from mesomath.spvn import from_integer, mul, to_integer
+from mesomath.spvn import SimplerOrdering, compare_simpler, from_integer, mul, to_integer
 from mesomath.tables import gen_reciprocal_table
 from mesomath.textio import parse_spvn as fn
+from oracles import is_wedge_suffix, regular_exponents
 
 
 class TestIsRegular:
@@ -66,39 +63,46 @@ class TestWedgeSuffix:
 
 def _oracle_divisors(n):
     """All table values (either side) exactly dividing the representative."""
-    table = gen_reciprocal_table()
     v = to_integer(n)
     return {
-        t for t in table.known_values() if to_integer(t) > 1 and v % to_integer(t) == 0
+        t
+        for pair in gen_reciprocal_table().pairs
+        for t in pair
+        if to_integer(t) > 1 and v % to_integer(t) == 0
     }
 
 
 class TestTrailingCandidates:
+    """The first trailing part the peel takes among the exact divisors."""
+
     def test_candidates_4_26_40(self):
         n = fn("4:26:40")
-        cands = trailing_candidates(n)
-        assert {c.factor for c in cands} == _oracle_divisors(n)
-        flagged = {str(c.factor) for c in cands if c.wedge_suffix}
-        assert "40" in flagged and "6:40" in flagged
-        # sorted largest first, so the wedge pick is 6:40
-        assert next(c.factor for c in cands if c.wedge_suffix) == fn("6:40")
+        _, fact = reciprocal(n)
+        wedge = {t for t in _oracle_divisors(n) if is_wedge_suffix(t, n)}
+        assert {fn("40"), fn("6:40")} <= wedge
+        # the largest divisor readable at the end is peeled first
+        assert fact.factors[0] == fn("6:40") == max(wedge, key=to_integer)
 
     def test_candidates_45_30_40(self):
         n = fn("45:30:40")
-        cands = trailing_candidates(n)
-        assert {c.factor for c in cands} == _oracle_divisors(n)
-        # 6:40 does not divide 163840 exactly, so 40 is the best wedge pick
-        assert fn("6:40") not in {c.factor for c in cands}
-        assert next(c.factor for c in cands if c.wedge_suffix) == fn("40")
+        _, fact = reciprocal(n)
+        # 6:40 does not divide 163840 exactly, so 40 is the first peel
+        assert fn("6:40") not in _oracle_divisors(n)
+        assert fact.factors[0] == fn("40")
 
     def test_candidates_16(self):
-        cands = trailing_candidates(fn("16"))
-        assert [str(c.factor) for c in cands] == ["16", "8", "4", "2"]
+        # 8, 4 and 2 divide 16 too, but 16 is in the table: nothing is peeled
+        assert {str(t) for t in _oracle_divisors(fn("16"))} == {"16", "8", "4", "2"}
+        for strategy in FactorStrategy:
+            assert reciprocal(fn("16"), strategy)[1].factors == (fn("16"),)
 
     def test_every_candidate_divides(self):
-        n = fn("2:13:20")
-        for c in trailing_candidates(n):
-            assert to_integer(n) % to_integer(c.factor) == 0
+        # each factor divides the quotient it was peeled from
+        for s in ("2:13:20", "2:8", "8:53:20", "5:3:24:26:40"):
+            for strategy in FactorStrategy:
+                _, fact = reciprocal(fn(s), strategy)
+                for q, f in zip(fact.quotients(), fact.factors):
+                    assert to_integer(q) % to_integer(f) == 0
 
 
 class TestReciprocal:
@@ -251,20 +255,30 @@ class TestReciprocalLoop:
             reciprocal_loop(fn("3"))
 
 
+def _divisible(a, b):
+    """Divisibility in the productive sense.
+
+    Formally any number divides any other here (2 divided by 5 "gives
+    24"); ``a`` counts as divisible by regular ``b`` only when
+    multiplying by the reciprocal of ``b`` yields something simpler.
+    """
+    return compare_simpler(mul(a, reciprocal(b)[0]), a) is SimplerOrdering.SIMPLER
+
+
 class TestDivisible:
     def test_attested(self):
-        assert divisible(fn("4:26:40"), fn("6:40"))
+        assert _divisible(fn("4:26:40"), fn("6:40"))
 
     def test_formal_quotient_not_simpler(self):
         # 2 times the reciprocal of 5 is 24: not simpler, so not divisible
-        assert not divisible(fn("2"), fn("5"))
+        assert not _divisible(fn("2"), fn("5"))
 
     def test_self_division(self):
-        assert divisible(fn("16"), fn("16"))
+        assert _divisible(fn("16"), fn("16"))
 
     def test_irregular_divisor(self):
         with pytest.raises(Irregular):
-            divisible(fn("14"), fn("7"))
+            _divisible(fn("14"), fn("7"))
 
 
 class TestSqrt:

@@ -8,7 +8,6 @@ from mesomath.spvn import (
     compare_simpler,
     from_integer,
     mul,
-    split_digit,
     square,
     to_integer,
 )
@@ -194,11 +193,3 @@ class TestSimplerOrdering:
                 else:
                     assert x == y and cmp_xy is SimplerOrdering.EQUAL
         # transitivity follows from agreement with the key ordering
-
-
-class TestDigitSplit:
-    @given(st.integers(0, 59))
-    def test_tens_units(self, d):
-        tens, units = split_digit(d)
-        assert d == 10 * tens + units
-        assert 0 <= tens <= 5 and 0 <= units <= 9
