@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import metrology, procedures, recip, spvn, tables, textio
-from .errors import PARSE_ERRORS, SexagesimalError
+from .errors import ParseError, SexagesimalError
 from .recip import FactorStrategy
 
 EXIT_OK = 0
@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _dispatch(args)
-    except PARSE_ERRORS as e:
+    except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SexagesimalError as e:

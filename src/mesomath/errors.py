@@ -1,9 +1,10 @@
 """Exception hierarchy shared by every module.
 
 Two broad families matter to callers: parse errors (bad text reached a
-parser) and arithmetic errors (a well-formed request has no answer, such
-as the reciprocal of an irregular number).  The CLI maps the families to
-distinct exit codes.
+parser), which subclass :class:`ParseError`, and arithmetic errors (a
+well-formed request has no answer, such as the reciprocal of an
+irregular number), which are every other :class:`SexagesimalError`.
+The CLI maps the families to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -39,9 +40,13 @@ class SexagesimalError(Exception):
         self.diagnostic = diagnostic
 
 
+class ParseError(SexagesimalError):
+    """Bad text reached a parser; the CLI exits 2 on every subclass."""
+
+
 # --- digit-sequence and integer bridge errors ------------------------------
 
-class AllZero(SexagesimalError):
+class AllZero(ParseError):
     """A digit sequence with no nonzero digit; there is no zero numeral."""
 
 
@@ -49,7 +54,7 @@ class NonPositive(SexagesimalError):
     """The integer bridge only covers positive values."""
 
 
-class DigitOutOfRange(SexagesimalError):
+class DigitOutOfRange(ParseError):
     """A digit outside 0..59, at construction or parse time."""
 
 
@@ -109,53 +114,38 @@ class MissingConfig(SexagesimalError):
 
 # --- text and script parsing -------------------------------------------------
 
-class EmptyInput(SexagesimalError):
+class EmptyInput(ParseError):
     pass
 
 
-class MalformedSeparator(SexagesimalError):
+class MalformedSeparator(ParseError):
     pass
 
 
-class UnknownUnit(SexagesimalError):
+class UnknownUnit(ParseError):
     pass
 
 
-class UnitOrderViolation(SexagesimalError):
+class UnitOrderViolation(ParseError):
     pass
 
 
-class BadFraction(SexagesimalError):
+class BadFraction(ParseError):
     pass
 
 
-class MeasurementSyntax(SexagesimalError):
+class MeasurementSyntax(ParseError):
     pass
 
 
-class ScriptSyntax(SexagesimalError):
+class ScriptSyntax(ParseError):
     pass
 
 
-class UnknownName(SexagesimalError):
+class UnknownName(ParseError):
     pass
 
 
-class UnknownOp(SexagesimalError):
+class UnknownOp(ParseError):
     pass
 
-
-#: Errors produced by text handling; the CLI exits 2 on these.
-PARSE_ERRORS = (
-    AllZero,
-    EmptyInput,
-    DigitOutOfRange,
-    MalformedSeparator,
-    UnknownUnit,
-    UnitOrderViolation,
-    BadFraction,
-    MeasurementSyntax,
-    ScriptSyntax,
-    UnknownName,
-    UnknownOp,
-)

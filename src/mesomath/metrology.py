@@ -11,14 +11,16 @@ Heights use the same units as lengths but put 1 kuš at 1 instead of 5,
 so that a surface number times a height number is directly a volume
 number in table S.
 
-Every allowed fraction has a denominator dividing 12 and every unit
-size is a whole number of smallest units, so a magnitude is one integer:
-:attr:`MeasurementValue.twelfths`, the count of twelfths of the
-system's smallest unit.  Every base has a denominator dividing 60 (a
-:class:`UnitSystem` refuses any other), so :func:`to_number` turns that
-integer into a number with integer arithmetic alone.  Spelling, the
-cycle walk of reverse readings and the ladder search all run on it;
-:meth:`MeasurementValue.value` is the exact ``Fraction`` edge.  Each
+Every allowed fraction (1/6, 1/4, 1/3, 1/2, 2/3, 5/6) is a whole number
+of twelfths of its unit and is kept as that integer: 1/2 is 6.  Every
+unit size is a whole number of smallest units, so a magnitude is one
+integer too: :attr:`MeasurementValue.twelfths`, the count of twelfths
+of the system's smallest unit.  Every base has a denominator dividing 60
+(a :class:`UnitSystem` refuses any other), so :func:`to_number` turns
+that integer into a number with integer arithmetic alone.  Parsing,
+spelling, printing, the cycle walk of reverse readings and the ladder
+search all run on integers; ``Fraction`` appears only at the exact
+edges, :attr:`UnitSystem.base` and :meth:`MeasurementValue.value`.  Each
 system's ladder is expanded once, on first use, together with the
 printed text of every row, so formatting a table renders nothing.
 Nothing here rounds.
@@ -42,17 +44,15 @@ from .errors import (
 )
 from .spvn import BASE, FloatingNumber, from_integer, to_integer
 
-_SIXTH = Fraction(1, 6)
-_QUARTER = Fraction(1, 4)
-_THIRD = Fraction(1, 3)
-_HALF = Fraction(1, 2)
-_TWO_THIRDS = Fraction(2, 3)
-_FIVE_SIXTHS = Fraction(5, 6)
+# The fraction vocabulary: each allowed fraction as twelfths of its unit,
+# with its printed name.
+_FRACTION_TEXT = {10: "5/6", 8: "2/3", 6: "1/2", 4: "1/3", 3: "1/4", 2: "1/6"}
+_FIVE_SIXTHS, _TWO_THIRDS, _HALF, _THIRD = 10, 8, 6, 4
 
-_ALL = (_FIVE_SIXTHS, _TWO_THIRDS, _HALF, _THIRD, _QUARTER, _SIXTH)
-#: Fractions a measurement may carry, in any system; every denominator
-#: divides 12, which is what makes a magnitude a whole count of twelfths.
-ALLOWED_FRACTIONS = frozenset(_ALL)
+_ALL = tuple(_FRACTION_TEXT)
+#: Fractions a measurement may carry, in any system, as twelfths of the
+#: unit: 1/2 is 6 and 5/6 is 10.
+ALLOWED_FRACTIONS = frozenset(_FRACTION_TEXT)
 _KUSH_STYLE = (_FIVE_SIXTHS, _TWO_THIRDS, _HALF, _THIRD)
 
 
@@ -61,15 +61,16 @@ class Unit:
     """One rung of a system's ladder.
 
     ``size`` is the exact multiple of the system's smallest unit;
-    ``spelling_fractions`` are the fractions canonical spellings may use
-    for this unit (largest first).  Parsing accepts the full allowed set
-    on any unit; the subset only shapes what conversions emit, keeping
-    generated rows on the attested spellings (5 šu-si, never 1/6 kuš).
+    ``spelling_fractions`` are the fractions, in twelfths, canonical
+    spellings may use for this unit (largest first).  Parsing accepts the
+    full allowed set on any unit; the subset only shapes what conversions
+    emit, keeping generated rows on the attested spellings (5 šu-si,
+    never 1/6 kuš).
     """
 
     name: str
     size: int
-    spelling_fractions: tuple[Fraction, ...]
+    spelling_fractions: tuple[int, ...]
     aliases: tuple[str, ...] = ()
 
 
@@ -114,22 +115,19 @@ class UnitSystem:
 
 @dataclass(frozen=True)
 class Term:
-    """count of a unit: a whole part plus an optional fraction."""
+    """count of a unit: a whole part plus an optional fraction, given
+    as twelfths of the unit (``Term("ninda", 1, 6)`` is 1 1/2 ninda)."""
 
     unit: str
     whole: int
-    frac: Fraction = Fraction(0)
-
-    @property
-    def count(self) -> Fraction:
-        return self.whole + self.frac
+    frac: int = 0
 
     def __str__(self) -> str:
         bits = []
         if self.whole:
             bits.append(str(self.whole))
         if self.frac:
-            bits.append(f"{self.frac.numerator}/{self.frac.denominator}")
+            bits.append(_FRACTION_TEXT[self.frac])
         return " ".join(bits) + " " + self.unit
 
 
@@ -161,14 +159,14 @@ class MeasurementValue:
                     f"units out of descending order at {t.unit!r}"
                 )
             last_index = idx
-            f = t.frac
-            if t.whole < 0 or t.whole * f.denominator + f.numerator <= 0:
+            count = 12 * t.whole + t.frac
+            if t.whole < 0 or count <= 0:
                 raise UnitOrderViolation(f"count of {t.unit!r} must be positive")
-            if f and f not in ALLOWED_FRACTIONS:
+            if t.frac and t.frac not in ALLOWED_FRACTIONS:
                 raise UnitOrderViolation(
-                    f"fraction {t.frac} of {t.unit!r} not allowed"
+                    f"fraction {t.frac}/12 of {t.unit!r} not allowed"
                 )
-            twelfths += (12 * t.whole + _in_twelfths(f)) * sys.units[idx].size
+            twelfths += count * sys.units[idx].size
         object.__setattr__(self, "twelfths", twelfths)
 
     def value(self) -> Fraction:
@@ -177,11 +175,6 @@ class MeasurementValue:
 
     def __str__(self) -> str:
         return " ".join(str(t) for t in self.terms)
-
-
-def _in_twelfths(f: Fraction) -> int:
-    """An allowed fraction, or zero, as a count of twelfths."""
-    return 12 // f.denominator * f.numerator
 
 
 # --- the five standard systems ------------------------------------------------
@@ -268,7 +261,7 @@ def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
         u = system.units[i]
         whole, left = divmod(rem, 12 * u.size)
         for f in u.spelling_fractions:
-            part = _in_twelfths(f) * u.size
+            part = f * u.size
             if part <= left:
                 rest = walk(i + 1, left - part)
                 if rest is not None:
@@ -392,9 +385,9 @@ def enumerate_readings(
 # --- table generation -----------------------------------------------------------
 
 
-_WHOLE = (Fraction(0),)
-_WHOLE_AND_HALF = (Fraction(0), _HALF)
-_KUSH_STEPS = (Fraction(0), _THIRD, _HALF, _TWO_THIRDS)
+_WHOLE = (0,)
+_WHOLE_AND_HALF = (0, _HALF)
+_KUSH_STEPS = (0, _THIRD, _HALF, _TWO_THIRDS)
 
 # A system's table as (unit, wholes, fractions) rows, ascending: each row
 # stands for whole + fraction of the unit for every positive such count,
@@ -459,7 +452,7 @@ def _ladder(
         size = system.unit(name).size
         for whole in wholes:
             for f in fractions:
-                t = (12 * whole + _in_twelfths(f)) * size
+                t = (12 * whole + f) * size
                 if t > 0:
                     m, n = _spell(system, t), _number(system, t)
                     rows.append((m, n))

@@ -95,8 +95,13 @@ class TraceRecord:
     expected: object | None
     matched: bool
     attested: object | None = None
-    scribal_note: bool = False
     factorization: Factorization | None = None
+
+    @property
+    def scribal_note(self) -> bool:
+        """The computation gives the expected value; the tablet shows another."""
+        a = self.attested
+        return a is not None and self.matched and a != self.expected
 
 
 @dataclass(frozen=True)
@@ -380,7 +385,6 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
         if conf is not None:
             value = AnchoredNumber(computed, conf.exponent_for(g.name))
         scope[g.name] = value
-        matched = _matches(computed, g.expect)
         records.append(
             TraceRecord(
                 kind="given",
@@ -388,11 +392,8 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
                 operation=op,
                 computed=value,
                 expected=g.expect,
-                matched=matched,
+                matched=_matches(computed, g.expect),
                 attested=g.attested,
-                scribal_note=(
-                    g.attested is not None and matched and g.attested != g.expect
-                ),
             )
         )
 
@@ -413,7 +414,6 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
             ) from e
         if s.name:
             scope[s.name] = result
-        matched = _matches(result, s.expect)
         records.append(
             TraceRecord(
                 kind="step",
@@ -421,11 +421,8 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
                 operation=f"{s.op} {' '.join(s.args)}",
                 computed=result,
                 expected=s.expect,
-                matched=matched,
+                matched=_matches(result, s.expect),
                 attested=s.attested,
-                scribal_note=(
-                    s.attested is not None and matched and s.attested != s.expect
-                ),
                 factorization=fact,
             )
         )

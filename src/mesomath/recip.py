@@ -134,12 +134,6 @@ class Factorization:
             out.append(from_integer(cur))
         return tuple(out)
 
-    def product(self) -> FloatingNumber:
-        acc = ONE
-        for f in self.factors:
-            acc = mul(acc, f)
-        return acc
-
 
 def _is_regular_rep(v: int) -> bool:
     """Is the positive integer ``v`` 5-smooth?

@@ -78,12 +78,6 @@ class MultiplicationTable:
     head: FloatingNumber
     rows: tuple[tuple[int, FloatingNumber], ...]
 
-    def product(self, multiplier: int) -> FloatingNumber:
-        for m, p in self.rows:
-            if m == multiplier:
-                return p
-        raise KeyError(multiplier)
-
 
 def gen_multiplication_table(head: FloatingNumber) -> MultiplicationTable:
     """Products of the head by 1..20, 30, 40, 50, all normalized.

@@ -6,14 +6,17 @@ is accepted as well, since both separators circulate.  Unit names are
 accepted in their UTF-8 spellings and in ASCII aliases (kush, shu-si,
 she, ...).
 
+A fraction token ("1/2", "2/4" or the glyph "½") is read straight into
+the twelfths of its unit that :class:`~mesomath.metrology.Term` keeps:
+``12 * num`` divided by ``den`` must leave no remainder and land in the
+allowed set, so no ``Fraction`` is built.
+
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
 arbitrary text.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (
     BadFraction,
@@ -28,9 +31,6 @@ from .errors import (
 from .spvn import FloatingNumber
 from . import metrology
 from .abacus import AnchoredNumber
-
-
-_NO_FRACTION = Fraction(0)
 
 
 def _diag(col: int, message: str, token: str = "", line: int = 1) -> ParseDiagnostic:
@@ -87,30 +87,24 @@ def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:
     return AnchoredNumber(parse_spvn(head, line), exponent)
 
 
-_FRACTION_GLYPHS = {
-    "½": Fraction(1, 2),
-    "⅓": Fraction(1, 3),
-    "⅔": Fraction(2, 3),
-    "¼": Fraction(1, 4),
-    "⅙": Fraction(1, 6),
-    "⅚": Fraction(5, 6),
-}
+# each glyph as twelfths of its unit
+_FRACTION_GLYPHS = {"½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10}
 
 
-def _parse_fraction_token(tok: str, system, col: int, line: int) -> Fraction | None:
+def _parse_fraction_token(tok: str, system, col: int, line: int) -> int | None:
+    """The fraction ``tok`` names, in twelfths; None if it names none."""
     if tok in _FRACTION_GLYPHS:
-        f = _FRACTION_GLYPHS[tok]
-    elif "/" in tok:
-        num, _, den = tok.partition("/")
-        if not (_ascii_digits(num) and _ascii_digits(den) and int(den) > 0):
-            raise BadFraction(
-                f"bad fraction {tok!r}",
-                _diag(col, "fraction must look like 1/3", tok, line),
-            )
-        f = Fraction(int(num), int(den))
-    else:
+        return _FRACTION_GLYPHS[tok]
+    if "/" not in tok:
         return None
-    if f not in metrology.ALLOWED_FRACTIONS:
+    num, _, den = tok.partition("/")
+    if not (_ascii_digits(num) and _ascii_digits(den) and int(den) > 0):
+        raise BadFraction(
+            f"bad fraction {tok!r}",
+            _diag(col, "fraction must look like 1/3", tok, line),
+        )
+    f, r = divmod(12 * int(num), int(den))
+    if r or f not in metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {tok} is not used in system {system.kind}",
             _diag(col, "fraction not in the allowed set", tok, line),
@@ -132,7 +126,7 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
         )
     terms: list[metrology.Term] = []
     whole: int | None = None
-    frac: Fraction | None = None
+    frac: int | None = None
     col = 1
     for tok in toks:
         if _ascii_digits(tok):
@@ -164,7 +158,7 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
                         _diag(col, "missing count before unit", tok, line),
                     )
                 terms.append(
-                    metrology.Term(unit.name, whole or 0, frac or _NO_FRACTION)
+                    metrology.Term(unit.name, whole or 0, frac or 0)
                 )
                 whole = None
                 frac = None

@@ -39,6 +39,34 @@ def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
     return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
 
 
+def digits_of(v: int) -> tuple[int, ...]:
+    """Base-60 digits of the positive integer ``v``'s canonical
+    representative, most significant first: trailing zeros stripped."""
+    while v % 60 == 0:
+        v //= 60
+    ds = []
+    while v:
+        v, d = divmod(v, 60)
+        ds.append(d)
+    return tuple(reversed(ds))
+
+
+def smooth_numbers(limit: int) -> list[int]:
+    """Every 5-smooth integer from 1 to ``limit``, ascending."""
+    out = []
+    a = 1
+    while a <= limit:
+        b = a
+        while b <= limit:
+            c = b
+            while c <= limit:
+                out.append(c)
+                c *= 5
+            b *= 3
+        a *= 2
+    return sorted(out)
+
+
 def canonical_integer(q: Fraction) -> int | None:
     """Canonical integer of the positive ``q``'s floating class, or None.
 

@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from mesomath import cli
 from mesomath.cli import EXIT_ARITH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from mesomath.errors import ParseError
 from mesomath.procedures import parse_script, shipped_corpus_dir
 from mesomath.recip import ElementaryTable, reciprocal
 from mesomath.textio import parse_spvn as fn
+from oracles import digits_of
 
 
 def run_cli(capsys, *argv):
@@ -75,14 +77,7 @@ class TestArithmeticCommands:
 
 
 def _sexagesimal(v):
-    # digit string of the canonical representative, independent of spvn
-    while v % 60 == 0:
-        v //= 60
-    ds = []
-    while v:
-        v, d = divmod(v, 60)
-        ds.append(d)
-    return ":".join(str(d) for d in reversed(ds))
+    return ":".join(map(str, digits_of(v)))
 
 
 # 2**a * 3**b * 5**c, from 5 to 40 digits after stripping factors of 60
@@ -301,6 +296,16 @@ class TestExitCodes:
         assert run_cli(
             capsys, "convert", "from-spvn", "L", "5", "--window", "2 ninda..1 ninda"
         )[0] == EXIT_USAGE
+
+
+def test_parse_error_family_is_pinned():
+    # the CLI exits 2 on these and 3 on every other library error, so a
+    # new parse error must join the family to keep its exit code
+    assert {c.__name__ for c in ParseError.__subclasses__()} == {
+        "AllZero", "EmptyInput", "DigitOutOfRange", "MalformedSeparator",
+        "UnknownUnit", "UnitOrderViolation", "BadFraction", "MeasurementSyntax",
+        "ScriptSyntax", "UnknownName", "UnknownOp",
+    }
 
 
 class TestTables:

@@ -20,6 +20,7 @@ from mesomath.metrology import (
     from_number,
     gen_metrological_table,
     get_system,
+    _FRACTION_TEXT,
     _spell,
     to_number,
 )
@@ -328,50 +329,63 @@ class TestFractionBridge:
 
     def test_cannot_be_inexact_from_allowed_set(self):
         for system in SYSTEMS.values():
-            for f in ALLOWED_FRACTIONS:
-                assert canonical_integer(f * system.base) is not None
+            for k in ALLOWED_FRACTIONS:
+                assert canonical_integer(Fraction(k, 12) * system.base) is not None
 
 
 def test_fractions_are_twelfths_and_sizes_whole():
-    # the two facts that make every magnitude a whole count of twelfths
-    assert all(12 % f.denominator == 0 for f in ALLOWED_FRACTIONS)
+    # the two facts that make every magnitude a whole count of twelfths:
+    # each fraction is kept as the twelfths its printed name stands for,
+    # and each unit is a whole number of smallest units
+    assert ALLOWED_FRACTIONS == set(_FRACTION_TEXT)
+    for k, text in _FRACTION_TEXT.items():
+        assert Fraction(text) * 12 == k
     for system in SYSTEMS.values():
         for u in system.units:
             assert type(u.size) is int and u.size > 0
 
 
+_FRACTIONS = tuple(
+    Fraction(f) for f in ("0", "1/6", "1/4", "1/3", "1/2", "2/3", "5/6")
+)
+
+
 @st.composite
-def measurements(draw):
+def measured(draw):
+    """A measurement and its exact magnitude in smallest units, summed
+    with Fractions from the drawn counts."""
     system = draw(st.sampled_from(sorted(SYSTEMS)))
     units = get_system(system).units
     picked = draw(st.sets(st.integers(0, len(units) - 1), min_size=1))
-    terms = []
+    terms, exact = [], Fraction(0)
     for i in sorted(picked):
-        frac = draw(st.sampled_from([Fraction(0), *sorted(ALLOWED_FRACTIONS)]))
-        whole = draw(st.integers(0 if frac else 1, 10**6))
-        terms.append(Term(units[i].name, whole, frac))
-    return MeasurementValue(system, tuple(terms))
+        f = draw(st.sampled_from(_FRACTIONS))
+        whole = draw(st.integers(0 if f else 1, 10**6))
+        terms.append(Term(units[i].name, whole, int(12 * f)))
+        exact += (whole + f) * units[i].size
+    return MeasurementValue(system, tuple(terms)), exact
 
 
 @settings(deadline=None, max_examples=300)
-@given(measurements())
-def test_twelfths_against_fraction_oracle(mm):
-    sizes = {u.name: u.size for u in get_system(mm.system).units}
-    exact = sum((t.count * sizes[t.unit] for t in mm.terms), Fraction(0))
+@given(measured())
+def test_twelfths_against_fraction_oracle(pair):
+    mm, exact = pair
     assert mm.twelfths == 12 * exact
     assert mm.value() == exact
     assert parse_measurement(str(mm), mm.system) == mm
 
 
 def test_magnitudes_build_and_compare_no_fraction():
-    # a measurement's magnitude and a slice of an expanded ladder are
-    # integer work; the control shows the hook sees Fraction work
+    # a measurement's magnitude, a parsed fraction and a slice of an
+    # expanded ladder are integer work; the control shows the hook sees
+    # Fraction work
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
         "from mesomath.metrology import MeasurementValue as M, Term, gen_metrological_table\n"
+        "from mesomath.textio import parse_measurement\n"
         "lo, hi = M('L', (Term('šu-si', 1),)), M('L', (Term('danna', 59),))\n"
-        "terms = (Term('ninda', 2, Fraction(1, 2)), Term('kuš', 3))\n"
+        "terms = (Term('ninda', 2, 6), Term('kuš', 3))\n"
         "assert len(gen_metrological_table('L', lo, hi)) == 165\n"
         "seen = []\n"
         "def hook(frame, event, arg):\n"
@@ -381,6 +395,7 @@ def test_magnitudes_build_and_compare_no_fraction():
         "        seen.append(code.co_name)\n"
         "sys.setprofile(hook)\n"
         "M('L', terms)\n"
+        "parse_measurement('1 1/2 ninda 3 kush', 'L')\n"
         "gen_metrological_table('L', lo, hi)\n"
         "sys.setprofile(None)\n"
         "print(sorted(set(seen)))\n"
@@ -496,8 +511,9 @@ def _fraction_route(mm):
 
 
 @settings(deadline=None, max_examples=300)
-@given(measurements())
-def test_to_number_against_fraction_route(mm):
+@given(measured())
+def test_to_number_against_fraction_route(pair):
+    mm, _ = pair
     assert to_integer(to_number(mm)) == _fraction_route(mm)
 
 
@@ -520,14 +536,13 @@ def test_formatting_and_to_number_render_and_build_nothing():
         "from mesomath.spvn import FloatingNumber\n"
         "lo, hi = M('S', (Term('še', 1),)), M('S', (Term('bur', 59),))\n"
         "assert len(gen_metrological_table('S', lo, hi)) > 150\n"
-        "w = M('W', (Term('ma-na', 2, Fraction(1, 3)), Term('še', 5, Fraction(1, 4))))\n"
-        "watched = {'Term.__str__', 'MeasurementValue.__str__',"
-        " 'FloatingNumber.__str__', 'Fraction.__new__'}\n"
+        "w = M('W', (Term('ma-na', 2, 4), Term('še', 5, 3)))\n"
+        "watched = {f.__code__: f.__qualname__ for f in (Term.__str__,"
+        " M.__str__, FloatingNumber.__str__, Fraction.__new__)}\n"
         "seen = []\n"
         "def hook(frame, event, arg):\n"
-        "    name = frame.f_code.co_qualname\n"
-        "    if event == 'call' and name in watched:\n"
-        "        seen.append(name)\n"
+        "    if event == 'call' and frame.f_code in watched:\n"
+        "        seen.append(watched[frame.f_code])\n"
         "sys.setprofile(hook)\n"
         "t = gen_metrological_table('S', lo, hi)\n"
         "fmt(t)\n"

@@ -12,6 +12,7 @@ from mesomath.spvn import (
     to_integer,
 )
 from mesomath.textio import parse_spvn as fn
+from oracles import smooth_numbers
 
 
 digit_seqs = st.lists(st.integers(0, 59), min_size=1, max_size=5)
@@ -145,22 +146,6 @@ class TestSquare:
         assert square(fn("1")) == fn("1")
 
 
-def _regulars_below(limit):
-    out = []
-    a = 1
-    while a < limit:
-        b = a
-        while b < limit:
-            c = b
-            while c < limit:
-                if c % 60:
-                    out.append(c)
-                c *= 5
-            b *= 3
-        a *= 2
-    return sorted(out)
-
-
 class TestSimplerOrdering:
     def test_fewer_digits_simpler(self):
         assert compare_simpler(fn("40"), fn("4:26:40")) is SimplerOrdering.SIMPLER
@@ -176,7 +161,7 @@ class TestSimplerOrdering:
 
     def test_total_order_on_regulars(self):
         # antisymmetric, transitive, trichotomous over all regulars < 60**3
-        values = [from_integer(v) for v in _regulars_below(60**3)]
+        values = [from_integer(v) for v in smooth_numbers(60**3 - 1) if v % 60]
 
         def key(n):
             return (len(n), to_integer(n))

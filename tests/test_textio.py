@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,7 +91,7 @@ class TestParseMeasurement:
 
     def test_mixed_count(self):
         m = parse_measurement("1 1/2 ninda", "L")
-        assert m.terms[0].whole == 1 and m.terms[0].frac == 0.5
+        assert m.terms[0].whole == 1 and m.terms[0].frac == 6
 
     def test_unicode_fraction_glyph(self):
         assert parse_measurement("⅓ kuš", "L") == parse_measurement("1/3 kush", "L")
@@ -105,6 +107,22 @@ class TestParseMeasurement:
     def test_bad_fraction(self):
         with pytest.raises(BadFraction):
             parse_measurement("1/5 kush", "L")
+
+    def test_fraction_tokens_against_fraction_oracle(self):
+        # every num/den up to 24/24: accepted exactly when its value is
+        # one of the six allowed fractions, reduced or not, and then kept
+        # as that many twelfths of the kuš (30 smallest units)
+        allowed = {Fraction(f) for f in ("1/6", "1/4", "1/3", "1/2", "2/3", "5/6")}
+        for num in range(25):
+            for den in range(1, 25):
+                q, text = Fraction(num, den), f"{num}/{den} kuš"
+                if q in allowed:
+                    m = parse_measurement(text, "L")
+                    assert m.terms[0].frac == 12 * q
+                    assert m.twelfths == 12 * q * 30
+                else:
+                    with pytest.raises(BadFraction):
+                        parse_measurement(text, "L")
 
     def test_missing_count(self):
         with pytest.raises(MeasurementSyntax):
