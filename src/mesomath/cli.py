@@ -5,6 +5,12 @@ determined by the arguments, so identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 corpus verification failure, 2 bad
 usage or unparsable input, 3 arithmetic error (no reciprocal, no root,
 no reading, operands too long, ...).
+
+Importing this module loads ``spvn``, ``recip``, ``metrology`` and
+``textio``, and ``abacus`` through ``textio``.  The other layers are
+imported lazily: ``procedures`` only by ``run`` and ``check``, and
+``tables`` only by ``table``, so a one-line look-up such as
+``mesomath recip 7:30`` never loads the replay layer.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import metrology, procedures, recip, spvn, tables, textio
+from . import metrology, recip, spvn, textio
 from .errors import ParseError, SexagesimalError
 from .recip import FactorStrategy
+
+if TYPE_CHECKING:
+    from . import procedures
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -122,6 +132,8 @@ def _print_trace(trace: procedures.Trace) -> None:
 
 
 def _cmd_check(directory: str | None) -> int:
+    from . import procedures
+
     d = Path(directory) if directory else procedures.shipped_corpus_dir()
     summary = procedures.verify_corpus(d)
     for w in summary.warnings:
@@ -212,6 +224,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             print(r)
     elif cmd == "table":
+        from . import tables
+
         if args.table_kind == "recip":
             out = tables.format_reciprocal_table(
                 tables.gen_reciprocal_table(), args.format
@@ -245,6 +259,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             ):
                 print(m)
     elif cmd == "run":
+        from . import procedures
+
         trace = procedures.run_file(Path(args.file), args.config)
         _print_trace(trace)
         return EXIT_OK if trace.passed else EXIT_VERIFY

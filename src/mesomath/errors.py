@@ -9,11 +9,10 @@ The CLI maps the families to distinct exit codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """Position and context for a rejected piece of input text."""
 
     line: int

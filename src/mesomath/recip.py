@@ -14,9 +14,9 @@ reciprocal of 9 is 6:40, even though 6:40 heads no row of its own.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare
 from .spvn import (
@@ -110,8 +110,7 @@ class FactorStrategy(enum.Enum):
     ANY_DIVISOR_LARGEST = "largest"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Record of one extraction: the peeled factors, their reciprocals, the answer.
 
     ``factors`` multiply (as floating numbers) back to ``source``; every

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -73,8 +72,7 @@ def gen_reciprocal_table() -> ElementaryTable:
     )
 
 
-@dataclass(frozen=True)
-class MultiplicationTable:
+class MultiplicationTable(NamedTuple):
     head: FloatingNumber
     rows: tuple[tuple[int, FloatingNumber], ...]
 

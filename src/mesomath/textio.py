@@ -43,6 +43,18 @@ def _ascii_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+def _decimal(s: str) -> int | None:
+    """The value of the ASCII digits ``s``, or None if int() cannot read it.
+
+    Leading zeros are insignificant and are dropped first; what int()
+    refuses is a string longer than its digit limit (4,300 by default).
+    """
+    try:
+        return int(s.lstrip("0") or "0")
+    except ValueError:
+        return None
+
+
 def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
     """Parse a digit sequence like "44:26:40" (or "44.26.40")."""
     s = text.strip()
@@ -57,10 +69,12 @@ def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
                 f"malformed digit sequence {text!r}",
                 _diag(col, "expected a base-60 digit", part, line),
             )
-        d = int(part)
-        if d > 59:
+        # leading zeros are insignificant; a third significant digit is
+        # out of range before int() reads it, however long the part is
+        sig = part.lstrip("0") or "0"
+        if len(sig) > 2 or (d := int(sig)) > 59:
             raise DigitOutOfRange(
-                f"digit {d} outside 0..59",
+                f"digit {sig} outside 0..59",
                 _diag(col, "digit outside 0..59", part, line),
             )
         digits.append(d)
@@ -98,12 +112,14 @@ def _parse_fraction_token(tok: str, system, col: int, line: int) -> int | None:
     if "/" not in tok:
         return None
     num, _, den = tok.partition("/")
-    if not (_ascii_digits(num) and _ascii_digits(den) and int(den) > 0):
+    n = _decimal(num) if _ascii_digits(num) else None
+    d = _decimal(den) if _ascii_digits(den) else None
+    if n is None or not d:
         raise BadFraction(
             f"bad fraction {tok!r}",
             _diag(col, "fraction must look like 1/3", tok, line),
         )
-    f, r = divmod(12 * int(num), int(den))
+    f, r = divmod(12 * n, d)
     if r or f not in metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {tok} is not used in system {system.kind}",
@@ -135,7 +151,12 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
                     f"expected a unit before {tok!r}",
                     _diag(col, "two counts in a row", tok, line),
                 )
-            whole = int(tok)
+            whole = _decimal(tok)
+            if whole is None:
+                raise MeasurementSyntax(
+                    "count has too many digits",
+                    _diag(col, "count too long", tok, line),
+                )
         else:
             f = _parse_fraction_token(tok, system, col, line)
             if f is not None:

@@ -254,6 +254,23 @@ class TestExitCodes:
             " more than 10000\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mul", "1" * 5000, "2"],
+            ["convert", "to-spvn", "L", "1" * 5000 + " kush"],
+            ["convert", "to-spvn", "L", "1" * 5000 + "/2 kush"],
+            ["convert", "readings", "L", "1" * 5000],
+        ],
+    )
+    def test_tokens_past_the_int_limit_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_leading_zeros_past_the_int_limit_are_insignificant(self, capsys):
+        assert run_cli(capsys, "mul", "0" * 4999 + "1", "2") == (EXIT_OK, "2\n", "")
+
     def test_window_without_dots_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "convert", "from-spvn", "L", "10", "--window", "x")
         assert code == EXIT_USAGE and out == ""

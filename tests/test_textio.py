@@ -156,15 +156,62 @@ class TestParseWindow:
         assert e.value.diagnostic.line == 7
 
 
+class TestLongTokens:
+    """Tokens past int()'s 4,300-digit limit are typed refusals."""
+
+    ONES = "1" * 5000
+
+    def test_long_digit(self):
+        with pytest.raises(DigitOutOfRange) as e:
+            parse_spvn(f"2:{self.ONES}")
+        d = e.value.diagnostic
+        assert (d.column, d.token) == (3, self.ONES)
+        assert str(e.value) == f"digit {self.ONES} outside 0..59"
+
+    def test_leading_zeros_stay_insignificant(self):
+        assert parse_spvn("0" * 4999 + "1") == parse_spvn("001") == parse_spvn("1")
+        with pytest.raises(DigitOutOfRange, match="^digit 75 outside"):
+            parse_spvn("0" * 5000 + "75")
+
+    def test_long_count(self):
+        with pytest.raises(MeasurementSyntax) as e:
+            parse_measurement(f"1 ninda {self.ONES} kush", "L")
+        assert (e.value.diagnostic.column, e.value.diagnostic.token) == (9, self.ONES)
+
+    def test_long_fraction(self):
+        with pytest.raises(BadFraction) as e:
+            parse_measurement(f"{self.ONES}/2 kush", "L")
+        assert (e.value.diagnostic.column, e.value.diagnostic.token) == (1, self.ONES + "/2")
+        with pytest.raises(BadFraction):
+            parse_measurement(f"1/{self.ONES} kush", "L")
+
+    def test_leading_zeros_in_counts_and_fractions(self):
+        zeros = "0" * 5000
+        assert parse_measurement(f"{zeros}3 {zeros}1/{zeros}2 kush", "L") == (
+            parse_measurement("3 1/2 kush", "L")
+        )
+
+
+#: text around one run of 4,290 to 5,010 digits: past int()'s limit or
+#: close under it, with or without leading zeros
+_LONG_TOKENS = st.builds(
+    lambda pre, zeros, digits, post: pre + zeros + digits + post,
+    st.sampled_from(["", "1:", "2 ", "1/", "3 1/"]),
+    st.sampled_from(["", "0" * 4300]),
+    st.integers(4290, 5010).map(lambda n: "1" * n),
+    st.sampled_from(["", ":2", "/2", " kush", "/2 kush", " ninda 2 kush"]),
+)
+
+
 class TestParserTotality:
-    @given(st.text(max_size=30))
+    @given(st.text(max_size=30) | _LONG_TOKENS)
     def test_spvn_never_crashes(self, text):
         try:
             parse_spvn(text)
         except SexagesimalError:
             pass
 
-    @given(st.text(max_size=30), st.sampled_from(["L", "Lh", "S", "W", "C"]))
+    @given(st.text(max_size=30) | _LONG_TOKENS, st.sampled_from(["L", "Lh", "S", "W", "C"]))
     def test_measurement_never_crashes(self, text, system):
         try:
             parse_measurement(text, system)
