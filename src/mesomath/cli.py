@@ -9,7 +9,8 @@ no reading, operands too long, ...).
 Importing this module loads ``spvn``, ``recip``, ``metrology`` and
 ``textio``, and ``abacus`` through ``textio``.  The other layers are
 imported lazily: ``procedures`` only by ``run`` and ``check``, and
-``tables`` only by ``table``, so a one-line look-up such as
+``tables`` only by ``table`` and by the reciprocal peel, which reads the
+standard table from it, so a one-line look-up such as
 ``mesomath recip 7:30`` never loads the replay layer.
 """
 
@@ -105,10 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_recip_trace(fact: recip.Factorization) -> None:
-    quots = fact.quotients()
-    width = max(len(str(q)) for q in quots)
-    for q, r in zip(quots, fact.reciprocals):
-        print(f"{str(q).ljust(width)}  {r}")
+    # the peel has already loaded tables for the standard table
+    from .tables import format_two_columns
+
+    rows = [(str(q), str(r)) for q, r in zip(fact.quotients(), fact.reciprocals)]
+    sys.stdout.write(format_two_columns(rows))
     for pr in recip.running_products(fact):
         print(pr)
 

@@ -89,6 +89,11 @@ class AmbiguousReading(SexagesimalError):
     """More than one measurement inside the hint window corresponds."""
 
 
+class ReadingTooLong(SexagesimalError):
+    """A reading's count of its top unit has more digits than ``str``
+    prints (``sys.get_int_max_str_digits()``)."""
+
+
 # --- anchored arithmetic -----------------------------------------------------
 
 class ZeroResult(SexagesimalError):

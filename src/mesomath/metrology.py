@@ -24,10 +24,19 @@ edges, :attr:`UnitSystem.base` and :meth:`MeasurementValue.value`.  Each
 system's ladder is expanded once, on first use, together with the
 printed text of every row, so formatting a table renders nothing.
 Nothing here rounds.
+
+Reading a table backwards needs no search.  A :class:`UnitSystem`
+refuses any spelling fraction, on a unit above the smallest, that is not
+a whole number of smallest units, so the units above the smallest only
+ever take whole multiples of 12 twelfths and leave ``t % 12`` to the
+smallest unit.  Spelling is therefore one greedy pass from the largest
+unit down, and whether a magnitude has a reading at all depends only on
+``t % 12``: the cycle walk skips the cycles that fail that test.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +48,7 @@ from .errors import (
     AmbiguousReading,
     MeasurementSyntax,
     NoReading,
+    ReadingTooLong,
     UnitOrderViolation,
     UnknownUnit,
 )
@@ -97,6 +107,13 @@ class UnitSystem:
                 f"system {self.kind}: the denominator of base {self.base}"
                 f" does not divide {BASE}"
             )
+        for u in self.units[:-1]:
+            for f in u.spelling_fractions:
+                if f * u.size % 12:
+                    raise ValueError(
+                        f"system {self.kind}: {f}/12 of a {u.name} is not"
+                        f" a whole number of {self.units[-1].name}"
+                    )
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -244,37 +261,53 @@ def to_number(m: MeasurementValue) -> FloatingNumber:
     return _number(get_system(m.system), m.twelfths)
 
 
+# ``str`` of an int with more decimal digits than ``_max_str_digits()``
+# raises; 0 is no limit, as is an interpreter without one.  No limit may
+# be set below ``str_digits_check_threshold`` (640) digits, so no
+# magnitude under ``_ALWAYS_PRINTABLE`` needs the check.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_ALWAYS_PRINTABLE = 12 * 10 ** getattr(sys.int_info, "str_digits_check_threshold", 0)
+
+
+def _check_printable(system: UnitSystem, t: int) -> None:
+    limit = _max_str_digits()
+    if limit and t // (12 * system.units[0].size) >= 10**limit:
+        raise ReadingTooLong(
+            f"reading too long: its count of {system.units[0].name} would"
+            f" have more than {limit} digits"
+        )
+
+
 def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
     """Canonical spelling of ``t`` twelfths of the smallest unit, or None.
 
-    None when ``t`` is not positive or cannot be spelled.  Greedy from
-    the largest unit down, preferring the largest usable fraction at
-    each rung, with backtracking so a fraction is only taken when the
-    remainder can still be spelled by smaller units.
+    None when ``t`` is not positive or cannot be spelled.  One pass from
+    the largest unit down: each unit takes its whole count, then the
+    largest of its spelling fractions that fits.  No choice needs to be
+    undone, because every unit but the last is a whole number of
+    smallest units even in its spelling fractions (a rule
+    :class:`UnitSystem` checks): what reaches the smallest unit is
+    ``t % 12`` twelfths whatever was taken above, and either that unit
+    spells it or nothing could.  A reading whose top-unit count has more
+    decimal digits than ``str`` may print raises :class:`ReadingTooLong`
+    before any term is built.
     """
-
-    def walk(i: int, rem: int) -> list[Term] | None:
-        if rem == 0:
-            return []
-        if i == len(system.units):
-            return None
-        u = system.units[i]
-        whole, left = divmod(rem, 12 * u.size)
-        for f in u.spelling_fractions:
-            part = f * u.size
-            if part <= left:
-                rest = walk(i + 1, left - part)
-                if rest is not None:
-                    return [Term(u.name, whole, f)] + rest
-        if whole == 0:
-            return walk(i + 1, rem)
-        rest = walk(i + 1, left)
-        return None if rest is None else [Term(u.name, whole)] + rest
-
     if t <= 0:
         return None
-    terms = walk(0, t)
-    if terms is None:
+    if t >= _ALWAYS_PRINTABLE:
+        _check_printable(system, t)
+    terms = []
+    for u in system.units:
+        whole, t = divmod(t, 12 * u.size)
+        for f in u.spelling_fractions:
+            if f * u.size <= t:
+                t -= f * u.size
+                break
+        else:
+            f = 0
+        if whole or f:
+            terms.append(Term(u.name, whole, f))
+    if t:
         return None
     return MeasurementValue(system.kind, tuple(terms))
 
@@ -302,19 +335,24 @@ class AnchorHint:
 
 
 def _cycles(n: FloatingNumber, system: UnitSystem) -> Iterator[int]:
-    """``n``'s magnitude in twelfths of the smallest unit, cycle by cycle.
+    """``n``'s magnitudes in twelfths of the smallest unit, ascending,
+    over the cycles that hold a reading.
 
-    Ascending from the first cycle of at least 2 twelfths, a sixth of
-    the smallest unit: nothing smaller can be spelled.  Cycles whose
-    magnitude is not a whole number of twelfths hold no reading and are
-    skipped; sixty times a whole number is whole, so they all come
-    before the first one yielded and every later cycle is yielded.
+    By the rule :class:`UnitSystem` checks, a magnitude has a spelling
+    exactly when it is a whole number of twelfths that leaves 0 or one of
+    the smallest unit's fractions over a whole count of that unit (see
+    :func:`_spell`); the smallest such magnitude is 2 twelfths, a sixth
+    of the smallest unit.  The walk starts below that and skips every
+    cycle that fails the test.  Sixty times a whole number is a whole
+    number of smallest units, so every cycle after the first one yielded
+    is yielded too.
     """
+    spellable = {0, *system.units[-1].spelling_fractions}
     num = 12 * to_integer(n) * system.base.denominator
     den = system.base.numerator
     while num >= 2 * BASE * den:
         den *= BASE
-    while num < 2 * den or num % den:
+    while num < 2 * den or num % den or num // den % 12 not in spellable:
         num *= BASE
     t = num // den
     while True:
@@ -354,8 +392,8 @@ def from_number(
     for t in _cycles(n, system):
         if t > hint.hi.twelfths:
             break
-        if t >= hint.lo.twelfths and (m := _spell(system, t)) is not None:
-            matches.append(m)
+        if t >= hint.lo.twelfths:
+            matches.append(_spell(system, t))
     if not matches:
         raise NoReading(f"no reading of {n} in {system.kind} within {hint}")
     if len(matches) > 1:
@@ -372,14 +410,14 @@ def enumerate_readings(
     """Readings of ``n`` over ``span`` consecutive cycles, ascending.
 
     Starts at the smallest cycle with an expressible reading; each
-    reading maps back to the digits of ``n`` by construction.
+    reading maps back to the digits of ``n`` by construction.  A span
+    that reaches a reading too long to print raises
+    :class:`ReadingTooLong`.
     """
     if span < 1:
         raise MeasurementSyntax("span must be at least 1")
     system = get_system(system_kind)
-    readings = (_spell(system, t) for t in _cycles(n, system))
-    first = next(m for m in readings if m is not None)
-    return (first, *(m for m in islice(readings, span - 1) if m is not None))
+    return tuple(_spell(system, t) for t in islice(_cycles(n, system), span))
 
 
 # --- table generation -----------------------------------------------------------

@@ -168,11 +168,11 @@ def _syntax(line_no: int, msg: str, token: str = "") -> ScriptSyntax:
 
 
 def _parse_number_token(tok: str, line_no: int):
-    if "e" in tok and not tok.startswith("e"):
-        head, _, tail = tok.rpartition("e")
-        stripped = tail.lstrip("-")
-        if stripped.isascii() and stripped.isdigit():
-            return textio.parse_anchored(tok, line_no)
+    head, _, tail = tok.rpartition("e")
+    if head and not tok.startswith("e"):
+        exponent = textio._exponent(tail)
+        if exponent is not None:
+            return AnchoredNumber(textio.parse_spvn(head, line_no), exponent)
     return textio.parse_spvn(tok, line_no)
 
 
@@ -236,10 +236,10 @@ def parse_script(text: str) -> ProcedureScript:
                 if not gname or not etext.startswith("e"):
                     raise _syntax(line_no, f"bad anchor {item!r}", item)
                 require(gname, "configuration anchors unknown given")
-                try:
-                    exps[gname] = int(etext[1:])
-                except ValueError:
-                    raise _syntax(line_no, f"bad exponent {etext!r}", item) from None
+                exponent = textio._exponent(etext[1:])
+                if exponent is None:
+                    raise _syntax(line_no, f"bad exponent {etext!r}", item)
+                exps[gname] = exponent
             configs.append((Configuration(cname, exps), line_no))
 
         elif kw == "step":

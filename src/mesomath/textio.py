@@ -55,6 +55,19 @@ def _decimal(s: str) -> int | None:
         return None
 
 
+def _exponent(s: str) -> int | None:
+    """The power of sixty ``s`` names, or None if ``s`` names none.
+
+    The grammar is an optional '-', then ASCII digits; leading zeros are
+    insignificant at any length, as in every other part of a literal.
+    """
+    sign, digits = (-1, s[1:]) if s.startswith("-") else (1, s)
+    if not _ascii_digits(digits):
+        return None
+    e = _decimal(digits)
+    return None if e is None else sign * e
+
+
 def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
     """Parse a digit sequence like "44:26:40" (or "44.26.40")."""
     s = text.strip()
@@ -91,13 +104,12 @@ def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:
             f"anchored literal needs digits and exponent: {text!r}",
             _diag(1, "expected <digits>e<exponent>", s, line),
         )
-    try:
-        exponent = int(tail)
-    except ValueError:
+    exponent = _exponent(tail)
+    if exponent is None:
         raise MalformedSeparator(
             f"bad exponent in {text!r}",
             _diag(len(head) + 2, "exponent must be an integer", tail, line),
-        ) from None
+        )
     return AnchoredNumber(parse_spvn(head, line), exponent)
 
 

@@ -2,11 +2,13 @@
 
 Each one is written straight from the rule it checks, on digits or on
 ``Fraction``, with no shortcut the library takes; none is used by the
-library itself.
+library itself.  The speller is the search the library's one-pass
+spelling replaced: it backtracks, so it needs no rule on the units.
 """
 
 from fractions import Fraction
 
+from mesomath.metrology import MeasurementValue, Term, UnitSystem
 from mesomath.spvn import FloatingNumber
 
 
@@ -84,3 +86,38 @@ def canonical_integer(q: Fraction) -> int | None:
     while v % 60 == 0:
         v //= 60
     return v
+
+
+def spell(system: UnitSystem, t: int) -> MeasurementValue | None:
+    """Canonical spelling of ``t`` twelfths of the smallest unit, or None.
+
+    None when ``t`` is not positive or cannot be spelled.  Greedy from
+    the largest unit down, preferring the largest usable fraction at
+    each rung, with backtracking so a fraction is only taken when the
+    remainder can still be spelled by smaller units.
+    """
+
+    def walk(i: int, rem: int) -> list[Term] | None:
+        if rem == 0:
+            return []
+        if i == len(system.units):
+            return None
+        u = system.units[i]
+        whole, left = divmod(rem, 12 * u.size)
+        for f in u.spelling_fractions:
+            part = f * u.size
+            if part <= left:
+                rest = walk(i + 1, left - part)
+                if rest is not None:
+                    return [Term(u.name, whole, f)] + rest
+        if whole == 0:
+            return walk(i + 1, rem)
+        rest = walk(i + 1, left)
+        return None if rest is None else [Term(u.name, whole)] + rest
+
+    if t <= 0:
+        return None
+    terms = walk(0, t)
+    if terms is None:
+        return None
+    return MeasurementValue(system.kind, tuple(terms))

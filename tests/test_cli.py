@@ -268,6 +268,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "readings", "L", "3", "--span", "2500"],
+            ["convert", "readings", "L", ":".join(["7"] * 3000), "--span", "1"],
+        ],
+    )
+    def test_readings_past_the_int_limit_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ARITH and out == ""
+        assert err == "error: reading too long: its count of danna would have more than 4300 digits\n"
+
     def test_leading_zeros_past_the_int_limit_are_insignificant(self, capsys):
         assert run_cli(capsys, "mul", "0" * 4999 + "1", "2") == (EXIT_OK, "2\n", "")
 

@@ -2,17 +2,19 @@ import hashlib
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesomath.errors import AmbiguousReading, MeasurementSyntax, NoReading
+from mesomath.errors import AmbiguousReading, MeasurementSyntax, NoReading, ReadingTooLong
 from mesomath.metrology import (
     ALLOWED_FRACTIONS,
     SYSTEMS,
     AnchorHint,
     MeasurementValue,
     Term,
+    Unit,
     UnitSystem,
     Window,
     enumerate_readings,
@@ -21,11 +23,13 @@ from mesomath.metrology import (
     gen_metrological_table,
     get_system,
     _FRACTION_TEXT,
+    _cycles,
     _spell,
     to_number,
 )
-from mesomath.spvn import mul, to_integer
+from mesomath.spvn import FloatingNumber, mul, to_integer
 from mesomath.textio import parse_measurement, parse_spvn as fn
+import oracles
 from oracles import canonical_integer
 
 
@@ -574,3 +578,104 @@ def test_system_bases_divide_sixty():
         assert UnitSystem(s.kind, s.units, s.base, s.anchor_offset) == s
     with pytest.raises(ValueError, match="system X"):
         UnitSystem("X", get_system("L").units, Fraction(1, 7))
+
+
+def test_unit_rule_refuses_a_fraction_between_smallest_units():
+    # 1/4 of a 5-unit rung is 15/12 of the smallest unit.  In such a
+    # system one pass would fail 16 twelfths (1/4 big leaves 1/12 over)
+    # where the search finds 1 1/3 small, so the rule refuses it.
+    small = Unit("small", 1, tuple(ALLOWED_FRACTIONS))
+    with pytest.raises(ValueError, match="^system X: 3/12 of a big is not a whole number of small$"):
+        UnitSystem("X", (Unit("big", 5, (3,)), small), Fraction(1))
+    # the rule binds spelling fractions only; the five standard systems
+    # pass it in test_system_bases_divide_sixty
+    assert UnitSystem("X", (Unit("big", 5, ()), small), Fraction(1)).units[0].size == 5
+
+
+# --- the one-pass spelling against the backtracking search --------------------
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_spell_matches_search_below_a_bound(system):
+    s = get_system(system)
+    for t in range(-3, 5000):
+        assert _spell(s, t) == oracles.spell(s, t)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 10**40))
+def test_spell_matches_search_up_to_1e40(system, t):
+    s = get_system(system)
+    assert _spell(s, t) == oracles.spell(s, t)
+
+
+def _first_spellable_cycle(n, s):
+    """The smallest magnitude of ``n``, in twelfths of the smallest unit,
+    that the search spells: walked up from below 2 twelfths in Fractions."""
+    q = 12 * Fraction(to_integer(n)) / s.base
+    while q >= 2:
+        q /= 60
+    while q.denominator != 1 or oracles.spell(s, q.numerator) is None:
+        q *= 60
+    return q.numerator
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(sorted(SYSTEMS)),
+    st.lists(st.integers(0, 59), min_size=1, max_size=6).filter(any),
+)
+def test_cycles_yield_only_spellable_magnitudes(system, digits):
+    s = get_system(system)
+    n = FloatingNumber(digits)
+    ts = list(islice(_cycles(n, s), 6))
+    assert ts[0] == _first_spellable_cycle(n, s)
+    assert ts == [ts[0] * 60**k for k in range(6)]
+    for t in ts:
+        mm = _spell(s, t)
+        assert mm is not None and mm.twelfths == t and to_number(mm) == n
+
+
+# --- readings too long to print -----------------------------------------------
+
+
+@pytest.fixture
+def int_str_limit():
+    """Sets ``sys``'s int string limit for one test, then restores it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int string limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_readings_stop_at_the_int_string_limit(int_str_limit, system):
+    # the first reading whose top count has more than 640 digits is
+    # refused; every one before it is returned and prints
+    int_str_limit(0)
+    top = get_system(system).units[0].name
+    readings = enumerate_readings(fn("7"), system, 500)
+    first_long = next(
+        i for i, r in enumerate(readings)
+        if r.terms[0].unit == top and len(str(r.terms[0].whole)) > 640
+    )
+    int_str_limit(640)
+    kept = enumerate_readings(fn("7"), system, first_long)
+    assert kept == readings[:first_long]
+    assert 638 < len(str(kept[-1].terms[0].whole)) <= 640
+    with pytest.raises(ReadingTooLong, match=f"^reading too long: its count of {top} would"
+                       " have more than 640 digits$"):
+        enumerate_readings(fn("7"), system, first_long + 1)
+
+
+def test_no_int_string_limit_refuses_nothing(int_str_limit):
+    n = fn(":".join(["7"] * 500))
+    int_str_limit(640)
+    with pytest.raises(ReadingTooLong):
+        enumerate_readings(n, "L", 1)
+    with pytest.raises(ReadingTooLong):
+        from_number(fn("3"), "L", AnchorHint(400))
+    int_str_limit(0)
+    assert to_number(enumerate_readings(n, "L", 1)[0]) == n
+    assert to_number(from_number(fn("3"), "L", AnchorHint(400))) == fn("3")

@@ -87,6 +87,22 @@ class TestParseScript:
         assert str(e.value) == "line 3: configuration 'c1' does not anchor given 'b'"
         assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "c1"
 
+    @pytest.mark.parametrize("anchor", ["e1_0", "e٣", "e+2"])
+    def test_config_exponent_is_a_minus_then_ascii_digits(self, anchor):
+        text = f'tablet "t"\ngiven-spvn a 2\nconfig A: a={anchor}\n'
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == f"line 3: bad exponent {anchor!r}"
+
+    def test_exponent_leading_zeros_at_any_length(self):
+        zeros = "0" * 5000
+        s = parse_script(
+            f'tablet "t"\ngiven-spvn a 2\nconfig A: a=e-{zeros}3\n'
+            f"step half a expect 1e{zeros}1 as h\n"
+        )
+        assert s.configurations[0].exponents == {"a": -3}
+        assert str(s.steps[0].expect) == "1e1"
+
     def test_window_without_dots(self):
         text = 'tablet "t"\ngiven-spvn a 2\nanswer a L window "1 ninda" expect "2 ninda"\n'
         with pytest.raises(MeasurementSyntax) as e:

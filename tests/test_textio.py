@@ -79,6 +79,18 @@ class TestAnchoredLiterals:
         with pytest.raises(MalformedSeparator):
             parse_anchored("e3")
 
+    @pytest.mark.parametrize("text", ["6:30e1_0", "6:30e٣", "6:30e+1", "6:30e 1"])
+    def test_exponent_is_a_minus_then_ascii_digits(self, text):
+        with pytest.raises(MalformedSeparator) as e:
+            parse_anchored(text)
+        assert str(e.value) == f"bad exponent in {text!r}"
+        assert e.value.diagnostic.message == "exponent must be an integer"
+
+    def test_exponent_leading_zeros_at_any_length(self):
+        zeros = "0" * 5000
+        assert str(parse_anchored(f"1e{zeros}1")) == "1e1"
+        assert str(parse_anchored(f"6:30e-{zeros}1")) == "6:30e-1"
+
 
 class TestParseMeasurement:
     def test_fraction_then_unit_then_term(self):
