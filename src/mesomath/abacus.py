@@ -14,18 +14,18 @@ coherent choice, which is the point of working this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import AnchorGap, NegativeResult, NotASquare, ZeroResult
 from .spvn import BASE, FloatingNumber, from_integer, to_integer
 from . import recip as _recip
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class AnchoredNumber:
+
+class AnchoredNumber(NamedTuple):
     """digits * 60**exponent, exponent anchoring the rightmost digit.
 
     The anchor sits on the right because normalization strips trailing
@@ -36,6 +36,8 @@ class AnchoredNumber:
     exponent: int
 
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(to_integer(self.digits)) * Fraction(BASE) ** self.exponent
 
     def __str__(self) -> str:
@@ -101,13 +103,17 @@ def half(a: AnchoredNumber) -> AnchoredNumber:
 
 
 def recip_anchored(a: AnchoredNumber) -> tuple[AnchoredNumber, _recip.Factorization]:
-    """Reciprocal anchored so a * result = 1e0, with its factorization."""
+    """Reciprocal anchored so a * result = 1e0, with its factorization.
+
+    The canonical integers of ``a`` and ``r`` multiply to 60**k.  With
+    n digits between them their product lies in [60**(n-2), 60**n), so
+    k is n - 1 or n - 2.  The lower end needs both integers to be powers
+    of sixty, and a canonical integer, whose last digit is nonzero, is
+    one only when it is 1: so k is n - 1 unless ``a`` is 1, and no loop
+    over the product's digits is needed.
+    """
     r, fact = _recip.reciprocal(a.digits)
-    prod = to_integer(a.digits) * to_integer(r)
-    k = 0
-    while prod > 1:
-        prod //= BASE
-        k += 1
+    k = len(a.digits) + len(r) - 1 if to_integer(a.digits) != 1 else 0
     return AnchoredNumber(r, -a.exponent - k), fact
 
 
@@ -129,8 +135,7 @@ def sqrt_anchored(a: AnchoredNumber) -> AnchoredNumber:
     return _from_scaled_integer(r, f)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A named anchor assignment for a procedure's given numbers."""
 
     name: str

@@ -6,12 +6,14 @@ bytes.  Exit codes: 0 success, 1 corpus verification failure, 2 bad
 usage or unparsable input, 3 arithmetic error (no reciprocal, no root,
 no reading, operands too long, ...).
 
-Importing this module loads ``spvn``, ``recip``, ``metrology`` and
-``textio``, and ``abacus`` through ``textio``.  The other layers are
-imported lazily: ``procedures`` only by ``run`` and ``check``, and
+Importing this module loads ``spvn``, ``recip`` and ``textio``.  The
+other layers are imported lazily: ``metrology`` only by ``table`` and
+``convert`` (and by ``textio`` when it parses a measurement),
+``procedures`` (with ``abacus``) only by ``run`` and ``check``, and
 ``tables`` only by ``table`` and by the reciprocal peel, which reads the
-standard table from it, so a one-line look-up such as
-``mesomath recip 7:30`` never loads the replay layer.
+standard table from it.  So a one-line look-up such as
+``mesomath recip 7:30`` or ``mesomath mul 20 20`` loads neither the
+replay nor the metrology layer.
 """
 
 from __future__ import annotations
@@ -19,15 +21,18 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import metrology, recip, spvn, textio
+from . import recip, spvn, textio
 from .errors import ParseError, SexagesimalError
 from .recip import FactorStrategy
 
 if TYPE_CHECKING:
     from . import procedures
+
+#: The unit systems' names, as ``sorted(metrology.SYSTEMS)`` gives them;
+#: spelled out so that building the parser does not import ``metrology``.
+_SYSTEMS = ("C", "L", "Lh", "S", "W")
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -74,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = tsub.add_parser("squares")
     t.add_argument("--format", choices=("text", "csv"), default="text")
     t = tsub.add_parser("metro")
-    t.add_argument("system", choices=sorted(metrology.SYSTEMS))
+    t.add_argument("system", choices=_SYSTEMS)
     t.add_argument("--from", dest="start", required=True, metavar="MEASUREMENT")
     t.add_argument("--to", dest="stop", required=True, metavar="MEASUREMENT")
     t.add_argument("--format", choices=("text", "csv"), default="text")
@@ -82,14 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("convert", help="measurement <-> number conversions")
     csub = q.add_subparsers(dest="convert_kind", required=True)
     c = csub.add_parser("to-spvn")
-    c.add_argument("system", choices=sorted(metrology.SYSTEMS))
+    c.add_argument("system", choices=_SYSTEMS)
     c.add_argument("measurement")
     c = csub.add_parser("from-spvn")
-    c.add_argument("system", choices=sorted(metrology.SYSTEMS))
+    c.add_argument("system", choices=_SYSTEMS)
     c.add_argument("number")
     c.add_argument("--window", required=True, help='"<m>".."<m>"')
     c = csub.add_parser("readings")
-    c.add_argument("system", choices=sorted(metrology.SYSTEMS))
+    c.add_argument("system", choices=_SYSTEMS)
     c.add_argument("number")
     c.add_argument("--span", type=int, default=4)
 
@@ -136,8 +141,7 @@ def _print_trace(trace: procedures.Trace) -> None:
 def _cmd_check(directory: str | None) -> int:
     from . import procedures
 
-    d = Path(directory) if directory else procedures.shipped_corpus_dir()
-    summary = procedures.verify_corpus(d)
+    summary = procedures.verify_corpus(directory or procedures.shipped_corpus_dir())
     for w in summary.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for rep in summary.reports:
@@ -240,6 +244,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         elif args.table_kind == "squares":
             out = tables.format_squares_table(args.format)
         else:
+            from . import metrology
+
             t = metrology.gen_metrological_table(
                 args.system,
                 textio.parse_measurement(args.start, args.system),
@@ -248,6 +254,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             out = metrology.format_metrological_table(t, args.format)
         sys.stdout.write(out)
     elif cmd == "convert":
+        from . import metrology
+
         if args.convert_kind == "to-spvn":
             m = textio.parse_measurement(args.measurement, args.system)
             print(metrology.to_number(m))
@@ -263,7 +271,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif cmd == "run":
         from . import procedures
 
-        trace = procedures.run_file(Path(args.file), args.config)
+        trace = procedures.run_file(args.file, args.config)
         _print_trace(trace)
         return EXIT_OK if trace.passed else EXIT_VERIFY
     elif cmd == "check":

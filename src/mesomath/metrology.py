@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import islice
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
 from .errors import (
     AmbiguousReading,
@@ -66,8 +66,46 @@ ALLOWED_FRACTIONS = frozenset(_FRACTION_TEXT)
 _KUSH_STYLE = (_FIVE_SIXTHS, _TWO_THIRDS, _HALF, _THIRD)
 
 
-@dataclass(frozen=True)
-class Unit:
+class _Record:
+    """An immutable record on ``__slots__`` that is not a tuple.
+
+    The records that keep state derived from their fields are built on
+    this; the other records are ``NamedTuple`` classes.  ``_fields``
+    names the fields, in the constructor's order: equality (between
+    records of one class), hash, repr and pickling read those, and the
+    other slots hold what they determine.  ``__init__`` sets the slots
+    with ``object.__setattr__``; any later assignment raises.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Unit(NamedTuple):
     """One rung of a system's ladder.
 
     ``size`` is the exact multiple of the system's smallest unit;
@@ -84,8 +122,7 @@ class Unit:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(_Record):
     """Units in descending order plus the base correspondence.
 
     ``base`` is the abstract number of one smallest unit, as an exact
@@ -96,28 +133,32 @@ class UnitSystem:
     customary unit (ninda, kuš, gin, sar, sila) at 1e0.
     """
 
-    kind: str
-    units: tuple[Unit, ...]
-    base: Fraction
-    anchor_offset: int = 0
+    __slots__ = ("kind", "units", "base", "anchor_offset", "_positions")
+    _fields = ("kind", "units", "base", "anchor_offset")
 
-    def __post_init__(self):
-        if BASE % self.base.denominator:
+    def __init__(
+        self, kind: str, units: tuple[Unit, ...], base: Fraction, anchor_offset: int = 0
+    ):
+        if BASE % base.denominator:
             raise ValueError(
-                f"system {self.kind}: the denominator of base {self.base}"
+                f"system {kind}: the denominator of base {base}"
                 f" does not divide {BASE}"
             )
-        for u in self.units[:-1]:
+        for u in units[:-1]:
             for f in u.spelling_fractions:
                 if f * u.size % 12:
                     raise ValueError(
-                        f"system {self.kind}: {f}/12 of a {u.name} is not"
-                        f" a whole number of {self.units[-1].name}"
+                        f"system {kind}: {f}/12 of a {u.name} is not"
+                        f" a whole number of {units[-1].name}"
                     )
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {n: i for i, u in enumerate(self.units) for n in (u.name, *u.aliases)}
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "units", units)
+        init(self, "base", base)
+        init(self, "anchor_offset", anchor_offset)
+        init(self, "_positions", {
+            n: i for i, u in enumerate(units) for n in (u.name, *u.aliases)
+        })
 
     def position(self, name: str) -> int:
         """Index in ``units`` of the unit with this name or alias."""
@@ -130,8 +171,7 @@ class UnitSystem:
         return self.units[self.position(name)]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """count of a unit: a whole part plus an optional fraction, given
     as twelfths of the unit (``Term("ninda", 1, 6)`` is 1 1/2 ninda)."""
 
@@ -148,28 +188,28 @@ class Term:
         return " ".join(bits) + " " + self.unit
 
 
-@dataclass(frozen=True)
-class MeasurementValue:
+class MeasurementValue(_Record):
     """A concrete quantity: ordered unit terms in one system.
 
     Units strictly descending, every count positive, fractions from the
     allowed set.  "1/2 kuš 3 šu-si" carries its fraction on the kuš
     term; "2 1/4 še" on its only term.  ``twelfths`` is the magnitude as
     a count of twelfths of the system's smallest unit, computed on
-    construction with integers only.
+    construction with integers only.  A measurement is not a tuple, so
+    one reading never passes for the tuple of readings that
+    :func:`enumerate_readings` returns.
     """
 
-    system: str
-    terms: tuple[Term, ...]
-    twelfths: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("system", "terms", "twelfths")
+    _fields = ("system", "terms")
 
-    def __post_init__(self):
-        sys = get_system(self.system)
-        if not self.terms:
+    def __init__(self, system: str, terms: tuple[Term, ...]):
+        sys = get_system(system)
+        if not terms:
             raise UnitOrderViolation("a measurement needs at least one term")
         last_index = -1
         twelfths = 0
-        for t in self.terms:
+        for t in terms:
             idx = sys.position(t.unit)
             if idx <= last_index:
                 raise UnitOrderViolation(
@@ -184,7 +224,10 @@ class MeasurementValue:
                     f"fraction {t.frac}/12 of {t.unit!r} not allowed"
                 )
             twelfths += count * sys.units[idx].size
-        object.__setattr__(self, "twelfths", twelfths)
+        init = object.__setattr__
+        init(self, "system", system)
+        init(self, "terms", terms)
+        init(self, "twelfths", twelfths)
 
     def value(self) -> Fraction:
         """Exact magnitude in multiples of the system's smallest unit."""
@@ -312,23 +355,26 @@ def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
     return MeasurementValue(system.kind, tuple(terms))
 
 
-@dataclass(frozen=True)
-class Window:
-    """Inclusive measurement range a reverse reading must fall in."""
-
+class _Window(NamedTuple):
     lo: MeasurementValue
     hi: MeasurementValue
 
-    def __post_init__(self):
-        if self.lo.system != self.hi.system or self.lo.twelfths > self.hi.twelfths:
+
+class Window(_Window):
+    """Inclusive measurement range a reverse reading must fall in."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: MeasurementValue, hi: MeasurementValue):
+        if lo.system != hi.system or lo.twelfths > hi.twelfths:
             raise MeasurementSyntax("window bounds must be ordered, same system")
+        return tuple.__new__(cls, (lo, hi))
 
     def __str__(self) -> str:
         return f"{self.lo} .. {self.hi}"
 
 
-@dataclass(frozen=True)
-class AnchorHint:
+class AnchorHint(NamedTuple):
     """Explicit power of sixty carried by the number's last digit."""
 
     exponent: int
@@ -369,6 +415,22 @@ def _require_system(system: UnitSystem, *bounds: MeasurementValue) -> None:
             )
 
 
+#: An ambiguous reading's message lists at most this many readings, then
+#: "…".  A window between 1/6 of a system's smallest unit and 59 of its
+#: largest never holds more, so those messages list every reading.
+_LISTED = 6
+#: An echoed text longer than this many characters is cut in the middle.
+_ECHOED = 64
+
+
+def _clip(text: str) -> str:
+    """``text`` as an error message echoes it: at most ``_ECHOED``
+    characters, else its first and last 24 and its length."""
+    if len(text) <= _ECHOED:
+        return text
+    return f"{text[:24]}…{text[-24:]} ({len(text)} characters)"
+
+
 def from_number(
     n: FloatingNumber, system_kind: str, hint: Window | AnchorHint
 ) -> MeasurementValue:
@@ -376,7 +438,11 @@ def from_number(
 
     There is deliberately no default magnitude: the right column cycles,
     and silently picking a cycle would hide exactly the judgement the
-    reverse reading requires.
+    reverse reading requires.  A window that holds several readings
+    raises :class:`AmbiguousReading`, whose message gives their count
+    and spells at most ``_LISTED`` of them; the messages echo the number
+    and the window through :func:`_clip`, so they stay short whatever
+    the input.
     """
     system = get_system(system_kind)
     if isinstance(hint, AnchorHint):
@@ -385,23 +451,34 @@ def from_number(
         t, r = divmod(num, system.base.numerator * BASE ** max(-k, 0))
         m = None if r else _spell(system, t)
         if m is None:
-            raise NoReading(f"{n} at e{hint.exponent} is not expressible in {system.kind}")
+            raise NoReading(
+                f"{_clip(str(n))} at e{hint.exponent} is not expressible in {system.kind}"
+            )
         return m
     _require_system(system, hint.lo)
-    matches = []
+    lo, hi = hint.lo.twelfths, hint.hi.twelfths
+    count = 0
+    listed = []
     for t in _cycles(n, system):
-        if t > hint.hi.twelfths:
+        if t > hi:
             break
-        if t >= hint.lo.twelfths:
-            matches.append(_spell(system, t))
-    if not matches:
-        raise NoReading(f"no reading of {n} in {system.kind} within {hint}")
-    if len(matches) > 1:
-        listing = "; ".join(str(m) for m in matches)
-        raise AmbiguousReading(
-            f"{len(matches)} readings of {n} in {system.kind} within {hint}: {listing}"
+        if t >= lo:
+            count += 1
+            if count <= _LISTED:
+                listed.append(t)
+    if not count:
+        raise NoReading(
+            f"no reading of {_clip(str(n))} in {system.kind} within {_clip(str(hint))}"
         )
-    return matches[0]
+    if count > 1:
+        listing = "; ".join(_clip(str(_spell(system, t))) for t in listed)
+        if count > _LISTED:
+            listing += "; …"
+        raise AmbiguousReading(
+            f"{count} readings of {_clip(str(n))} in {system.kind}"
+            f" within {_clip(str(hint))}: {listing}"
+        )
+    return _spell(system, listed[0])
 
 
 def enumerate_readings(
@@ -499,13 +576,22 @@ def _ladder(
     return tuple(rows), tuple(keys), tuple(texts)
 
 
-@dataclass(frozen=True)
-class MetrologicalTable:
+class MetrologicalTable(_Record):
     """Rows of a system's table; ``texts`` holds each row as printed."""
 
-    system: str
-    rows: tuple[_Row, ...]
-    texts: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
+    __slots__ = ("system", "rows", "texts")
+    _fields = ("system", "rows")
+
+    def __init__(
+        self, system: str, rows: tuple[_Row, ...], texts: tuple[tuple[str, str], ...]
+    ):
+        init = object.__setattr__
+        init(self, "system", system)
+        init(self, "rows", rows)
+        init(self, "texts", texts)
+
+    def __reduce__(self):
+        return type(self), (self.system, self.rows, self.texts)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -17,8 +17,8 @@ notes it and the tablet still passes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import abacus, metrology, recip, spvn, textio
 from .abacus import AnchoredNumber, Configuration
@@ -44,8 +44,7 @@ def disk_area(perimeter: FloatingNumber) -> FloatingNumber:
     return spvn.mul(spvn.square(perimeter), DISK_AREA_COEFFICIENT)
 
 
-@dataclass(frozen=True)
-class Given:
+class Given(NamedTuple):
     name: str
     expect: FloatingNumber | None
     attested: FloatingNumber | None = None
@@ -53,8 +52,7 @@ class Given:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     op: str
     args: tuple[str, ...]
     expect: FloatingNumber | AnchoredNumber | None
@@ -63,16 +61,14 @@ class Step:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     name: str
     window: metrology.Window | None = None
     expect: metrology.MeasurementValue | None = None
     line: int = 0
 
 
-@dataclass(frozen=True)
-class ProcedureScript:
+class ProcedureScript(NamedTuple):
     tablet: str
     givens: tuple[Given, ...]
     configurations: tuple[Configuration, ...]
@@ -86,8 +82,7 @@ class ProcedureScript:
         raise UnknownName(f"no configuration {name!r} in {self.tablet}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     kind: str  # "given" | "step" | "answer"
     name: str
     operation: str
@@ -104,8 +99,7 @@ class TraceRecord:
         return a is not None and self.matched and a != self.expected
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     tablet: str
     configuration: str | None
     records: tuple[TraceRecord, ...]
@@ -463,8 +457,7 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
 # --- corpus -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TabletReport:
+class TabletReport(NamedTuple):
     path: Path
     tablet: str
     traces: tuple[Trace, ...]
@@ -475,8 +468,7 @@ class TabletReport:
         return self.error is None and all(t.passed for t in self.traces)
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     reports: tuple[TabletReport, ...]
     warnings: tuple[str, ...] = ()
 
@@ -485,7 +477,7 @@ class CorpusSummary:
         return all(r.passed for r in self.reports)
 
 
-def _read_script(path: Path) -> ProcedureScript:
+def _read_script(path: str | Path) -> ProcedureScript:
     data = Path(path).read_bytes()
     try:
         return parse_script(data.decode("utf-8"))
@@ -494,7 +486,7 @@ def _read_script(path: Path) -> ProcedureScript:
         raise _syntax(line, f"not UTF-8 text: {e.reason}") from None
 
 
-def run_file(path: Path, config: str | None = None) -> Trace:
+def run_file(path: str | Path, config: str | None = None) -> Trace:
     return run(_read_script(path), config)
 
 
@@ -513,7 +505,7 @@ def _divergence(traces: tuple[Trace, ...]) -> str | None:
     return None
 
 
-def verify_corpus(directory: Path) -> CorpusSummary:
+def verify_corpus(directory: str | Path) -> CorpusSummary:
     """Run every ``*.tab`` script under every configuration it declares.
 
     A tablet passes when every expected value matches and every record

@@ -14,9 +14,19 @@ allowed set, so no ``Fraction`` is built.
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
 arbitrary text.
+
+Importing this module loads ``spvn`` and ``errors`` only.  The
+measurement parsers reach ``metrology``, and :func:`parse_anchored`
+reaches ``abacus``, through the package, whose lazy loader imports each
+layer on first use and binds it as a package attribute; so parsing a
+number never loads them, and no call runs an import statement.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+import mesomath as _pkg
 
 from .errors import (
     BadFraction,
@@ -29,8 +39,10 @@ from .errors import (
     UnknownUnit,
 )
 from .spvn import FloatingNumber
-from . import metrology
-from .abacus import AnchoredNumber
+
+if TYPE_CHECKING:
+    from . import metrology
+    from .abacus import AnchoredNumber
 
 
 def _diag(col: int, message: str, token: str = "", line: int = 1) -> ParseDiagnostic:
@@ -110,7 +122,7 @@ def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:
             f"bad exponent in {text!r}",
             _diag(len(head) + 2, "exponent must be an integer", tail, line),
         )
-    return AnchoredNumber(parse_spvn(head, line), exponent)
+    return _pkg.AnchoredNumber(parse_spvn(head, line), exponent)
 
 
 # each glyph as twelfths of its unit
@@ -132,7 +144,7 @@ def _parse_fraction_token(tok: str, system, col: int, line: int) -> int | None:
             _diag(col, "fraction must look like 1/3", tok, line),
         )
     f, r = divmod(12 * n, d)
-    if r or f not in metrology.ALLOWED_FRACTIONS:
+    if r or f not in _pkg.metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {tok} is not used in system {system.kind}",
             _diag(col, "fraction not in the allowed set", tok, line),
@@ -146,6 +158,7 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
     Grammar: one or more groups of [count] [fraction] unit, units in
     strictly descending order, counts positive.
     """
+    metrology = _pkg.metrology
     system = metrology.get_system(system_kind)
     toks = text.split()
     if not toks:
@@ -217,7 +230,7 @@ def parse_window(text: str, system_kind: str, line: int = 1) -> metrology.Window
             f'window must look like "<m>".."<m>": {text!r}',
             _diag(1, 'window needs "<m>".."<m>"', text, line),
         )
-    return metrology.Window(
+    return _pkg.metrology.Window(
         parse_measurement(lo.strip().strip('"'), system_kind, line),
         parse_measurement(hi.strip().strip('"'), system_kind, line),
     )

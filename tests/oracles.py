@@ -53,6 +53,16 @@ def digits_of(v: int) -> tuple[int, ...]:
     return tuple(reversed(ds))
 
 
+def sixty_log(v: int) -> int:
+    """The k with 60**k <= v < 60**(k + 1), for positive ``v``: the loop
+    that anchored reciprocals ran over their product's digits."""
+    k = 0
+    while v > 1:
+        v //= 60
+        k += 1
+    return k
+
+
 def smooth_numbers(limit: int) -> list[int]:
     """Every 5-smooth integer from 1 to ``limit``, ascending."""
     out = []

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -187,6 +188,52 @@ class TestFromNumber:
     def test_anchor_hint_no_reading(self):
         with pytest.raises(NoReading):
             from_number(fn("7"), "W", AnchorHint(-3))
+
+
+class TestBoundedMessages:
+    """A refused reading's message stays short whatever the input."""
+
+    def test_thousands_of_readings(self):
+        # 3 has a reading in every cycle from 1/2 kuš 3 šu-si up, and the
+        # window's top is 4,000 nines of danna: thousands of cycles
+        w = window("1 shu-si", "9" * 4000 + " danna", "L")
+        first = enumerate_readings(fn("3"), "L", 1)[0].twelfths
+        count = 0
+        while first * 60**count <= w.hi.twelfths:
+            count += 1
+        assert count > 2000
+        t0 = time.perf_counter()
+        with pytest.raises(AmbiguousReading) as e:
+            from_number(fn("3"), "L", w)
+        assert time.perf_counter() - t0 < 0.5
+        msg = str(e.value)
+        assert len(msg.encode()) < 1024
+        assert msg.startswith(f"{count} readings of 3 in L within 1 šu-si .. 99999")
+        assert msg.endswith(
+            ": 1/2 kuš 3 šu-si; 3 ninda; 3 uš; 6 danna; 360 danna; 21600 danna; …"
+        )
+
+    def test_six_readings_are_all_listed(self):
+        # the widest window of the surface table holds six readings of 20
+        with pytest.raises(AmbiguousReading) as e:
+            from_number(fn("20"), "S", window("1/6 she", "59 bur", "S"))
+        assert str(e.value) == (
+            "6 readings of 20 in S within 1/6 še .. 59 bur:"
+            " 1 še; 1/3 gin; 1/3 sar; 20 sar; 2 eše; 40 bur"
+        )
+
+    def test_long_operands_are_clipped(self):
+        n = fn(":".join(["7"] * 100))
+        with pytest.raises(AmbiguousReading) as e:
+            from_number(n, "L", window("1 ninda", "9" * 300 + " danna", "L"))
+        msg = str(e.value)
+        assert len(msg.encode()) < 1024
+        echo = "7:7:7:7:7:7:7:7:7:7:7:7:…:7:7:7:7:7:7:7:7:7:7:7:7 (199 characters)"
+        assert msg.partition(" readings of ")[2].startswith(f"{echo} in L within 1 ninda .. ")
+        assert msg.endswith("; …")
+        with pytest.raises(NoReading) as e:
+            from_number(n, "L", AnchorHint(-400))
+        assert str(e.value) == f"{echo} at e-400 is not expressible in L"
 
 
 class TestEnumerateReadings:

@@ -26,7 +26,7 @@ from mesomath.spvn import (
     to_integer,
 )
 from mesomath.textio import parse_spvn
-from oracles import digits_of, is_wedge_suffix, regular_exponents, smooth_numbers
+from oracles import digits_of, is_wedge_suffix, regular_exponents, sixty_log, smooth_numbers
 
 LIMIT = 60**4
 
@@ -177,6 +177,29 @@ def test_factor_choice_matches_reference(strategy, n):
     r, fact = reciprocal(n, strategy)
     assert (r, fact.factors) == _reference_reciprocal(n, strategy, table)
     assert mul(n, r) == ONE
+
+
+def _anchored_by_loop(n: FloatingNumber, e: int) -> abacus.AnchoredNumber:
+    """The anchored reciprocal of ``n`` at ``e``, with the exponent found
+    by the loop over the product's digits."""
+    r, _ = reciprocal(n)
+    return abacus.AnchoredNumber(r, -e - sixty_log(to_integer(n) * to_integer(r)))
+
+
+def test_anchored_reciprocal_exponent_short():
+    # recip_anchored reads the exponent off the digit counts; every
+    # regular number below 60**4, 1 among them, at several anchors
+    for n in SMOOTH_NUMBERS:
+        for e in (-2, 0, 3):
+            a = abacus.AnchoredNumber(n, e)
+            assert abacus.recip_anchored(a)[0] == _anchored_by_loop(n, e)
+
+
+@settings(deadline=None, max_examples=150)
+@given(long_regulars, st.integers(-50, 50))
+def test_anchored_reciprocal_exponent_long(n, e):
+    a = abacus.AnchoredNumber(n, e)
+    assert abacus.recip_anchored(a)[0] == _anchored_by_loop(n, e)
 
 
 @settings(deadline=None)
