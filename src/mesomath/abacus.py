@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import AnchorGap, NegativeResult, NotASquare, ZeroResult
+from .errors import AnchorGap, NegativeResult, NotASquare, ZeroResult, _clip
 from .spvn import BASE, FloatingNumber, from_integer, to_integer
 from . import recip as _recip
 
@@ -131,7 +131,7 @@ def sqrt_anchored(a: AnchoredNumber) -> AnchoredNumber:
         scaled, f = v * BASE, (e - 1) // 2
     r = isqrt(scaled)
     if r * r != scaled:
-        raise NotASquare(f"{a} is not a perfect square at its anchor")
+        raise NotASquare(f"{_clip(str(a))} is not a perfect square at its anchor")
     return _from_scaled_integer(r, f)
 
 

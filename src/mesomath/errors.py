@@ -12,6 +12,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
+#: An echoed text longer than this many characters is cut in the middle.
+_ECHOED = 64
+
+
+def _clip(text: str) -> str:
+    """``text`` as an error message echoes it: at most ``_ECHOED``
+    characters, else its first and last 24 and its length."""
+    if len(text) <= _ECHOED:
+        return text
+    return f"{text[:24]}…{text[-24:]} ({len(text)} characters)"
+
+
 class ParseDiagnostic(NamedTuple):
     """Position and context for a rejected piece of input text."""
 

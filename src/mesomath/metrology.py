@@ -51,6 +51,7 @@ from .errors import (
     ReadingTooLong,
     UnitOrderViolation,
     UnknownUnit,
+    _clip,
 )
 from .spvn import BASE, FloatingNumber, from_integer, to_integer
 
@@ -411,7 +412,7 @@ def _require_system(system: UnitSystem, *bounds: MeasurementValue) -> None:
     for m in bounds:
         if m.system != system.kind:
             raise MeasurementSyntax(
-                f"bound {m} is in system {m.system}, not {system.kind}"
+                f"bound {_clip(str(m))} is in system {m.system}, not {system.kind}"
             )
 
 
@@ -419,17 +420,6 @@ def _require_system(system: UnitSystem, *bounds: MeasurementValue) -> None:
 #: "…".  A window between 1/6 of a system's smallest unit and 59 of its
 #: largest never holds more, so those messages list every reading.
 _LISTED = 6
-#: An echoed text longer than this many characters is cut in the middle.
-_ECHOED = 64
-
-
-def _clip(text: str) -> str:
-    """``text`` as an error message echoes it: at most ``_ECHOED``
-    characters, else its first and last 24 and its length."""
-    if len(text) <= _ECHOED:
-        return text
-    return f"{text[:24]}…{text[-24:]} ({len(text)} characters)"
-
 
 def from_number(
     n: FloatingNumber, system_kind: str, hint: Window | AnchorHint

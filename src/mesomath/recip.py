@@ -18,7 +18,7 @@ from functools import cache
 from math import isqrt, prod
 from typing import NamedTuple
 
-from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare
+from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare, _clip
 from .spvn import (
     ONE,
     BASE,
@@ -49,9 +49,15 @@ class ElementaryTable:
     same order, only the values that can be read at the end of such a
     number: those of several digits whose own last digit is ``d``, and
     the one-digit values at most ``d`` (readable inside that digit).
+
+    Last, construction finds the peel's window: the least ``60**k`` that
+    every known value divides, with ``k`` at least the length of the
+    longest value (4 for the standard table, since 44:26:40 is
+    2**8 * 5**4).  :func:`_pick_divisor` reads a quotient only through
+    it (see there), so the peel picks factors on ``k + 1`` digits.
     """
 
-    __slots__ = ("_pairs", "_by_rep", "_divisors", "_wedge_by_last")
+    __slots__ = ("_pairs", "_by_rep", "_divisors", "_wedge_by_last", "_window")
 
     def __init__(self, pairs):
         pairs = tuple((e, r) for e, r in pairs)
@@ -77,6 +83,10 @@ class ElementaryTable:
             )
             for d in range(BASE)
         )
+        k = max((len(v) for v, _, _ in by_rep.values()), default=1)
+        while any(BASE**k % t for t in by_rep):
+            k += 1
+        self._window = BASE**k
 
     @property
     def pairs(self) -> tuple[tuple[FloatingNumber, FloatingNumber], ...]:
@@ -181,6 +191,12 @@ def _pick_divisor(
     table's last-digit index lists for ``v``'s last digit; that list
     keeps the index order (largest first) and holds every possible
     suffix, so its first hit is the first hit of a full scan.
+
+    Every test here is ``v % t``, ``v % m``, ``v // m % 60`` or
+    ``v >= m`` for table values ``t`` and ``m = 60**(len(t) - 1)`` that
+    divide the table's window ``w``.  So for ``v >= w`` each gives the
+    same answer on ``v % w + w`` as on ``v``, and :func:`reciprocal`
+    passes that short stand-in for a long quotient.
     """
     if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
         for d in table._wedge_by_last[v % BASE]:
@@ -212,16 +228,17 @@ def reciprocal(
         table = _standard_table()
     v = to_integer(n)
     if not _is_regular_rep(v):
-        raise Irregular(f"{n} is without reciprocal")
+        raise Irregular(f"{_clip(str(n))} is without reciprocal")
     # Exact division never introduces a factor of 60, so every quotient
     # is already a canonical representative and indexes the table as is.
     # Each peeled entry is (factor, its reciprocal, that reciprocal's rep).
     by_rep = table._by_rep
+    window = table._window
     peeled = []
     while v not in by_rep:
-        d = _pick_divisor(v, table, strategy)
+        d = _pick_divisor(v if v < window else v % window + window, table, strategy)
         if d is None:
-            raise NoProgress(f"no table factor divides {from_integer(v)}")
+            raise NoProgress(f"no table factor divides {_clip(str(from_integer(v)))}")
         peeled.append(by_rep[d[0]])
         v //= d[0]
     peeled.append(by_rep[v])
@@ -243,7 +260,9 @@ def reciprocal_loop(
     r, forward = reciprocal(n, strategy, table)
     back_value, back = reciprocal(r, strategy, table)
     if back_value != n:
-        raise LoopMismatch(f"loop failed: {n} -> {r} -> {back_value}")
+        raise LoopMismatch(
+            f"loop failed: {_clip(str(n))} -> {_clip(str(r))} -> {_clip(str(back_value))}"
+        )
     return forward, back
 
 
@@ -282,7 +301,7 @@ def sqrt(n: FloatingNumber) -> FloatingNumber:
         r = isqrt(scaled)
         if r * r == scaled:
             return from_integer(r)
-    raise NotASquare(f"{n} has no exact square root")
+    raise NotASquare(f"{_clip(str(n))} has no exact square root")
 
 
 def _icbrt(v: int) -> int:
@@ -307,4 +326,4 @@ def cbrt(n: FloatingNumber) -> FloatingNumber:
         r = _icbrt(scaled)
         if r**3 == scaled:
             return from_integer(r)
-    raise NotACube(f"{n} has no exact cube root")
+    raise NotACube(f"{_clip(str(n))} has no exact cube root")

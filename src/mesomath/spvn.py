@@ -18,10 +18,16 @@ A :class:`FloatingNumber` holds both sides of the bridge in two slots,
 ways to build one.  The public constructor takes digits from outside:
 it validates each one, strips the zeros at both ends and folds the
 representative in a single pass.  :func:`from_integer` takes a
-representative: it strips the factors of 60, converts to digits with
-``divmod`` and fills the two slots directly, since digits made that way
-are in range by construction.  :func:`mul` and everything built on it go
-through :func:`from_integer`.
+representative: it strips the factors of 60, converts to digits and
+fills the two slots directly, since digits made that way are in range by
+construction.  :func:`mul` and everything built on it go through
+:func:`from_integer`.
+
+Both directions work five digits at a time, so a long integer is divided
+or multiplied once per group rather than once per digit.  60**5 is below
+2**30, a single CPython digit, so each group costs one division by a
+one-limb divisor; :func:`from_integer` splits the group with two small
+divisions by 3600 and reads each pair of digits out of a table.
 """
 
 from __future__ import annotations
@@ -33,6 +39,14 @@ from typing import Iterable, Iterator
 from .errors import AllZero, DigitOutOfRange, NonPositive, ProductTooLong
 
 BASE = 60
+#: Digits per group in both directions of the bridge, and 60 to that power.
+_GROUP = 5
+_CHUNK = BASE**_GROUP
+#: (last digit, digit before it) of every integer below 3600, built from
+#: bytes so importing costs no Python-level loop.
+_PAIRS = tuple(
+    zip(bytes(range(BASE)) * BASE, b"".join(bytes((h,)) * BASE for h in range(BASE)))
+)
 
 
 class FloatingNumber:
@@ -53,7 +67,9 @@ class FloatingNumber:
 
     def __init__(self, digits: Iterable[int]):
         ds = []
-        v = 0
+        # v holds the digits folded so far in whole groups, c the n
+        # digits of the group being filled.
+        v = c = n = 0
         for d in digits:
             try:
                 d = index(d)
@@ -61,11 +77,16 @@ class FloatingNumber:
                 raise DigitOutOfRange(f"digit {d!r} is not an integer") from None
             if not 0 <= d < BASE:
                 raise DigitOutOfRange(f"digit {d} outside 0..59")
-            if v or d:
+            if ds or d:
                 ds.append(d)
-                v = v * BASE + d
-        if not v:
+                c = c * BASE + d
+                n += 1
+                if n == _GROUP:
+                    v = v * _CHUNK + c
+                    c = n = 0
+        if not ds:
             raise AllZero("a digit sequence must contain a nonzero digit")
+        v = v * BASE**n + c if v else c
         while not ds[-1]:
             ds.pop()
             v //= BASE
@@ -119,6 +140,8 @@ def from_integer(v: int) -> FloatingNumber:
     Factors of 60 are stripped first, so 60 and 3600 both come back as
     "1"; the result always has a nonzero last digit.  A ``v`` that is
     not an integer raises :class:`TypeError` rather than being truncated.
+    Digits come out least significant first: five per division of the
+    whole integer, then the at most five of its top group.
     """
     v = index(v)
     if v <= 0:
@@ -127,9 +150,19 @@ def from_integer(v: int) -> FloatingNumber:
         v //= BASE
     ds = []
     w = v
-    while w:
-        w, d = divmod(w, BASE)
-        ds.append(d)
+    while w >= _CHUNK:
+        w, c = divmod(w, _CHUNK)
+        c, r = divmod(c, 3600)
+        ds += _PAIRS[r]
+        c, r = divmod(c, 3600)
+        ds += _PAIRS[r]
+        ds.append(c)
+    while w >= 3600:
+        w, r = divmod(w, 3600)
+        ds += _PAIRS[r]
+    ds += _PAIRS[w]
+    if not ds[-1]:
+        ds.pop()
     ds.reverse()
     # Trusted construction: digits made by divmod are in range and the
     # last one is nonzero, so the validating constructor is skipped.

@@ -8,7 +8,6 @@ text/CSV emitters are diff-stable.
 
 from __future__ import annotations
 
-import csv
 import io
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -140,6 +139,10 @@ def format_two_columns(rows: Sequence[tuple[str, str]]) -> str:
 
 
 def _csv_text(header: tuple[str, ...], rows) -> str:
+    # imported here, by its only user: every reciprocal loads this module
+    # for the standard table, and only ``--format csv`` writes CSV
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

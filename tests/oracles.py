@@ -53,6 +53,36 @@ def digits_of(v: int) -> tuple[int, ...]:
     return tuple(reversed(ds))
 
 
+def peel_whole(v: int, known: set[int], wedge: bool) -> tuple[int, ...] | None:
+    """Factors, as representatives, that the peel takes from the regular
+    representative ``v`` when every test reads the whole quotient.
+
+    ``known`` holds the table's representatives.  At each step the
+    candidates are the known values above 1 that divide the quotient,
+    largest first; under ``wedge`` the first that is also a wedge suffix
+    wins, else the first.  The quotient that is known ends the run.
+    None when no known value divides a quotient.
+    """
+    order = sorted((t for t in known if t > 1), reverse=True)
+    lead = {t: 60 ** (len(digits_of(t)) - 1) for t in order}
+    factors = []
+    while v not in known:
+        divisors = [t for t in order if v % t == 0]
+        if not divisors:
+            return None
+        pick = divisors[0]
+        if wedge:
+            for t in divisors:
+                m = lead[t]
+                if v >= m and v % m == t % m and v // m % 60 >= t // m:
+                    pick = t
+                    break
+        factors.append(pick)
+        v //= pick
+    factors.append(v)
+    return tuple(factors)
+
+
 def sixty_log(v: int) -> int:
     """The k with 60**k <= v < 60**(k + 1), for positive ``v``: the loop
     that anchored reciprocals ran over their product's digits."""

@@ -146,6 +146,15 @@ class TestExitCodes:
     def test_not_a_square_exits_3(self, capsys):
         assert run_cli(capsys, "sqrt", "2")[0] == EXIT_ARITH
 
+    def test_long_not_a_square_echo_is_clipped(self, capsys):
+        # 6,000 digits ending in 7: 3 mod 4, so no square, and sqrt has
+        # no size guard; the message echoes the operand clipped
+        code, out, err = run_cli(capsys, "sqrt", ":".join(["7"] * 6000))
+        assert code == EXIT_ARITH and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "has no exact square root" in err
+        assert len(err.encode()) < 200
+
     def test_parse_error_exits_2(self, capsys):
         assert run_cli(capsys, "mul", "1:75", "2")[0] == EXIT_USAGE
 

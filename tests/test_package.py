@@ -96,6 +96,14 @@ class TestLazyImports:
             "mesomath.metrology", "mesomath.abacus", "dataclasses", "inspect", "fractions",
         }
 
+    def test_recip_command_loads_no_csv(self):
+        # the peel loads tables for the standard table; only --format csv
+        # writes CSV
+        new = _new_modules(
+            "from mesomath import cli; assert cli.main(['recip', '7:30']) == 0"
+        )
+        assert "mesomath.tables" in new and "csv" not in new
+
     @pytest.mark.parametrize("argv", [
         ["run", str(shipped_corpus_dir() / "ybc4663-1.tab")],
         ["check"],

@@ -6,11 +6,12 @@ seconds of work.  Hypothesis adds long regular numbers for the factor
 choice, checked against a reference picker written from the rule.
 """
 
+import random
 from itertools import accumulate
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mesomath import abacus, recip
 from mesomath.errors import NoProgress, NotASquare
@@ -26,7 +27,14 @@ from mesomath.spvn import (
     to_integer,
 )
 from mesomath.textio import parse_spvn
-from oracles import digits_of, is_wedge_suffix, regular_exponents, sixty_log, smooth_numbers
+from oracles import (
+    digits_of,
+    is_wedge_suffix,
+    peel_whole,
+    regular_exponents,
+    sixty_log,
+    smooth_numbers,
+)
 
 LIMIT = 60**4
 
@@ -279,6 +287,47 @@ def test_wedge_index_lists_exactly_the_possible_suffixes(which):
         assert table._wedge_by_last[d] == want, d
 
 
+def test_standard_table_window():
+    # 44:26:40 = 2**8 * 5**4 and 1:21 = 3**4 need the fourth power of 60
+    from mesomath.tables import gen_reciprocal_table
+
+    assert gen_reciprocal_table()._window == 60**4
+    assert VARIANT._window == 60**3
+
+
+@st.composite
+def _regulars_of_5_to_300_digits(draw):
+    """2**a * 3**b * 5**c of about a drawn length, once the factors of 60
+    are stripped: the peel's quotients run from past its window to below."""
+    bits = draw(st.integers(5, 300)) * 5.9
+    a = draw(st.integers(0, int(bits)))
+    b = draw(st.integers(0, int((bits - a) / 1.585)))
+    c = int((bits - a - 1.585 * b) / 2.322)
+    n = from_integer(2**a * 3**b * 5**c)
+    assume(5 <= len(n) <= 300)
+    return n
+
+
+@pytest.mark.parametrize("which", ["standard", "variant"])
+@pytest.mark.parametrize("strategy", list(FactorStrategy))
+@settings(deadline=None, max_examples=40)
+@given(_regulars_of_5_to_300_digits())
+def test_windowed_peel_matches_whole_quotient_peel(which, strategy, n):
+    from mesomath.tables import gen_reciprocal_table
+
+    table = gen_reciprocal_table() if which == "standard" else VARIANT
+    known = {to_integer(t) for pair in table.pairs for t in pair}
+    want = peel_whole(
+        to_integer(n), known, strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST
+    )
+    if want is None:
+        with pytest.raises(NoProgress):
+            reciprocal(n, strategy, table)
+    else:
+        _, fact = reciprocal(n, strategy, table)
+        assert tuple(map(to_integer, fact.factors)) == want
+
+
 def test_variant_table_reaches_the_fallback():
     # 2:8 (= 128): no entry the index lists for its last digit 8 is a
     # dividing suffix, so the pick is the largest exact divisor, 1:4 (= 64)
@@ -347,19 +396,52 @@ def _check_bridge(x, want_digits, want_int):
 _digit = st.one_of(st.just(0), st.integers(0, 59))
 _padded_digits = st.tuples(
     st.integers(0, 3),
-    st.lists(_digit, min_size=1, max_size=30).filter(any),
+    st.lists(_digit, min_size=1, max_size=64).filter(any),
     st.integers(0, 3),
 ).map(lambda t: (0,) * t[0] + tuple(t[1]) + (0,) * t[2])
 
 
+# Both directions of the bridge work in groups of five digits, and
+# from_integer reads digits in pairs: these sit on either side of those
+# boundaries.  3599 and 3600 as digits, 60**5 - 1 and 60**5, 60**10 - 1
+# and 60**10 + 1, a run of 59s, interior zeros across groups.
+_BOUNDARY_DIGITS = (
+    (59, 59),
+    (1, 0, 0),
+    (59,) * 5,
+    (1,) + (0,) * 5,
+    (59,) * 10,
+    (1,) + (0,) * 9 + (1,),
+    (59,) * 23,
+    (0, 0, 7) + (0,) * 11 + (3, 0, 0, 0, 0, 0, 59, 0),
+)
+
+
+def _at_boundaries(*rest):
+    """Hypothesis examples: each boundary sequence, then ``rest``."""
+
+    def add(test):
+        for ds in _BOUNDARY_DIGITS:
+            test = example(ds, *rest)(test)
+        return test
+
+    return add
+
+
 @settings(deadline=None, max_examples=150)
 @given(_padded_digits)
+@_at_boundaries()
 def test_bridge_constructor_matches_oracle(ds):
     _check_bridge(FloatingNumber(ds), *_oracle_fold(ds))
 
 
 @settings(deadline=None, max_examples=150)
 @given(_padded_digits, st.integers(0, 4))
+@_at_boundaries(0)
+# 3600, 60**5 and 60**10 as integers
+@example((1,), 2)
+@example((1,), 5)
+@example((1,), 10)
 def test_bridge_from_integer_matches_oracle(ds, k):
     want_digits, v = _oracle_fold(ds)
     _check_bridge(from_integer(v * 60**k), want_digits, v)
@@ -367,6 +449,7 @@ def test_bridge_from_integer_matches_oracle(ds, k):
 
 @settings(deadline=None, max_examples=150)
 @given(_padded_digits, _padded_digits)
+@_at_boundaries((59,) * 5)
 def test_bridge_mul_matches_oracle(da, db):
     (_, va), (_, vb) = _oracle_fold(da), _oracle_fold(db)
     want = _oracle_fold(digits_of(va * vb))
@@ -375,5 +458,30 @@ def test_bridge_mul_matches_oracle(da, db):
 
 @settings(deadline=None, max_examples=150)
 @given(_padded_digits, st.sampled_from(":."))
+@_at_boundaries(":")
 def test_bridge_parse_matches_oracle(ds, sep):
     _check_bridge(parse_spvn(sep.join(map(str, ds))), *_oracle_fold(ds))
+
+
+def _long_digits() -> tuple[int, ...]:
+    """About 5,000 seeded digits with zero runs inside and at both ends."""
+    rng = random.Random(5000)
+    ds = [rng.randrange(60) for _ in range(5000)]
+    for i in range(0, 5000, 397):
+        n = rng.randrange(1, 12)
+        ds[i : i + n] = [0] * n
+    return (0, 0) + tuple(ds) + (0, 0, 0)
+
+
+def test_bridge_long_digits_to_integer():
+    ds = _long_digits()
+    want_digits, v = _oracle_fold(ds)
+    assert len(want_digits) > 4_900
+    x = FloatingNumber(ds)
+    assert x.digits == want_digits and to_integer(x) == v
+
+
+def test_bridge_long_integer_to_digits():
+    _, v = _oracle_fold(_long_digits())
+    x = from_integer(v * 60**7)
+    assert x.digits == digits_of(v) and to_integer(x) == v
