@@ -24,7 +24,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import recip, spvn, textio
-from .errors import ParseError, SexagesimalError
+from .errors import ParseError, SexagesimalError, TraceTooLong
 from .recip import FactorStrategy
 
 if TYPE_CHECKING:
@@ -38,6 +38,11 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_ARITH = 3
+
+#: Most digits ``recip --trace`` takes.  Its columns grow with the square
+#: of the number's length: the trace of the 1,000-digit 2**5901 is 8.3 MB,
+#: and one at ``spvn.MAX_PRODUCT_DIGITS`` would run to hundreds of MB.
+MAX_TRACE_DIGITS = 1_000
 
 #: The plain arithmetic sub-commands: name -> (function, operands, help).
 _ARITH = {
@@ -121,21 +126,22 @@ def _print_recip_trace(fact: recip.Factorization) -> None:
 
 
 def _print_trace(trace: procedures.Trace) -> None:
-    print(f"tablet {trace.tablet}" + (
+    lines = [f"tablet {trace.tablet}" + (
         f"  (configuration {trace.configuration})" if trace.configuration else ""
-    ))
+    )]
     for r in trace.records:
-        status = "ok" if r.matched else "MISMATCH"
-        if r.scribal_note:
-            status = f"ok (tablet shows {r.attested}: scribal error)"
         line = f"  {r.kind:<6} {r.name:<12} {r.operation:<40} -> {r.computed}"
         if r.expected is not None:
-            line += f"  [{status}]"
-        print(line)
+            if r.scribal_note:
+                line += f"  [ok (tablet shows {r.attested}: scribal error)]"
+            else:
+                line += "  [ok]" if r.matched else "  [MISMATCH]"
+        lines.append(line)
         if r.factorization is not None:
-            facs = " ".join(str(f) for f in r.factorization.factors)
-            print(f"         factors: {facs}")
-    print("PASS" if trace.passed else "FAIL")
+            facs = " ".join(map(str, r.factorization.factors))
+            lines.append(f"         factors: {facs}")
+    lines.append("PASS\n" if trace.passed else "FAIL\n")
+    sys.stdout.write("\n".join(lines))
 
 
 def _cmd_check(directory: str | None) -> int:
@@ -224,6 +230,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif cmd == "recip":
         a = textio.parse_spvn(args.a)
         spvn.check_product(cmd, a)
+        if args.trace and len(a) > MAX_TRACE_DIGITS:
+            raise TraceTooLong(
+                f"recip --trace takes at most {MAX_TRACE_DIGITS} digits, not {len(a)}"
+            )
         r, fact = recip.reciprocal(a, FactorStrategy(args.strategy))
         if args.trace:
             _print_recip_trace(fact)

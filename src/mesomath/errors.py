@@ -124,6 +124,10 @@ class ProductTooLong(SexagesimalError):
     """Operands of a product step holding too many digits together."""
 
 
+class TraceTooLong(SexagesimalError):
+    """A factor trace asked of a number too long for its columns to print."""
+
+
 class MissingConfig(SexagesimalError):
     """Additive steps present but no configuration selected."""
 

@@ -121,11 +121,21 @@ class Trace(NamedTuple):
 # One line splits the way POSIX ``shlex.split(line, comments=True)`` does:
 # whitespace is space, tab, CR and LF; ``#`` outside quotes starts a comment,
 # also in mid-token; a token joins bare runs, backslash escapes, '...' and
-# "..." segments, and ``""`` is an empty token.  Whitespace is the only text
-# no alternative matches, so ``findall`` skips exactly that.
+# "..." segments, and ``""`` is an empty token.
+#
+# A line with no quote, backslash or ``#``, and no character that
+# ``str.split`` takes for whitespace where ``shlex`` does not (VT, FF,
+# \x1c-\x1f, and non-ASCII such as NEL, NBSP or U+3000), holds nothing but
+# bare runs and those four whitespace characters, so ``str.split`` cuts it
+# exactly where ``shlex`` does.  Most corpus lines are such plain lines.
+_NOT_PLAIN = re.compile(r"""['"\\#\x0b\x0c\x1c-\x1f\x80-\U0010ffff]""")
+# Other lines go through ``_LEX``.  Whitespace is the only text no
+# alternative matches, so ``findall`` skips exactly that; a match is a
+# token, a comment (the only match that starts with ``#``) or a lone
+# quote or backslash that nothing closes.
 _DQ_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
 _LEX = re.compile(
-    rf"""((?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{_DQ_BODY}")+)|#[^\n]*|(['"\\])""", re.S
+    rf"""(?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{_DQ_BODY}")+|#[^\n]*|['"\\]""", re.S
 )
 _SEGMENT = re.compile(rf"""\\(.)|'([^']*)'|"({_DQ_BODY})"|([^'"\\]+)""", re.S)
 # Inside double quotes only \" and \\ are escapes; other backslashes stay.
@@ -138,19 +148,25 @@ def _unquote_segment(m: re.Match) -> str:
 
 
 def _split_line(raw: str) -> list[str]:
+    if _NOT_PLAIN.search(raw) is None:
+        return raw.split()
     toks = []
-    for word, bad in _LEX.findall(raw):
-        if bad:
+    for word in _LEX.findall(raw):
+        if word[0] == "#":
+            continue
+        if word in ("'", '"', "\\"):
             # An unclosed quote or a final backslash runs to the end of the
             # line; an odd run of trailing backslashes leaves one unescaped.
             odd = (len(raw) - len(raw.rstrip("\\"))) % 2
-            if bad != "'" and odd:
+            if word != "'" and odd:
                 raise ValueError("No escaped character")
             raise ValueError("No closing quotation")
-        if word:
-            if "\\" in word or "'" in word or '"' in word:
-                word = _SEGMENT.sub(_unquote_segment, word)
-            toks.append(word)
+        if "\\" in word or "'" in word:
+            word = _SEGMENT.sub(_unquote_segment, word)
+        elif '"' in word:
+            # "..." segments without a backslash hold their text verbatim
+            word = word.replace('"', "")
+        toks.append(word)
     return toks
 
 
@@ -159,6 +175,15 @@ def _syntax(line_no: int, msg: str, token: str = "") -> ScriptSyntax:
         f"line {line_no}: {msg}",
         ParseDiagnostic(line=line_no, column=1, message=msg, token=token),
     )
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` cut at universal newlines (LF, CRLF, CR) and nowhere else.
+
+    ``str.splitlines`` also cuts at VT, FF, \\x1c-\\x1e, NEL, U+2028 and
+    U+2029, which would number lines differently from an editor.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _parse_number_token(tok: str, line_no: int):
@@ -183,7 +208,7 @@ def parse_script(text: str) -> ProcedureScript:
         if name not in defined:
             raise UnknownName(f"line {line_no}: {what} {name!r}")
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         try:
             toks = _split_line(raw)
         except ValueError as e:
@@ -205,22 +230,22 @@ def parse_script(text: str) -> ProcedureScript:
             if expect is None:
                 raise _syntax(line_no, "given needs an expect value")
             m = textio.parse_measurement(meas_text, system, line_no)
-            givens.append(Given(name, expect, attested, measurement=m, line=line_no))
+            givens.append(Given(name, expect, attested, m, line_no))
             defined.add(name)
 
         elif kw == "given-spvn":
             if len(rest) != 2:
                 raise _syntax(line_no, "given-spvn needs: <name> <number>")
             name, num = rest
-            givens.append(
-                Given(name, textio.parse_spvn(num, line_no), line=line_no)
-            )
+            givens.append(Given(name, textio.parse_spvn(num, line_no), None, None, line_no))
             defined.add(name)
 
         elif kw == "config":
             if not rest or not rest[0].endswith(":"):
                 raise _syntax(line_no, "config needs: <name>: given=e<int>, ...")
             cname = rest[0][:-1]
+            if any(c.name == cname for c, _ in configs):
+                raise _syntax(line_no, f"duplicate configuration {cname!r}", cname)
             exps: dict[str, int] = {}
             for item in rest[1:]:
                 item = item.rstrip(",")
@@ -230,6 +255,8 @@ def parse_script(text: str) -> ProcedureScript:
                 if not gname or not etext.startswith("e"):
                     raise _syntax(line_no, f"bad anchor {item!r}", item)
                 require(gname, "configuration anchors unknown given")
+                if gname in exps:
+                    raise _syntax(line_no, f"given {gname!r} anchored twice", item)
                 exponent = textio._exponent(etext[1:])
                 if exponent is None:
                     raise _syntax(line_no, f"bad exponent {etext!r}", item)
@@ -254,7 +281,7 @@ def parse_script(text: str) -> ProcedureScript:
                 new_name = tail[-1]
                 tail = tail[:-2]
             expect, attested = _parse_expect_tail(tail, line_no, anchored_ok=True)
-            steps.append(Step(op, args, expect, attested, new_name, line=line_no))
+            steps.append(Step(op, args, expect, attested, new_name, line_no))
             if new_name:
                 defined.add(new_name)
 
@@ -264,7 +291,7 @@ def parse_script(text: str) -> ProcedureScript:
             name = rest[0]
             require(name)
             if len(rest) == 1:
-                answers.append(Answer(name, line=line_no))
+                answers.append(Answer(name, None, None, line_no))
             else:
                 if len(rest) < 4 or rest[2] != "window":
                     raise _syntax(
@@ -279,7 +306,7 @@ def parse_script(text: str) -> ProcedureScript:
                     tail = tail[2:]
                 if tail:
                     raise _syntax(line_no, f"unexpected token {tail[0]!r}", tail[0])
-                answers.append(Answer(name, window=window, expect=expect_m, line=line_no))
+                answers.append(Answer(name, window, expect_m, line_no))
 
         else:
             raise _syntax(line_no, f"unknown directive {kw!r}", kw)
@@ -482,7 +509,7 @@ def _read_script(path: str | Path) -> ProcedureScript:
     try:
         return parse_script(data.decode("utf-8"))
     except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
+        line = len(_lines(data[: e.start].decode("utf-8")))
         raise _syntax(line, f"not UTF-8 text: {e.reason}") from None
 
 

@@ -47,6 +47,8 @@ _CHUNK = BASE**_GROUP
 _PAIRS = tuple(
     zip(bytes(range(BASE)) * BASE, b"".join(bytes((h,)) * BASE for h in range(BASE)))
 )
+#: The printed form of each digit, so that ``str`` runs no ``str(d)``.
+_SHOWN = tuple(map(str, range(BASE)))
 
 
 class FloatingNumber:
@@ -115,7 +117,7 @@ class FloatingNumber:
         return mul(self, other)
 
     def __str__(self) -> str:
-        return ":".join(str(d) for d in self._digits)
+        return ":".join([_SHOWN[d] for d in self._digits])
 
     def __repr__(self) -> str:
         return f"FloatingNumber({str(self)!r})"

@@ -15,7 +15,7 @@ Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
 arbitrary text.
 
-Importing this module loads ``spvn`` and ``errors`` only.  The
+Importing this module loads ``re``, ``spvn`` and ``errors`` only.  The
 measurement parsers reach ``metrology``, and :func:`parse_anchored`
 reaches ``abacus``, through the package, whose lazy loader imports each
 layer on first use and binds it as a package attribute; so parsing a
@@ -24,6 +24,7 @@ number never loads them, and no call runs an import statement.
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 import mesomath as _pkg
@@ -35,6 +36,7 @@ from .errors import (
     MalformedSeparator,
     MeasurementSyntax,
     ParseDiagnostic,
+    ParseError,
     UnitOrderViolation,
     UnknownUnit,
 )
@@ -80,31 +82,47 @@ def _exponent(s: str) -> int | None:
     return None if e is None else sign * e
 
 
+#: A well-formed digit sequence: parts of ASCII digits joined by ':' or
+#: '.', each part a digit 0..59 after any number of leading zeros.  The
+#: tens digit is never '0', so a part matches in one way only and a
+#: refused token costs time linear in its length: with '[0-5]?' the
+#: zeros of '00' or '05' could go to either term, and a refused token of
+#: k such parts backtracked through about 2**k splits.
+_SPVN = re.compile(r"(?:0*[1-5]?[0-9][:.])*0*[1-5]?[0-9]")
+
+
 def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
     """Parse a digit sequence like "44:26:40" (or "44.26.40")."""
     s = text.strip()
+    if _SPVN.fullmatch(s) is None:
+        raise _spvn_refusal(text, s, line)
+    # a matched part is zeros and then at most two digits, so its value
+    # sits in its last two characters; int() never sees the zeros, which
+    # it would count against its digit limit
+    return FloatingNumber([int(p[-2:]) for p in s.replace(".", ":").split(":")])
+
+
+def _spvn_refusal(text: str, s: str, line: int) -> ParseError:
+    """The error for a token that ``_SPVN`` refuses, naming its first bad part."""
     if not s:
-        raise EmptyInput("empty number", _diag(1, "empty number", text, line))
-    parts = s.replace(".", ":").split(":")
-    digits = []
+        return EmptyInput("empty number", _diag(1, "empty number", text, line))
     col = 1
-    for part in parts:
+    for part in s.replace(".", ":").split(":"):
         if not _ascii_digits(part):
-            raise MalformedSeparator(
+            return MalformedSeparator(
                 f"malformed digit sequence {text!r}",
                 _diag(col, "expected a base-60 digit", part, line),
             )
         # leading zeros are insignificant; a third significant digit is
         # out of range before int() reads it, however long the part is
         sig = part.lstrip("0") or "0"
-        if len(sig) > 2 or (d := int(sig)) > 59:
-            raise DigitOutOfRange(
+        if len(sig) > 2 or int(sig) > 59:
+            return DigitOutOfRange(
                 f"digit {sig} outside 0..59",
                 _diag(col, "digit outside 0..59", part, line),
             )
-        digits.append(d)
         col += len(part) + 1
-    return FloatingNumber(digits)
+    raise AssertionError(f"{text!r} is a well-formed digit sequence")
 
 
 def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:

@@ -8,6 +8,7 @@ spelling replaced: it backtracks, so it needs no rule on the units.
 
 from fractions import Fraction
 
+from mesomath.errors import DigitOutOfRange, EmptyInput, MalformedSeparator, ParseDiagnostic
 from mesomath.metrology import MeasurementValue, Term, UnitSystem
 from mesomath.spvn import FloatingNumber
 
@@ -39,6 +40,32 @@ def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
         return False
     k = len(td)
     return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
+
+
+def parse_spvn_by_parts(text: str, line: int = 1) -> FloatingNumber:
+    """``textio.parse_spvn`` read one part at a time, as it was before it
+    matched the whole token at once: the same value, or the same error
+    class, message, column and token."""
+    s = text.strip()
+    if not s:
+        raise EmptyInput("empty number", ParseDiagnostic(line, 1, "empty number", text))
+    digits = []
+    col = 1
+    for part in s.replace(".", ":").split(":"):
+        if not (part.isascii() and part.isdigit()):
+            raise MalformedSeparator(
+                f"malformed digit sequence {text!r}",
+                ParseDiagnostic(line, col, "expected a base-60 digit", part),
+            )
+        sig = part.lstrip("0") or "0"
+        if len(sig) > 2 or int(sig) > 59:
+            raise DigitOutOfRange(
+                f"digit {sig} outside 0..59",
+                ParseDiagnostic(line, col, "digit outside 0..59", part),
+            )
+        digits.append(int(sig))
+        col += len(part) + 1
+    return FloatingNumber(digits)
 
 
 def digits_of(v: int) -> tuple[int, ...]:

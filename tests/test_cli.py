@@ -155,6 +155,17 @@ class TestExitCodes:
         assert "has no exact square root" in err
         assert len(err.encode()) < 200
 
+    def test_recip_trace_is_refused_past_its_bound(self, capsys):
+        # 1:1:...:1 has no factor 2, 3 or 5: at the bound the peel runs and
+        # finds it irregular; one digit more is refused before the peel
+        ones = ":".join(["1"] * cli.MAX_TRACE_DIGITS)
+        code, out, err = run_cli(capsys, "recip", ones, "--trace")
+        assert code == EXIT_ARITH and out == "" and "without reciprocal" in err
+        with mock.patch.object(cli.recip, "reciprocal", side_effect=AssertionError):
+            code, out, err = run_cli(capsys, "recip", ones + ":1", "--trace")
+        assert (code, out) == (EXIT_ARITH, "")
+        assert err == "error: recip --trace takes at most 1000 digits, not 1001\n"
+
     def test_parse_error_exits_2(self, capsys):
         assert run_cli(capsys, "mul", "1:75", "2")[0] == EXIT_USAGE
 
@@ -443,6 +454,22 @@ class TestRunAndCheck:
             "un: ERROR line 4: configuration 'c1' does not anchor given 'b'",
             "1/3 tablets pass",
         ]
+
+    def test_repeated_configurations_and_anchors_are_refused(self, capsys, tmp_path):
+        head = 'tablet "{}"\ngiven-spvn a 2\nconfig A: a=e0\n'
+        (tmp_path / "c.tab").write_text(head.format("c") + "config A: a=e1\n")
+        (tmp_path / "g.tab").write_text(head.format("g") + "config B: a=e0, a=e5\n")
+        code, out, err = run_cli(capsys, "check", str(tmp_path))
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "c: ERROR line 4: duplicate configuration 'A'",
+            "g: ERROR line 4: given 'a' anchored twice",
+            "0/2 tablets pass",
+        ]
+        code, out, err = run_cli(capsys, "run", str(tmp_path / "c.tab"), "--config", "A")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: line 4: duplicate configuration 'A'\n"
+        )
 
     def test_check_empty_dir_warns(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", str(tmp_path))

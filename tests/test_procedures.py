@@ -124,6 +124,34 @@ class TestParseScript:
         assert str(e.value) == f"line 3: unexpected token {token!r}"
         assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == token
 
+    def test_duplicate_configuration_refused(self):
+        text = 'tablet "t"\ngiven-spvn a 2\nconfig A: a=e0\nconfig A: a=e1\n'
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == "line 4: duplicate configuration 'A'"
+        assert e.value.diagnostic.line == 4 and e.value.diagnostic.token == "A"
+
+    def test_given_anchored_twice_refused(self):
+        text = 'tablet "t"\ngiven-spvn a 2\nconfig A: a=e0, a=e5\n'
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == "line 3: given 'a' anchored twice"
+        assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "a=e5"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lf_crlf_and_cr_end_lines(self, newline):
+        text = newline.join(['tablet "t"', "given-spvn a 2", "step mul a a expect 4 as b", ""])
+        assert parse_script(text).steps[0].expect == fn("4")
+        with pytest.raises(UnknownName, match="^line 3: undefined name 'c'$"):
+            parse_script(text.replace("mul a a", "mul a c"))
+
+    @pytest.mark.parametrize("other", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_no_other_character_ends_a_line(self, other):
+        # str.splitlines would cut the comment on line 2 in two
+        text = f'tablet "t"\n# page{other}break\ngiven-spvn a 2\nstep mul a b\n'
+        with pytest.raises(UnknownName, match="^line 4: undefined name 'b'$"):
+            parse_script(text)
+
     def test_window_quotes_are_optional(self):
         head = 'tablet "t"\ngiven-spvn a 2\nanswer a L window '
         plain = parse_script(head + '"1 ninda..3 ninda"\n')
@@ -159,6 +187,9 @@ class TestTokenizer:
             ("\tx\r\ny ", ["x", "y"]),
             ("a # one\nb", ["a", "b"]),
             ("é'ü' ''", ["éü", ""]),
+            ("a\xa0b", ["a\xa0b"]),
+            ("a\x1fb", ["a\x1fb"]),
+            ("a\x0bb", ["a\x0bb"]),
         ],
     )
     def test_tokens(self, text, tokens):
@@ -183,7 +214,12 @@ class TestTokenizer:
         assert _split_outcome(_shlex_split, text) == f"ValueError: {message}"
 
     @settings(deadline=None, max_examples=2000)
-    @given(st.text(alphabet="ab1:. \t\r\"'\\#é", max_size=24))
+    @given(
+        st.text(
+            alphabet="ab1:. \t\r\"'\\#é\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000",
+            max_size=24,
+        )
+    )
     def test_matches_shlex(self, text):
         assert _split_outcome(_split_line, text) == _split_outcome(_shlex_split, text)
 
@@ -493,3 +529,11 @@ class TestRunFile:
         with pytest.raises(ScriptSyntax) as e:
             run_file(path)
         assert e.value.diagnostic.line == 3
+
+    def test_not_utf8_counts_universal_newlines(self, tmp_path):
+        # CR ends line 1; the form feed and NEL (U+0085) end no line
+        path = tmp_path / "cr.tab"
+        path.write_bytes(b'tablet "t"\r\x0c\xc2\x85# caf\xe9\r')
+        with pytest.raises(ScriptSyntax) as e:
+            run_file(path)
+        assert e.value.diagnostic.line == 2

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from mesomath.errors import (
 )
 from mesomath.spvn import FloatingNumber
 from mesomath.textio import parse_anchored, parse_measurement, parse_spvn, parse_window
+from oracles import parse_spvn_by_parts
 
 
 class TestParseSpvn:
@@ -47,6 +50,61 @@ class TestParseSpvn:
     def test_negative(self):
         with pytest.raises(MalformedSeparator):
             parse_spvn("-5")
+
+    @pytest.mark.parametrize(
+        "text, cls, column, token",
+        [
+            (" \t", EmptyInput, 1, " \t"),
+            ("1:0059.2a:3", MalformedSeparator, 8, "2a"),
+            ("1:0059.060:3", DigitOutOfRange, 8, "060"),
+        ],
+    )
+    def test_refusal_names_the_first_bad_part(self, text, cls, column, token):
+        with pytest.raises(cls) as e:
+            parse_spvn(text, line=4)
+        d = e.value.diagnostic
+        assert (d.line, d.column, d.token) == (4, column, token)
+
+    @given(
+        st.text(alphabet="0159:. \t-a٣", max_size=16)
+        | st.lists(st.integers(0, 99).map(str), min_size=1, max_size=5).map(":".join)
+        | st.lists(st.sampled_from(["0", "00", "5", "59", "60", "075", "0" * 700 + "7"]),
+                   min_size=1, max_size=4).map(".".join)
+    )
+    def test_matches_the_part_by_part_reading(self, text):
+        def outcome(parse):
+            try:
+                return parse(text, 3)
+            except SexagesimalError as e:
+                return type(e), str(e), e.diagnostic
+
+        assert outcome(parse_spvn) == outcome(parse_spvn_by_parts)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["00:" * 200 + "x", "05:" * 200 + "60", "0:" * 100 + "00." * 100 + "0a", "0" * 5000 + "x"],
+        ids=["zero-parts", "five-parts", "mixed-separators", "one-long-part"],
+    )
+    def test_refused_long_tokens_fail_fast(self, text):
+        # in a child process with a time limit, so that a match that
+        # backtracks through every split of the parts fails the test
+        # instead of hanging the suite
+        code = (
+            "import sys\n"
+            "from mesomath.textio import parse_spvn\n"
+            "try:\n"
+            "    parse_spvn(sys.stdin.read(), 3)\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, e.diagnostic.column, e.diagnostic.token)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=text, capture_output=True,
+            text=True, check=True, timeout=30,
+        )
+        with pytest.raises(SexagesimalError) as e:
+            parse_spvn_by_parts(text, 3)
+        d = e.value.diagnostic
+        assert out.stdout.split() == [type(e.value).__name__, str(d.column), d.token]
 
 
 class TestFormatSpvn:
