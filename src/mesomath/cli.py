@@ -6,28 +6,34 @@ bytes.  Exit codes: 0 success, 1 corpus verification failure, 2 bad
 usage or unparsable input, 3 arithmetic error (no reciprocal, no root,
 no reading, operands too long, ...).
 
-Importing this module loads ``spvn``, ``recip`` and ``textio``.  The
-other layers are imported lazily: ``metrology`` only by ``table`` and
-``convert`` (and by ``textio`` when it parses a measurement),
-``procedures`` (with ``abacus``) only by ``run`` and ``check``, and
-``tables`` only by ``table`` and by the reciprocal peel, which reads the
-standard table from it.  So a one-line look-up such as
+Importing this module loads ``spvn``, ``recip`` and ``textio``, and not
+``argparse``.  The other layers are imported lazily: ``metrology`` only
+by ``table`` and ``convert`` (and by ``textio`` when it parses a
+measurement), ``procedures`` (with ``abacus``) only by ``run`` and
+``check``, and ``tables`` only by ``table`` and by the reciprocal peel,
+which reads the standard table from it.  So a one-line look-up such as
 ``mesomath recip 7:30`` or ``mesomath mul 20 20`` loads neither the
 replay nor the metrology layer.
+
+``run FILE [--config C]``, the command that replays a tablet, is read
+by ``_read_run`` without argparse; argparse reads every other command
+line, prints help and usage errors, and is imported on its first use.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from . import recip, spvn, textio
 from .errors import ParseError, SexagesimalError, TraceTooLong
 from .recip import FactorStrategy
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import procedures
 
 #: The unit systems' names, as ``sorted(metrology.SYSTEMS)`` gives them;
@@ -53,8 +59,42 @@ _ARITH = {
 }
 
 
+def _span(s: str) -> int:
+    """``--span``'s value, read as an exponent: an optional '-', then ASCII digits."""
+    span = textio._exponent(s)
+    if span is None:
+        raise ValueError(s)
+    return span
+
+
+# argparse names the type in its refusal: "invalid int value: 'x'"
+_span.__name__ = "int"
+
+
+def _read_run(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argparse's namespace for ``run FILE [--config C]``, read without argparse.
+
+    Only ``run FILE``, ``run FILE --config C`` and ``run --config C FILE``
+    are read here, where neither FILE nor C starts with '-'; any other
+    command line gives None and is left to argparse.
+    """
+    if len(argv) == 2:
+        file, config = argv[1], None
+    elif len(argv) == 4 and argv[2] == "--config":
+        file, config = argv[1], argv[3]
+    elif len(argv) == 4 and argv[1] == "--config":
+        file, config = argv[3], argv[2]
+    else:
+        return None
+    if argv[0] != "run" or file[:1] == "-" or (config or "")[:1] == "-":
+        return None
+    return SimpleNamespace(command="run", file=file, config=config)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="mesomath",
         description="Exact floating base-60 arithmetic, tables, conversions, "
@@ -101,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("readings")
     c.add_argument("system", choices=_SYSTEMS)
     c.add_argument("number")
-    c.add_argument("--span", type=int, default=4)
+    c.add_argument("--span", type=_span, default=4)
 
     q = sub.add_parser("run", help="run one corpus file and print its trace")
     q.add_argument("file")
@@ -219,7 +259,7 @@ def _repl() -> int:
     return EXIT_OK
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
     cmd = args.command
 
     if cmd in _ARITH:
@@ -247,9 +287,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                 tables.gen_reciprocal_table(), args.format
             )
         elif args.table_kind == "mult":
+            head = textio.parse_spvn(args.head)
+            # its widest product is the head times 50
+            spvn.check_product("mul", head, spvn.FloatingNumber((tables.MULTIPLIERS[-1],)))
             out = tables.format_multiplication_table(
-                tables.gen_multiplication_table(textio.parse_spvn(args.head)),
-                args.format,
+                tables.gen_multiplication_table(head), args.format
             )
         elif args.table_kind == "squares":
             out = tables.format_squares_table(args.format)
@@ -291,18 +333,25 @@ def _dispatch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The argument parser is built on the first call and reused for every
-    later call in the same process; importing this module builds none.
+    ``argv`` defaults to ``sys.argv[1:]``.  A plain ``run FILE [--config
+    C]`` is read by ``_read_run``; any other command line, help included,
+    goes to the argparse parser, which is built (and argparse imported)
+    on the first such call and reused for every later one in the same
+    process; importing this module builds none.
     argparse looks up ``sys.stdout`` and ``sys.stderr`` only when it
     prints, so redirected or captured streams still receive its output.
     """
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_run(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _dispatch(args)
     except ParseError as e:

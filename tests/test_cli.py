@@ -16,6 +16,7 @@ from mesomath.cli import EXIT_ARITH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from mesomath.errors import ParseError
 from mesomath.procedures import parse_script, shipped_corpus_dir
 from mesomath.recip import ElementaryTable, reciprocal
+from mesomath.tables import gen_multiplication_table
 from mesomath.textio import parse_spvn as fn
 from oracles import digits_of
 
@@ -336,6 +337,39 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "run", str(path))
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: line 3: unexpected token {tail.split()[0]!r}\n"
+
+    def test_mult_table_is_refused_past_the_product_bound(self, capsys):
+        # the table's widest product is the head times 50: a head of 9,999
+        # digits reaches the generator, one of 10,000 is refused before it
+        head = ":".join(["1"] * 9999)
+        small = gen_multiplication_table(fn("9"))
+        with mock.patch(
+            "mesomath.tables.gen_multiplication_table", return_value=small
+        ) as gen:
+            code, out, err = run_cli(capsys, "table", "mult", head)
+        assert (code, err) == (EXIT_OK, "") and out.splitlines()[6].split() == ["7", "1:3"]
+        assert len(gen.call_args.args[0]) == 9999
+        with mock.patch(
+            "mesomath.tables.gen_multiplication_table", side_effect=AssertionError
+        ):
+            code, out, err = run_cli(capsys, "table", "mult", head + ":1")
+        assert (code, out) == (EXIT_ARITH, "")
+        assert err == "error: operands of mul hold 10001 digits together, more than 10000\n"
+
+    @pytest.mark.parametrize("span", ["+2", "2_0", "٣", " 4", "4.0", "-"])
+    def test_span_reads_the_exponent_grammar(self, capsys, span):
+        code, out, err = run_cli(capsys, "convert", "readings", "L", "3", "--span", span)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: argument --span: invalid int value: {span!r}\n")
+
+    @pytest.mark.parametrize("span", ["-1", "0", "-0"])
+    def test_span_below_one_is_refused_after_reading(self, capsys, span):
+        code, out, err = run_cli(capsys, "convert", "readings", "L", "3", "--span", span)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: span must be at least 1\n")
+
+    def test_span_leading_zeros_are_insignificant(self, capsys):
+        argv = ("convert", "readings", "L", "3", "--span")
+        assert run_cli(capsys, *argv, "0" * 5000 + "2") == run_cli(capsys, *argv, "2")
 
     def test_degenerate_ranges_exit_2(self, capsys):
         assert run_cli(capsys, "convert", "readings", "L", "3", "--span", "0")[0] == EXIT_USAGE
@@ -661,7 +695,10 @@ _OTHER_COMMANDS = (
     ["table", "metro", _SYSTEM, "--from", _MEASUREMENT, "--to", _MEASUREMENT],
     ["convert", "to-spvn", _SYSTEM, _MEASUREMENT],
     ["convert", "from-spvn", _SYSTEM, _NUMBER, "--window", _WINDOW],
-    ["convert", "readings", _SYSTEM, _NUMBER, "--span", st.sampled_from(["-1", "0", "4", "x"])],
+    [
+        "convert", "readings", _SYSTEM, _NUMBER,
+        "--span", st.sampled_from(["-1", "0", "4", "x", "+2", "2_0", "٣"]),
+    ],
     ["repl"],
     [],
     ["bogus"],
@@ -708,3 +745,74 @@ class TestCliTotality:
             assert "FAIL" in out.splitlines() or any(
                 ": FAIL" in line or ": ERROR " in line for line in out.splitlines()
             ), (argv, out)
+
+
+#: tokens on which argparse and a hand-written reader could part ways
+_EDGES = (
+    ["--conf", "A"], ["--config=A"], ["-h"], ["--help"], ["--"], ["-"], [""],
+    ["--span", "-1"], ["-1"], ["--format"], ["--trace"], ["--window", "--span"],
+    ["--config", "--trace"], ["--from", "1 ninda"], ["--to", "--format"], ["Q"],
+    ["--strategy", "largest"], ["--format", "csv"], ["table"], ["run"],
+)
+
+
+@st.composite
+def _edge_argv(draw):
+    """A command line from the grammar, then edge tokens, repeats or reordering."""
+    argv = draw(_argv())
+    for _ in range(draw(st.integers(0, 3))):
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            i = draw(st.integers(0, len(argv)))
+            argv[i:i] = draw(st.sampled_from(_EDGES))
+        elif choice == 1:
+            # repeat an option with its value, or move options before positionals
+            i = draw(st.integers(0, max(0, len(argv) - 1)))
+            argv += argv[i:i + 2]
+        else:
+            k = 2 if argv[:1] in (["table"], ["convert"]) else 1
+            argv[k:] = draw(st.permutations(argv[k:]))
+    return argv
+
+
+def _argparse_fields(argv):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestRunReader:
+    """``_read_run`` gives argparse's namespace for a plain ``run``, or leaves the line to it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "f.tab"], ["run", ""], ["run", "f.tab", "--config", "A"],
+        ["run", "--config", "A", "f.tab"], ["run", "f.tab", "--config", ""],
+        ["run", "a b.tab", "--config", "run"],
+    ])
+    def test_reads_plain_run_lines(self, argv):
+        read = cli._read_run(argv)
+        assert read is not None and vars(read) == _argparse_fields(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["run"], ["run", "a", "b"], ["run", "--config", "A"], ["run", "f", "--config"],
+        ["run", "--config"], ["run", "f", "--conf", "A"], ["run", "f", "--config=A"],
+        ["run", "--", "f"], ["run", "-"], ["run", "-f"], ["run", "f", "-h"], ["run", "--help"],
+        ["run", "f", "--config", "A", "--config", "B"], ["run", "--config", "--config", "f"],
+        ["run", "f", "--config", "-A"], ["run", "f", "A", "--config"],
+        ["mul", "20", "20"], ["check", "f"], ["recip", "run"], ["bogus", "f", "--config", "A"],
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_run(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_edge_argv())
+    def test_agrees_with_argparse(self, argv):
+        read = cli._read_run(argv)
+        expected = _argparse_fields(argv)
+        if expected is None:
+            assert read is None, argv
+        else:
+            assert read is None or vars(read) == expected, argv

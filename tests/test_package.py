@@ -114,6 +114,18 @@ class TestLazyImports:
         )
         assert not new & {"dataclasses", "inspect"}
 
+    @pytest.mark.parametrize(("argv", "loaded"), [
+        (["run", str(shipped_corpus_dir() / "ybc4663-1.tab")], set()),
+        (["--help"], {"argparse", "gettext"}),
+    ])
+    def test_which_commands_load_argparse(self, argv, loaded):
+        # the command's own output is kept out of the module report
+        new = _new_modules(
+            "import contextlib, io\nfrom mesomath import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
+        )
+        assert new & {"argparse", "gettext"} == loaded
+
     def test_cli_system_names_are_metrologys(self):
         from mesomath import cli
 
