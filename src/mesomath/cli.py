@@ -169,25 +169,31 @@ def _print_trace(trace: procedures.Trace) -> None:
     lines = [f"tablet {trace.tablet}" + (
         f"  (configuration {trace.configuration})" if trace.configuration else ""
     )]
-    for r in trace.records:
-        line = f"  {r.kind:<6} {r.name:<12} {r.operation:<40} -> {r.computed}"
-        if r.expected is not None:
-            if r.scribal_note:
-                line += f"  [ok (tablet shows {r.attested}: scribal error)]"
+    passed = True
+    for kind, name, operation, computed, expected, matched, attested, fact in trace.records:
+        line = f"  {kind:<6} {name:<12} {operation:<40} -> {computed}"
+        if not matched:
+            passed = False
+        if expected is not None:
+            if not matched:
+                line += "  [MISMATCH]"
+            elif attested is not None and attested != expected:
+                line += f"  [ok (tablet shows {attested}: scribal error)]"
             else:
-                line += "  [ok]" if r.matched else "  [MISMATCH]"
+                line += "  [ok]"
         lines.append(line)
-        if r.factorization is not None:
-            facs = " ".join(map(str, r.factorization.factors))
-            lines.append(f"         factors: {facs}")
-    lines.append("PASS\n" if trace.passed else "FAIL\n")
+        if fact is not None:
+            lines.append(f"         factors: {' '.join(map(str, fact.factors))}")
+    lines.append("PASS\n" if passed else "FAIL\n")
     sys.stdout.write("\n".join(lines))
 
 
 def _cmd_check(directory: str | None) -> int:
     from . import procedures
 
-    summary = procedures.verify_corpus(directory or procedures.shipped_corpus_dir())
+    if directory is None:
+        directory = procedures.shipped_corpus_dir()
+    summary = procedures.verify_corpus(directory)
     for w in summary.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for rep in summary.reports:

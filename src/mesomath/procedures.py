@@ -17,6 +17,7 @@ notes it and the tablet still passes.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -150,6 +151,12 @@ def _unquote_segment(m: re.Match) -> str:
 def _split_line(raw: str) -> list[str]:
     if _NOT_PLAIN.search(raw) is None:
         return raw.split()
+    # A line whose only quoting is "..." without a backslash, and whose
+    # text outside the quotes is plain, alternates plain text and quoted
+    # text when cut at its quotes.
+    segs = raw.split('"')
+    if len(segs) % 2 and "\\" not in raw and _NOT_PLAIN.search("".join(segs[::2])) is None:
+        return _join_segments(segs)
     toks = []
     for word in _LEX.findall(raw):
         if word[0] == "#":
@@ -170,6 +177,28 @@ def _split_line(raw: str) -> list[str]:
     return toks
 
 
+def _join_segments(segs: list[str]) -> list[str]:
+    """The tokens of a line cut at its quotes: plain text at even places,
+    quoted text at odd ones.  Text with no whitespace between joins one
+    token, as ``a"b c"d`` is the token ``ab cd``."""
+    toks: list[str] = []
+    glue = False  # no whitespace since the last token
+    for i, seg in enumerate(segs):
+        if i % 2:
+            if glue:
+                toks[-1] += seg
+            else:
+                toks.append(seg)
+            glue = True
+        elif seg:
+            words = seg.split()
+            if glue and words and not seg[0].isspace():
+                toks[-1] += words.pop(0)
+            toks += words
+            glue = not seg[-1].isspace()
+    return toks
+
+
 def _syntax(line_no: int, msg: str, token: str = "") -> ScriptSyntax:
     return ScriptSyntax(
         f"line {line_no}: {msg}",
@@ -186,27 +215,14 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _parse_number_token(tok: str, line_no: int):
-    head, _, tail = tok.rpartition("e")
-    if head and not tok.startswith("e"):
-        exponent = textio._exponent(tail)
-        if exponent is not None:
-            return AnchoredNumber(textio.parse_spvn(head, line_no), exponent)
-    return textio.parse_spvn(tok, line_no)
-
-
 def parse_script(text: str) -> ProcedureScript:
     """Parse one corpus file; see the package README for the format."""
     tablet: str | None = None
     givens: list[Given] = []
-    configs: list[tuple[Configuration, int]] = []
+    configs: dict[str, tuple[Configuration, int]] = {}
     steps: list[Step] = []
     answers: list[Answer] = []
     defined: set[str] = set()
-
-    def require(name: str, what: str = "undefined name") -> None:
-        if name not in defined:
-            raise UnknownName(f"line {line_no}: {what} {name!r}")
 
     for line_no, raw in enumerate(_lines(text), start=1):
         try:
@@ -215,18 +231,44 @@ def parse_script(text: str) -> ProcedureScript:
             raise _syntax(line_no, f"bad quoting: {e}") from None
         if not toks:
             continue
-        kw, rest = toks[0], toks[1:]
+        kw = toks[0]
+        n = len(toks)
 
-        if kw == "tablet":
-            if len(rest) != 1:
+        # most lines are steps
+        if kw == "step":
+            if n < 2:
+                raise _syntax(line_no, "empty step")
+            op = toks[1]
+            if op not in _OPS:
+                raise UnknownOp(f"line {line_no}: unknown operation {op!r}")
+            arity = _OPS[op][0]
+            end = 2 + arity
+            args = tuple(toks[2:end])
+            if len(args) != arity:
+                raise _syntax(line_no, f"{op} takes {arity} operand name(s)")
+            for a in args:
+                if a not in defined:
+                    raise UnknownName(f"line {line_no}: undefined name {a!r}")
+            new_name = None
+            stop = n
+            if n - end >= 2 and toks[-2] == "as":
+                new_name = toks[-1]
+                stop -= 2
+            expect, attested = _expect_tail(toks, end, stop, line_no, anchored_ok=True)
+            steps.append(Step(op, args, expect, attested, new_name, line_no))
+            if new_name:
+                defined.add(new_name)
+
+        elif kw == "tablet":
+            if n != 2:
                 raise _syntax(line_no, "tablet takes one quoted id")
-            tablet = rest[0]
+            tablet = toks[1]
 
         elif kw == "given":
-            if len(rest) < 5:
+            if n < 6:
                 raise _syntax(line_no, 'given needs: <table> <name> "<measurement>" expect <number>')
-            system, name, meas_text = rest[0], rest[1], rest[2]
-            expect, attested = _parse_expect_tail(rest[3:], line_no, anchored_ok=False)
+            system, name, meas_text = toks[1], toks[2], toks[3]
+            expect, attested = _expect_tail(toks, 4, n, line_no, anchored_ok=False)
             if expect is None:
                 raise _syntax(line_no, "given needs an expect value")
             m = textio.parse_measurement(meas_text, system, line_no)
@@ -234,78 +276,61 @@ def parse_script(text: str) -> ProcedureScript:
             defined.add(name)
 
         elif kw == "given-spvn":
-            if len(rest) != 2:
+            if n != 3:
                 raise _syntax(line_no, "given-spvn needs: <name> <number>")
-            name, num = rest
-            givens.append(Given(name, textio.parse_spvn(num, line_no), None, None, line_no))
+            name = toks[1]
+            givens.append(Given(name, textio.parse_spvn(toks[2], line_no), None, None, line_no))
             defined.add(name)
 
         elif kw == "config":
-            if not rest or not rest[0].endswith(":"):
+            if n < 2 or not toks[1].endswith(":"):
                 raise _syntax(line_no, "config needs: <name>: given=e<int>, ...")
-            cname = rest[0][:-1]
-            if any(c.name == cname for c, _ in configs):
+            cname = toks[1][:-1]
+            if cname in configs:
                 raise _syntax(line_no, f"duplicate configuration {cname!r}", cname)
             exps: dict[str, int] = {}
-            for item in rest[1:]:
+            for item in islice(toks, 2, None):
                 item = item.rstrip(",")
                 if not item:
                     continue
                 gname, _, etext = item.partition("=")
                 if not gname or not etext.startswith("e"):
                     raise _syntax(line_no, f"bad anchor {item!r}", item)
-                require(gname, "configuration anchors unknown given")
+                if gname not in defined:
+                    raise UnknownName(
+                        f"line {line_no}: configuration anchors unknown given {gname!r}"
+                    )
                 if gname in exps:
                     raise _syntax(line_no, f"given {gname!r} anchored twice", item)
                 exponent = textio._exponent(etext[1:])
                 if exponent is None:
                     raise _syntax(line_no, f"bad exponent {etext!r}", item)
                 exps[gname] = exponent
-            configs.append((Configuration(cname, exps), line_no))
-
-        elif kw == "step":
-            if not rest:
-                raise _syntax(line_no, "empty step")
-            op = rest[0]
-            if op not in _OPS:
-                raise UnknownOp(f"line {line_no}: unknown operation {op!r}")
-            arity = _OPS[op][0]
-            args = tuple(rest[1 : 1 + arity])
-            if len(args) != arity:
-                raise _syntax(line_no, f"{op} takes {arity} operand name(s)")
-            for a in args:
-                require(a)
-            tail = list(rest[1 + arity :])
-            new_name = None
-            if len(tail) >= 2 and tail[-2] == "as":
-                new_name = tail[-1]
-                tail = tail[:-2]
-            expect, attested = _parse_expect_tail(tail, line_no, anchored_ok=True)
-            steps.append(Step(op, args, expect, attested, new_name, line_no))
-            if new_name:
-                defined.add(new_name)
+            configs[cname] = (Configuration(cname, exps), line_no)
 
         elif kw == "answer":
-            if not rest:
+            if n < 2:
                 raise _syntax(line_no, "answer needs a name")
-            name = rest[0]
-            require(name)
-            if len(rest) == 1:
+            name = toks[1]
+            if name not in defined:
+                raise UnknownName(f"line {line_no}: undefined name {name!r}")
+            if n == 2:
                 answers.append(Answer(name, None, None, line_no))
             else:
-                if len(rest) < 4 or rest[2] != "window":
+                if n < 5 or toks[3] != "window":
                     raise _syntax(
                         line_no,
                         'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"',
                     )
-                system, tail = rest[1], rest[4:]
-                window = textio.parse_window(rest[3], system, line_no)
+                system = toks[2]
+                window = textio.parse_window(toks[4], system, line_no)
                 expect_m = None
-                if len(tail) >= 2 and tail[0] == "expect":
-                    expect_m = textio.parse_measurement(tail[1], system, line_no)
-                    tail = tail[2:]
-                if tail:
-                    raise _syntax(line_no, f"unexpected token {tail[0]!r}", tail[0])
+                i = 5
+                if n - i >= 2 and toks[i] == "expect":
+                    expect_m = textio.parse_measurement(toks[i + 1], system, line_no)
+                    i += 2
+                if i < n:
+                    raise _syntax(line_no, f"unexpected token {toks[i]!r}", toks[i])
                 answers.append(Answer(name, window, expect_m, line_no))
 
         else:
@@ -313,7 +338,7 @@ def parse_script(text: str) -> ProcedureScript:
 
     if tablet is None:
         raise _syntax(1, "missing tablet directive")
-    for conf, conf_line in configs:
+    for conf, conf_line in configs.values():
         unanchored = [g.name for g in givens if g.name not in conf.exponents]
         if unanchored:
             msg = f"configuration {conf.name!r} does not anchor given {unanchored[0]!r}"
@@ -321,28 +346,44 @@ def parse_script(text: str) -> ProcedureScript:
     return ProcedureScript(
         tablet=tablet,
         givens=tuple(givens),
-        configurations=tuple(c for c, _ in configs),
+        configurations=tuple(c for c, _ in configs.values()),
         steps=tuple(steps),
         answers=tuple(answers),
     )
 
 
-def _parse_expect_tail(tail, line_no, anchored_ok):
+def _expect_tail(toks, i, end, line_no, anchored_ok):
+    """The expect and attested numbers of ``toks[i:end]``, or None each.
+
+    A number token is anchored ("6:30e-1") when it holds an 'e' with
+    digits before it and an exponent after the last one; otherwise it is
+    a plain digit sequence.
+    """
     expect = attested = None
-    i = 0
-    while i < len(tail):
-        if tail[i] == "expect" and i + 1 < len(tail):
-            expect = _parse_number_token(tail[i + 1], line_no)
-            i += 2
-        elif tail[i] == "attested" and i + 1 < len(tail):
-            attested = _parse_number_token(tail[i + 1], line_no)
+    while i < end:
+        key = toks[i]
+        if i + 1 < end and (key == "expect" or key == "attested"):
+            tok = toks[i + 1]
+            value = None
+            if "e" in tok:
+                head, _, tail = tok.rpartition("e")
+                if head and tok[0] != "e":
+                    exponent = textio._exponent(tail)
+                    if exponent is not None:
+                        value = AnchoredNumber(textio.parse_spvn(head, line_no), exponent)
+            if value is None:
+                value = textio.parse_spvn(tok, line_no)
+            if key == "expect":
+                expect = value
+            else:
+                attested = value
             i += 2
         else:
-            raise _syntax(line_no, f"unexpected token {tail[i]!r}", tail[i])
-    if not anchored_ok:
-        for v in (expect, attested):
-            if isinstance(v, AnchoredNumber):
-                raise _syntax(line_no, "givens expect plain digit sequences")
+            raise _syntax(line_no, f"unexpected token {key!r}", key)
+    if not anchored_ok and (
+        isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber)
+    ):
+        raise _syntax(line_no, "givens expect plain digit sequences")
     return expect, attested
 
 
@@ -406,75 +447,56 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
         if conf is not None:
             value = AnchoredNumber(computed, conf.exponent_for(g.name))
         scope[g.name] = value
-        records.append(
-            TraceRecord(
-                kind="given",
-                name=g.name,
-                operation=op,
-                computed=value,
-                expected=g.expect,
-                matched=_matches(computed, g.expect),
-                attested=g.attested,
-            )
-        )
+        records.append(TraceRecord(
+            "given", g.name, op, value, g.expect, _matches(computed, g.expect), g.attested
+        ))
 
+    # Without a configuration every value is floating, with one every
+    # value is anchored; so the step loop knows each operand's type.
     for s in script.steps:
-        _, floating, anchored = _OPS[s.op]
+        op = s.op
+        _, floating, anchored = _OPS[op]
         form = floating if conf is None else anchored
         if form is None:
             raise MissingConfig(
-                f"{script.tablet}: step {s.op} at line {s.line} needs a configuration"
+                f"{script.tablet}: step {op} at line {s.line} needs a configuration"
             )
         operands = [scope[a] for a in s.args]
         try:
-            spvn.check_product(s.op, *map(_digits_of, operands))
+            if conf is None:
+                spvn.check_product(op, *operands)
+            else:
+                spvn.check_product(op, *[x.digits for x in operands])
             result, fact = form(*operands)
         except SexagesimalError as e:
             raise type(e)(
-                f"{script.tablet}: step {s.op} at line {s.line}: {e}", e.diagnostic
+                f"{script.tablet}: step {op} at line {s.line}: {e}", e.diagnostic
             ) from e
         if s.name:
             scope[s.name] = result
-        records.append(
-            TraceRecord(
-                kind="step",
-                name=s.name or s.op,
-                operation=f"{s.op} {' '.join(s.args)}",
-                computed=result,
-                expected=s.expect,
-                matched=_matches(result, s.expect),
-                attested=s.attested,
-                factorization=fact,
-            )
-        )
+        expected = s.expect
+        if expected is None:
+            matched = True
+        elif isinstance(expected, AnchoredNumber):
+            matched = conf is not None and result == expected
+        else:
+            matched = (result if conf is None else result.digits) == expected
+        records.append(TraceRecord(
+            "step", s.name or op, f"{op} {' '.join(s.args)}", result, expected,
+            matched, s.attested, fact,
+        ))
 
     for a in script.answers:
         value = scope[a.name]
-        digits = _digits_of(value)
         if a.window is None:
-            records.append(
-                TraceRecord(
-                    kind="answer",
-                    name=a.name,
-                    operation="final",
-                    computed=value,
-                    expected=None,
-                    matched=True,
-                )
-            )
+            records.append(TraceRecord("answer", a.name, "final", value, None, True))
             continue
         system = a.window.lo.system
-        reading = metrology.from_number(digits, system, a.window)
-        records.append(
-            TraceRecord(
-                kind="answer",
-                name=a.name,
-                operation=f"read table {system} within {a.window}",
-                computed=reading,
-                expected=a.expect,
-                matched=a.expect is None or reading == a.expect,
-            )
-        )
+        reading = metrology.from_number(_digits_of(value), system, a.window)
+        records.append(TraceRecord(
+            "answer", a.name, f"read table {system} within {a.window}", reading,
+            a.expect, a.expect is None or reading == a.expect,
+        ))
 
     return Trace(
         tablet=script.tablet, configuration=config, records=tuple(records)
@@ -505,7 +527,8 @@ class CorpusSummary(NamedTuple):
 
 
 def _read_script(path: str | Path) -> ProcedureScript:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         return parse_script(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -542,6 +565,8 @@ def verify_corpus(directory: str | Path) -> CorpusSummary:
     aggregation order never depends on the filesystem.  A ``directory``
     that is not one raises :class:`OSError`.
     """
+    if directory == "":  # Path("") would name the working directory
+        raise NotADirectoryError("not a directory: ''")
     directory = Path(directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")

@@ -14,14 +14,17 @@ representative is never divisible by 60, and :func:`to_integer` /
 bijection is the oracle bridge the test suite leans on.
 
 A :class:`FloatingNumber` holds both sides of the bridge in two slots,
-``_digits`` and ``_int``, so neither is ever recomputed.  There are two
+``_digits`` and ``_int``, so neither is ever recomputed.  There are three
 ways to build one.  The public constructor takes digits from outside:
-it validates each one, strips the zeros at both ends and folds the
-representative in a single pass.  :func:`from_integer` takes a
+it validates each one, then :func:`_fold` strips the zeros at both ends
+and folds the representative.  :func:`from_integer` takes a
 representative: it strips the factors of 60, converts to digits and
 fills the two slots directly, since digits made that way are in range by
 construction.  :func:`mul` and everything built on it go through
-:func:`from_integer`.
+:func:`from_integer`.  :func:`mesomath.textio.parse_spvn` takes a token
+whose regular expression has already bounded every part to 0..59, reads
+the parts' values and fills the two slots from :func:`_fold`, with no
+second check.
 
 Both directions work five digits at a time, so a long integer is divided
 or multiplied once per group rather than once per digit.  60**5 is below
@@ -69,9 +72,6 @@ class FloatingNumber:
 
     def __init__(self, digits: Iterable[int]):
         ds = []
-        # v holds the digits folded so far in whole groups, c the n
-        # digits of the group being filled.
-        v = c = n = 0
         for d in digits:
             try:
                 d = index(d)
@@ -79,21 +79,8 @@ class FloatingNumber:
                 raise DigitOutOfRange(f"digit {d!r} is not an integer") from None
             if not 0 <= d < BASE:
                 raise DigitOutOfRange(f"digit {d} outside 0..59")
-            if ds or d:
-                ds.append(d)
-                c = c * BASE + d
-                n += 1
-                if n == _GROUP:
-                    v = v * _CHUNK + c
-                    c = n = 0
-        if not ds:
-            raise AllZero("a digit sequence must contain a nonzero digit")
-        v = v * BASE**n + c if v else c
-        while not ds[-1]:
-            ds.pop()
-            v //= BASE
-        self._digits = tuple(ds)
-        self._int = v
+            ds.append(d)
+        self._digits, self._int = _fold(ds)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -121,6 +108,40 @@ class FloatingNumber:
 
     def __repr__(self) -> str:
         return f"FloatingNumber({str(self)!r})"
+
+
+def _fold(ds: list[int]) -> tuple[tuple[int, ...], int]:
+    """The digits ``ds``, all in 0..59, normalized, and their representative.
+
+    The zeros at both ends are stripped; a list with no nonzero digit
+    raises :class:`AllZero`.  The first group holds one to five digits
+    and every later group five, so the whole integer is multiplied once
+    per group, never once per digit.
+    """
+    if not (ds and ds[0] and ds[-1]):
+        end = len(ds)
+        while end and not ds[end - 1]:
+            end -= 1
+        if not end:
+            raise AllZero("a digit sequence must contain a nonzero digit")
+        start = 0
+        while not ds[start]:
+            start += 1
+        ds = ds[start:end]
+    v = 0
+    n = len(ds)
+    if n <= _GROUP:
+        for d in ds:
+            v = v * BASE + d
+        return tuple(ds), v
+    k = n % _GROUP or _GROUP
+    for d in ds[:k]:
+        v = v * BASE + d
+    for i in range(k, n, _GROUP):
+        a, b, c, d, e = ds[i : i + _GROUP]
+        c = (((a * BASE + b) * BASE + c) * BASE + d) * BASE + e
+        v = v * _CHUNK + c
+    return tuple(ds), v
 
 
 class SimplerOrdering(enum.Enum):
@@ -209,7 +230,10 @@ def check_product(op: str, *operands: FloatingNumber) -> None:
     """
     weight = _PRODUCT_OPS.get(op)
     if weight:
-        total = weight * sum(map(len, operands))
+        total = 0
+        for x in operands:
+            total += len(x._digits)
+        total *= weight
         if total > MAX_PRODUCT_DIGITS:
             raise ProductTooLong(
                 f"operands of {op} hold {total} digits together,"

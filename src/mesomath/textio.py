@@ -6,10 +6,16 @@ is accepted as well, since both separators circulate.  Unit names are
 accepted in their UTF-8 spellings and in ASCII aliases (kush, shu-si,
 she, ...).
 
-A fraction token ("1/2", "2/4" or the glyph "½") is read straight into
-the twelfths of its unit that :class:`~mesomath.metrology.Term` keeps:
-``12 * num`` divided by ``den`` must leave no remainder and land in the
-allowed set, so no ``Fraction`` is built.
+A number token is built from its match: the regular expression that
+accepts it bounds every part to 0..59, so its digits and its canonical
+integer are filled in with no second check.
+
+A measurement token is looked up once as a unit name, and read as a
+count or a fraction only when it is none.  A fraction token ("1/2",
+"2/4" or the glyph "½") is read straight into the twelfths of its unit
+that :class:`~mesomath.metrology.Term` keeps: ``12 * num`` divided by
+``den`` must leave no remainder and land in the allowed set, so no
+``Fraction`` is built.
 
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
@@ -40,7 +46,7 @@ from .errors import (
     UnitOrderViolation,
     UnknownUnit,
 )
-from .spvn import FloatingNumber
+from .spvn import BASE, FloatingNumber, _fold
 
 if TYPE_CHECKING:
     from . import metrology
@@ -91,15 +97,31 @@ def _exponent(s: str) -> int | None:
 _SPVN = re.compile(r"(?:0*[1-5]?[0-9][:.])*0*[1-5]?[0-9]")
 
 
+#: The value of each part written without extra leading zeros: "0" to
+#: "59", and "00" to "09".
+_PART = {str(d): d for d in range(BASE)} | {f"0{d}": d for d in range(10)}
+
+
 def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
-    """Parse a digit sequence like "44:26:40" (or "44.26.40")."""
+    """Parse a digit sequence like "44:26:40" (or "44.26.40").
+
+    A token that ``_SPVN`` matches is built from its parts with no second
+    check: the match has bounded every part to 0..59.
+    """
     s = text.strip()
     if _SPVN.fullmatch(s) is None:
         raise _spvn_refusal(text, s, line)
-    # a matched part is zeros and then at most two digits, so its value
-    # sits in its last two characters; int() never sees the zeros, which
-    # it would count against its digit limit
-    return FloatingNumber([int(p[-2:]) for p in s.replace(".", ":").split(":")])
+    parts = s.replace(".", ":").split(":")
+    try:
+        ds = list(map(_PART.__getitem__, parts))
+    except KeyError:
+        # a part with extra leading zeros has its value in its last two
+        # characters; int() never sees the zeros, which it would count
+        # against its digit limit
+        ds = [int(p[-2:]) for p in parts]
+    x = object.__new__(FloatingNumber)
+    x._digits, x._int = _fold(ds)
+    return x
 
 
 def _spvn_refusal(text: str, s: str, line: int) -> ParseError:
@@ -174,10 +196,14 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
     """Parse "1/2 kush 3 shu-si" and friends for the given unit system.
 
     Grammar: one or more groups of [count] [fraction] unit, units in
-    strictly descending order, counts positive.
+    strictly descending order, counts positive.  Each token is looked
+    up once: as a unit name, then as a count, and only a token that is
+    neither is read as a fraction.
     """
     metrology = _pkg.metrology
     system = metrology.get_system(system_kind)
+    positions = system._positions
+    units = system.units
     toks = text.split()
     if not toks:
         raise EmptyInput(
@@ -188,7 +214,17 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
     frac: int | None = None
     col = 1
     for tok in toks:
-        if _ascii_digits(tok):
+        idx = positions.get(tok)
+        if idx is not None:
+            if whole is None and frac is None:
+                raise MeasurementSyntax(
+                    f"unit {tok!r} has no count",
+                    _diag(col, "missing count before unit", tok, line),
+                )
+            terms.append(metrology.Term(units[idx].name, whole or 0, frac or 0))
+            whole = None
+            frac = None
+        elif tok.isascii() and tok.isdigit():
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
                     f"expected a unit before {tok!r}",
@@ -202,30 +238,17 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
                 )
         else:
             f = _parse_fraction_token(tok, system, col, line)
-            if f is not None:
-                if frac is not None:
-                    raise MeasurementSyntax(
-                        f"two fractions in a row at {tok!r}",
-                        _diag(col, "two fractions in a row", tok, line),
-                    )
-                frac = f
-            else:
-                try:
-                    unit = system.unit(tok)
-                except UnknownUnit as e:
-                    raise UnknownUnit(
-                        str(e), _diag(col, "unknown unit", tok, line)
-                    ) from None
-                if whole is None and frac is None:
-                    raise MeasurementSyntax(
-                        f"unit {tok!r} has no count",
-                        _diag(col, "missing count before unit", tok, line),
-                    )
-                terms.append(
-                    metrology.Term(unit.name, whole or 0, frac or 0)
+            if f is None:
+                raise UnknownUnit(
+                    f"unknown unit {tok!r} in system {system.kind}",
+                    _diag(col, "unknown unit", tok, line),
                 )
-                whole = None
-                frac = None
+            if frac is not None:
+                raise MeasurementSyntax(
+                    f"two fractions in a row at {tok!r}",
+                    _diag(col, "two fractions in a row", tok, line),
+                )
+            frac = f
         col += len(tok) + 1
     if whole is not None or frac is not None:
         raise MeasurementSyntax(

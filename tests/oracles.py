@@ -3,13 +3,30 @@
 Each one is written straight from the rule it checks, on digits or on
 ``Fraction``, with no shortcut the library takes; none is used by the
 library itself.  The speller is the search the library's one-pass
-spelling replaced: it backtracks, so it needs no rule on the units.
+spelling replaced: it backtracks, so it needs no rule on the units.  The
+two parsers are the library's own, as they read a token before they
+were made faster.
 """
 
 from fractions import Fraction
 
-from mesomath.errors import DigitOutOfRange, EmptyInput, MalformedSeparator, ParseDiagnostic
-from mesomath.metrology import MeasurementValue, Term, UnitSystem
+from mesomath.errors import (
+    BadFraction,
+    DigitOutOfRange,
+    EmptyInput,
+    MalformedSeparator,
+    MeasurementSyntax,
+    ParseDiagnostic,
+    UnitOrderViolation,
+    UnknownUnit,
+)
+from mesomath.metrology import (
+    ALLOWED_FRACTIONS,
+    MeasurementValue,
+    Term,
+    UnitSystem,
+    get_system,
+)
 from mesomath.spvn import FloatingNumber
 
 
@@ -66,6 +83,102 @@ def parse_spvn_by_parts(text: str, line: int = 1) -> FloatingNumber:
         digits.append(int(sig))
         col += len(part) + 1
     return FloatingNumber(digits)
+
+
+_FRACTION_GLYPHS = {"½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10}
+
+
+def _count(s: str) -> int | None:
+    """The ASCII digits ``s`` as an integer, None past int()'s digit limit."""
+    try:
+        return int(s.lstrip("0") or "0")
+    except ValueError:
+        return None
+
+
+def _fraction_by_text(tok: str, kind: str, col: int, line: int) -> int | None:
+    if tok in _FRACTION_GLYPHS:
+        return _FRACTION_GLYPHS[tok]
+    if "/" not in tok:
+        return None
+    num, _, den = tok.partition("/")
+    n = _count(num) if num.isascii() and num.isdigit() else None
+    d = _count(den) if den.isascii() and den.isdigit() else None
+    if n is None or not d:
+        raise BadFraction(
+            f"bad fraction {tok!r}",
+            ParseDiagnostic(line, col, "fraction must look like 1/3", tok),
+        )
+    f, r = divmod(12 * n, d)
+    if r or f not in ALLOWED_FRACTIONS:
+        raise BadFraction(
+            f"fraction {tok} is not used in system {kind}",
+            ParseDiagnostic(line, col, "fraction not in the allowed set", tok),
+        )
+    return f
+
+
+def parse_measurement_by_kinds(text: str, system_kind: str, line: int = 1) -> MeasurementValue:
+    """``textio.parse_measurement`` as it read a token before it looked
+    units up first: as a count, then as a fraction, then as a unit.  The
+    same value, or the same error class, message, column and token."""
+    system = get_system(system_kind)
+    toks = text.split()
+    if not toks:
+        raise EmptyInput(
+            "empty measurement", ParseDiagnostic(line, 1, "empty measurement", text)
+        )
+    terms = []
+    whole = frac = None
+    col = 1
+    for tok in toks:
+        if tok.isascii() and tok.isdigit():
+            if whole is not None or frac is not None:
+                raise MeasurementSyntax(
+                    f"expected a unit before {tok!r}",
+                    ParseDiagnostic(line, col, "two counts in a row", tok),
+                )
+            whole = _count(tok)
+            if whole is None:
+                raise MeasurementSyntax(
+                    "count has too many digits",
+                    ParseDiagnostic(line, col, "count too long", tok),
+                )
+        else:
+            f = _fraction_by_text(tok, system.kind, col, line)
+            if f is not None:
+                if frac is not None:
+                    raise MeasurementSyntax(
+                        f"two fractions in a row at {tok!r}",
+                        ParseDiagnostic(line, col, "two fractions in a row", tok),
+                    )
+                frac = f
+            else:
+                try:
+                    unit = system.unit(tok)
+                except UnknownUnit as e:
+                    raise UnknownUnit(
+                        str(e), ParseDiagnostic(line, col, "unknown unit", tok)
+                    ) from None
+                if whole is None and frac is None:
+                    raise MeasurementSyntax(
+                        f"unit {tok!r} has no count",
+                        ParseDiagnostic(line, col, "missing count before unit", tok),
+                    )
+                terms.append(Term(unit.name, whole or 0, frac or 0))
+                whole = frac = None
+        col += len(tok) + 1
+    if whole is not None or frac is not None:
+        raise MeasurementSyntax(
+            f"dangling count at end of {text!r}",
+            ParseDiagnostic(line, col, "count without a unit", toks[-1]),
+        )
+    try:
+        return MeasurementValue(system.kind, tuple(terms))
+    except UnitOrderViolation as e:
+        raise UnitOrderViolation(
+            str(e), ParseDiagnostic(line, 1, str(e), text)
+        ) from None
 
 
 def digits_of(v: int) -> tuple[int, ...]:

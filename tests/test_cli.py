@@ -525,6 +525,19 @@ class TestRunAndCheck:
     def test_run_missing_file(self, capsys):
         assert run_cli(capsys, "run", "/nonexistent.tab")[0] == EXIT_USAGE
 
+    def test_check_empty_path_exits_2(self, capsys):
+        # an empty argument names no directory; only an absent one means
+        # the shipped corpus
+        assert run_cli(capsys, "check", "") == (
+            EXIT_USAGE, "", "error: not a directory: ''\n"
+        )
+
+    @pytest.mark.parametrize("path", ["", "./missing/../x.tab"])
+    def test_run_echoes_the_path_as_typed(self, capsys, path):
+        assert run_cli(capsys, "run", path) == (
+            EXIT_USAGE, "", f"error: [Errno 2] No such file or directory: {path!r}\n"
+        )
+
 
 class TestRunCheckPin:
     """Every byte and exit code of ``run`` and ``check`` on the shipped corpus.

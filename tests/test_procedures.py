@@ -1,4 +1,5 @@
 import shlex
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,20 @@ class TestParseScript:
             parse_script(text)
         assert str(e.value) == "line 4: duplicate configuration 'A'"
         assert e.value.diagnostic.line == 4 and e.value.diagnostic.token == "A"
+
+    def test_many_configurations_parse_in_linear_time(self):
+        # a repeated name is found in a dict; scanning every earlier
+        # configuration made 20,000 of them take minutes
+        text = 'tablet "t"\ngiven-spvn a 2\n' + "".join(
+            f"config c{i}: a=e{i % 7}\n" for i in range(20_000)
+        )
+        start = time.perf_counter()
+        script = parse_script(text)
+        assert time.perf_counter() - start < 5
+        assert [c.name for c in script.configurations[:2]] == ["c0", "c1"]
+        assert len(script.configurations) == 20_000
+        with pytest.raises(ScriptSyntax, match="^line 20003: duplicate configuration 'c17'$"):
+            parse_script(text + "config c17: a=e0\n")
 
     def test_given_anchored_twice_refused(self):
         text = 'tablet "t"\ngiven-spvn a 2\nconfig A: a=e0, a=e5\n'

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mesomath.errors import (
     BadFraction,
@@ -15,9 +15,10 @@ from mesomath.errors import (
     UnitOrderViolation,
     UnknownUnit,
 )
+from mesomath.metrology import SYSTEMS
 from mesomath.spvn import FloatingNumber
 from mesomath.textio import parse_anchored, parse_measurement, parse_spvn, parse_window
-from oracles import parse_spvn_by_parts
+from oracles import parse_measurement_by_kinds, parse_spvn_by_parts
 
 
 class TestParseSpvn:
@@ -150,6 +151,47 @@ class TestAnchoredLiterals:
         assert str(parse_anchored(f"6:30e-{zeros}1")) == "6:30e-1"
 
 
+#: Measurement tokens of every kind: the unit names and ASCII aliases of
+#: all five systems (so some are foreign to the system read), fraction
+#: glyphs, n/d fractions allowed or not, counts with leading zeros, and
+#: junk that is none of these.
+_UNIT_NAMES = sorted(
+    {n for s in SYSTEMS.values() for u in s.units for n in (u.name, *u.aliases)}
+)
+_COUNTS = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 3), st.integers(0, 400))
+_FRACTIONS = (
+    st.sampled_from(["½", "⅓", "⅔", "¼", "⅙", "⅚"])
+    | st.sampled_from(["1/2", "2/3", "1/3", "1/4", "1/6", "5/6", "2/4", "4/6", "02/004"])
+    | st.builds("{}/{}".format, st.integers(0, 13), st.integers(0, 13))
+)
+_JUNK = st.sampled_from(
+    ["", "/", "1/", "/2", "a/2", "01/02", "1//2", "x", "1kush", "٣", "½½", "-1", "1.5"]
+)
+_MEASUREMENT_TOKENS = st.sampled_from(_UNIT_NAMES) | _COUNTS | _FRACTIONS | _JUNK
+
+
+@st.composite
+def _measurement_tokens(draw, kind: str) -> list[str]:
+    """Tokens in any order; groups of [count] [fraction] unit, mostly in
+    the units of ``kind``; or a well-formed measurement of ``kind``."""
+    units = SYSTEMS[kind].units
+    shape = draw(st.sampled_from(["tokens", "groups", "well-formed"]))
+    if shape == "tokens":
+        return draw(st.lists(_MEASUREMENT_TOKENS, max_size=7))
+    toks = []
+    if shape == "groups":
+        own = sorted(n for u in units for n in (u.name, *u.aliases))
+        for _ in range(draw(st.integers(1, 4))):
+            toks += [draw(st.none() | _COUNTS), draw(st.none() | _FRACTIONS),
+                     draw(st.sampled_from(own) | st.sampled_from(_UNIT_NAMES))]
+    else:
+        for i in sorted(draw(st.sets(st.integers(0, len(units) - 1), min_size=1))):
+            toks += [str(draw(st.integers(1, 59))),
+                     draw(st.none() | st.sampled_from(["1/2", "⅓", "05/06"])),
+                     draw(st.sampled_from((units[i].name, *units[i].aliases)))]
+    return [t for t in toks if t is not None]
+
+
 class TestParseMeasurement:
     def test_fraction_then_unit_then_term(self):
         m = parse_measurement("1/2 kush 3 shu-si", "L")
@@ -205,6 +247,19 @@ class TestParseMeasurement:
     def test_wrong_system_unit(self):
         with pytest.raises(UnknownUnit):
             parse_measurement("3 ninda", "W")
+
+    @settings(deadline=None, max_examples=1000)
+    @given(st.data(), st.sampled_from(sorted(SYSTEMS)), st.sampled_from([" ", "  ", "\t", " \n "]))
+    def test_matches_the_token_by_kind_reading(self, data, kind, sep):
+        text = sep.join(data.draw(_measurement_tokens(kind)))
+
+        def outcome(parse):
+            try:
+                return parse(text, kind, 5)
+            except SexagesimalError as e:
+                return type(e), str(e), e.diagnostic
+
+        assert outcome(parse_measurement) == outcome(parse_measurement_by_kinds)
 
 
 class TestParseWindow:
