@@ -145,6 +145,14 @@ class UnitSystem(_Record):
                 f"system {kind}: the denominator of base {base}"
                 f" does not divide {BASE}"
             )
+        # measurements are split on whitespace, and CSV rows are not quoted
+        for u in units:
+            for n in (u.name, *u.aliases):
+                if n.split() != [n] or "," in n or '"' in n:
+                    raise ValueError(
+                        f"system {kind}: unit name {n!r} is empty or holds"
+                        " whitespace, a comma or a double quote"
+                    )
         for u in units[:-1]:
             for f in u.spelling_fractions:
                 if f * u.size % 12:
@@ -602,8 +610,8 @@ def gen_metrological_table(
 
 
 def format_metrological_table(table: MetrologicalTable, fmt: str = "text") -> str:
-    from .tables import _csv_text, format_two_columns
-
     if fmt == "csv":
-        return _csv_text(("measurement", "number"), table.texts)
+        return "measurement,number\n" + "".join([f"{m},{n}\n" for m, n in table.texts])
+    from .tables import format_two_columns
+
     return format_two_columns(table.texts)

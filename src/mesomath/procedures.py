@@ -432,7 +432,10 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
     allowed; without one the run stays floating, and any add/sub step
     raises :class:`MissingConfig`.
     """
-    conf = script.configuration(config) if config is not None else None
+    return _run(script, script.configuration(config) if config is not None else None)
+
+
+def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
     scope: dict[str, object] = {}
     records: list[TraceRecord] = []
 
@@ -499,7 +502,9 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
         ))
 
     return Trace(
-        tablet=script.tablet, configuration=config, records=tuple(records)
+        tablet=script.tablet,
+        configuration=conf.name if conf is not None else None,
+        records=tuple(records),
     )
 
 
@@ -578,8 +583,7 @@ def verify_corpus(directory: str | Path) -> CorpusSummary:
     for path in paths:
         try:
             script = _read_script(path)
-            names = [c.name for c in script.configurations] or [None]
-            traces = tuple(run(script, c) for c in names)
+            traces = tuple(_run(script, c) for c in script.configurations or [None])
             reports.append(
                 TabletReport(path, script.tablet, traces, error=_divergence(traces))
             )

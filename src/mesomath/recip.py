@@ -98,11 +98,6 @@ class ElementaryTable:
     def __len__(self) -> int:
         return len(self._pairs)
 
-    def reciprocal_of(self, n: FloatingNumber) -> FloatingNumber:
-        if n not in self:
-            raise KeyError(f"{n} is not in the table")
-        return self._by_rep[to_integer(n)][1]
-
 
 @cache
 def _standard_table() -> ElementaryTable:

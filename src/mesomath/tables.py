@@ -3,12 +3,14 @@
 The standard reciprocal table, multiplication tables, squares and root
 tables, and the ordered list a student worked through.  Everything is a
 pure generator over the spvn core, so outputs are deterministic and the
-text/CSV emitters are diff-stable.
+text/CSV emitters are diff-stable.  Each CSV row, here and in
+``metrology``, is one f-string with no ``csv`` module: digits, integers,
+fraction names and unit names (which ``UnitSystem`` holds free of
+whitespace, commas and quotes) hold no character that needs quoting.
 """
 
 from __future__ import annotations
 
-import io
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -134,33 +136,21 @@ def curriculum() -> tuple[CurriculumEntry, ...]:
 def format_two_columns(rows: Sequence[tuple[str, str]]) -> str:
     if not rows:
         return ""
-    width = max(len(a) for a, _ in rows)
-    return "\n".join(f"{a.ljust(width)}  {b}" for a, b in rows) + "\n"
-
-
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    # imported here, by its only user: every reciprocal loads this module
-    # for the standard table, and only ``--format csv`` writes CSV
-    import csv
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    width = max([len(a) for a, _ in rows])
+    return "".join([f"{a.ljust(width)}  {b}\n" for a, b in rows])
 
 
 def format_reciprocal_table(table: ElementaryTable, fmt: str = "text") -> str:
     if fmt == "csv":
-        return _csv_text(("entry", "reciprocal"), ((str(e), str(r)) for e, r in table.pairs))
+        return "entry,reciprocal\n" + "".join([f"{e},{r}\n" for e, r in table.pairs])
     return format_two_columns([(str(e), str(r)) for e, r in table.pairs])
 
 
 def format_multiplication_table(t: MultiplicationTable, fmt: str = "text") -> str:
     if fmt == "csv":
-        return _csv_text(
-            ("head", "multiplier", "product"),
-            ((str(t.head), m, str(p)) for m, p in t.rows),
+        head = str(t.head)
+        return "head,multiplier,product\n" + "".join(
+            [f"{head},{m},{p}\n" for m, p in t.rows]
         )
     return format_two_columns([(str(m), str(p)) for m, p in t.rows])
 
@@ -168,5 +158,5 @@ def format_multiplication_table(t: MultiplicationTable, fmt: str = "text") -> st
 def format_squares_table(fmt: str = "text") -> str:
     rows = gen_squares_table()
     if fmt == "csv":
-        return _csv_text(("n", "square"), ((n, str(s)) for n, s in rows))
+        return "n,square\n" + "".join([f"{n},{s}\n" for n, s in rows])
     return format_two_columns([(str(n), str(s)) for n, s in rows])

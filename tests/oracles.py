@@ -5,9 +5,12 @@ Each one is written straight from the rule it checks, on digits or on
 library itself.  The speller is the search the library's one-pass
 spelling replaced: it backtracks, so it needs no rule on the units.  The
 two parsers are the library's own, as they read a token before they
-were made faster.
+were made faster, and the two table writers are the library's own, as
+they wrote a table through ``csv.writer`` and a generator.
 """
 
+import csv
+import io
 from fractions import Fraction
 
 from mesomath.errors import (
@@ -301,3 +304,20 @@ def spell(system: UnitSystem, t: int) -> MeasurementValue | None:
     if terms is None:
         return None
     return MeasurementValue(system.kind, tuple(terms))
+
+
+def csv_text(header: tuple[str, ...], rows) -> str:
+    """A CSV table as ``csv.writer`` writes it, one LF after each row."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def two_columns(rows) -> str:
+    """Two text columns, the first padded to its widest entry."""
+    if not rows:
+        return ""
+    width = max(len(a) for a, _ in rows)
+    return "\n".join(f"{a.ljust(width)}  {b}" for a, b in rows) + "\n"

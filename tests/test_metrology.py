@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from mesomath.metrology import (
     SYSTEMS,
     AnchorHint,
     MeasurementValue,
+    MetrologicalTable,
     Term,
     Unit,
     UnitSystem,
@@ -348,6 +350,27 @@ class TestFullLadders:
         assert len(t) == rows
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @staticmethod
+    def _check_emitter(t):
+        assert format_metrological_table(t) == oracles.two_columns(t.texts)
+        assert format_metrological_table(t, "csv") == oracles.csv_text(
+            ("measurement", "number"), t.texts
+        )
+
+    @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
+    def test_emitter_matches_the_oracles(self, system):
+        t = full_ladder(system)
+        for i, j in ((0, len(t)), (0, 0), (len(t), len(t)), (7, 7)):
+            self._check_emitter(MetrologicalTable(system, t.rows[i:j], t.texts[i:j]))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(FULL_LADDERS)), st.data())
+    def test_drawn_slices_match_the_oracles(self, system, data):
+        t = full_ladder(system)
+        i = data.draw(st.integers(0, len(t)))
+        j = data.draw(st.integers(i, len(t)))
+        self._check_emitter(MetrologicalTable(system, t.rows[i:j], t.texts[i:j]))
+
     @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
     def test_rows_ascending_and_canonical(self, system):
         # every row is the canonical spelling of its own magnitude, so a
@@ -625,6 +648,15 @@ def test_system_bases_divide_sixty():
         assert UnitSystem(s.kind, s.units, s.base, s.anchor_offset) == s
     with pytest.raises(ValueError, match="system X"):
         UnitSystem("X", get_system("L").units, Fraction(1, 7))
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", "a\tb", "a\nb", "a\u00a0b", "a,b", 'a"b'])
+@pytest.mark.parametrize("alias", [False, True])
+def test_unit_names_split_and_write_as_one_field(name, alias):
+    # parse_measurement splits on whitespace, and CSV rows are not quoted
+    unit = Unit("big", 5, (), (name,)) if alias else Unit(name, 5, ())
+    with pytest.raises(ValueError, match=f"^system X: unit name {re.escape(repr(name))} is empty"):
+        UnitSystem("X", (unit, Unit("small", 1, ())), Fraction(1))
 
 
 def test_unit_rule_refuses_a_fraction_between_smallest_units():

@@ -97,12 +97,20 @@ class TestLazyImports:
         }
 
     def test_recip_command_loads_no_csv(self):
-        # the peel loads tables for the standard table; only --format csv
-        # writes CSV
+        # the peel loads tables for the standard table, and no table
+        # writes its CSV through the csv module
         new = _new_modules(
             "from mesomath import cli; assert cli.main(['recip', '7:30']) == 0"
         )
         assert "mesomath.tables" in new and "csv" not in new
+        new = _new_modules(
+            "import contextlib, io\nfrom mesomath import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['table', 'recip'], ['table', 'mult', '9'],"
+            " ['table', 'metro', 'L', '--from', '1 shu-si', '--to', '2 kush']):\n"
+            "        assert cli.main(argv + ['--format', 'csv']) == 0"
+        )
+        assert "mesomath.metrology" in new and "csv" not in new
 
     @pytest.mark.parametrize("argv", [
         ["run", str(shipped_corpus_dir() / "ybc4663-1.tab")],

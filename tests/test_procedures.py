@@ -532,6 +532,20 @@ class TestVerifyCorpus:
         assert summary.passed
         assert summary.warnings
 
+    def test_many_configurations_verify_in_linear_time(self, tmp_path):
+        # each configuration is replayed as parsed; looking each one up
+        # by name scanned the tuple and made 16,000 of them take 8 s
+        (tmp_path / "t.tab").write_text(
+            'tablet "t"\ngiven-spvn a 2\nstep mul a a expect 4 as b\n'
+            + "".join(f"config c{i}: a=e{i % 7}\n" for i in range(16_000))
+        )
+        start = time.perf_counter()
+        summary = verify_corpus(tmp_path)
+        assert time.perf_counter() - start < 2
+        (report,) = summary.reports
+        assert summary.passed and len(report.traces) == 16_000
+        assert [t.configuration for t in report.traces[:2]] == ["c0", "c1"]
+
 
 class TestRunFile:
     def test_run_file(self):

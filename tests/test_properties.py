@@ -172,7 +172,7 @@ def _reference_reciprocal(n, strategy, table):
     factors.append(cur)
     answer = ONE
     for f in factors:
-        answer = mul(answer, table.reciprocal_of(f))
+        answer = mul(answer, reciprocal(f, table=table)[0])
     return answer, tuple(factors)
 
 
@@ -260,7 +260,7 @@ def test_factorization_records_the_reciprocal_column(which, strategy, n):
         r, fact = reciprocal(n, strategy, table)
     except NoProgress:
         return  # where the variant table stalls is checked above
-    recs = tuple(table.reciprocal_of(f) for f in fact.factors)
+    recs = tuple(reciprocal(f, table=table)[0] for f in fact.factors)
     assert recip.factor_reciprocals(fact) == recs
     # bottom up: the last factor's reciprocal, then each partial product
     chain = list(accumulate(reversed(recs), mul))

@@ -1,8 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mesomath.spvn import from_integer, mul, to_integer
+from mesomath.recip import reciprocal
+from mesomath.spvn import FloatingNumber, from_integer, mul, to_integer
 from mesomath.tables import (
     MULTIPLIERS,
     curriculum,
@@ -17,6 +19,7 @@ from mesomath.tables import (
     multiplication_heads,
 )
 from mesomath.textio import parse_spvn as fn
+import oracles
 
 # The standard table, all 27 clauses in tablet order.
 STANDARD_PAIRS = [
@@ -45,11 +48,11 @@ class TestReciprocalTable:
         [("27", "2:13:20"), ("1", "1"), ("1:4", "56:15"), ("1:21", "44:26:40")],
     )
     def test_lookup(self, entry, want):
-        assert gen_reciprocal_table().reciprocal_of(fn(entry)) == fn(want)
+        assert reciprocal(fn(entry), table=gen_reciprocal_table())[0] == fn(want)
 
     def test_lookup_reverse(self):
         # the pair list reads in both directions: 1:15 points back to 48
-        assert gen_reciprocal_table().reciprocal_of(fn("1:15")) == fn("48")
+        assert reciprocal(fn("1:15"), table=gen_reciprocal_table())[0] == fn("48")
 
 
 class TestMultiplicationTable:
@@ -145,6 +148,42 @@ class TestEmitters:
         assert lines[0] == "head,multiplier,product"
         assert "9,7,1:3" in lines
         assert "9,20,3" in lines
+
+
+class TestEmittersMatchOracles:
+    # each emitter against csv.writer and the generator-padded columns
+
+    def test_reciprocal_table(self):
+        t = gen_reciprocal_table()
+        rows = [(str(e), str(r)) for e, r in t.pairs]
+        assert format_reciprocal_table(t) == oracles.two_columns(rows)
+        assert format_reciprocal_table(t, "csv") == oracles.csv_text(("entry", "reciprocal"), rows)
+
+    @staticmethod
+    def _check_mult(head):
+        t = gen_multiplication_table(head)
+        assert format_multiplication_table(t) == oracles.two_columns(
+            [(str(m), str(p)) for m, p in t.rows]
+        )
+        assert format_multiplication_table(t, "csv") == oracles.csv_text(
+            ("head", "multiplier", "product"), [(str(head), m, str(p)) for m, p in t.rows]
+        )
+
+    def test_every_head(self):
+        for head in multiplication_heads():
+            self._check_mult(head)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(0, 59), min_size=1, max_size=60).filter(any))
+    def test_drawn_heads(self, digits):
+        self._check_mult(FloatingNumber(digits))
+
+    def test_squares(self):
+        rows = gen_squares_table()
+        assert format_squares_table() == oracles.two_columns([(str(n), str(s)) for n, s in rows])
+        assert format_squares_table("csv") == oracles.csv_text(
+            ("n", "square"), [(n, str(s)) for n, s in rows]
+        )
 
 
 def test_curriculum_tables_pinned():
