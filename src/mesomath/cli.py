@@ -61,7 +61,7 @@ _ARITH = {
 
 def _span(s: str) -> int:
     """``--span``'s value, read as an exponent: an optional '-', then ASCII digits."""
-    span = textio._exponent(s)
+    span = textio.read_exponent(s)
     if span is None:
         raise ValueError(s)
     return span
@@ -169,22 +169,20 @@ def _print_trace(trace: procedures.Trace) -> None:
     lines = [f"tablet {trace.tablet}" + (
         f"  (configuration {trace.configuration})" if trace.configuration else ""
     )]
-    passed = True
-    for kind, name, operation, computed, expected, matched, attested, fact in trace.records:
+    for record in trace.records:
+        kind, name, operation, computed, expected, matched, attested, fact = record
         line = f"  {kind:<6} {name:<12} {operation:<40} -> {computed}"
-        if not matched:
-            passed = False
         if expected is not None:
             if not matched:
                 line += "  [MISMATCH]"
-            elif attested is not None and attested != expected:
+            elif record.scribal_note:
                 line += f"  [ok (tablet shows {attested}: scribal error)]"
             else:
                 line += "  [ok]"
         lines.append(line)
         if fact is not None:
             lines.append(f"         factors: {' '.join(map(str, fact.factors))}")
-    lines.append("PASS\n" if passed else "FAIL\n")
+    lines.append("PASS\n" if trace.passed else "FAIL\n")
     sys.stdout.write("\n".join(lines))
 
 

@@ -262,6 +262,8 @@ def parse_script(text: str) -> ProcedureScript:
         elif kw == "tablet":
             if n != 2:
                 raise _syntax(line_no, "tablet takes one quoted id")
+            if tablet is not None:
+                raise _syntax(line_no, "duplicate tablet directive", toks[1])
             tablet = toks[1]
 
         elif kw == "given":
@@ -302,7 +304,7 @@ def parse_script(text: str) -> ProcedureScript:
                     )
                 if gname in exps:
                     raise _syntax(line_no, f"given {gname!r} anchored twice", item)
-                exponent = textio._exponent(etext[1:])
+                exponent = textio.read_exponent(etext[1:])
                 if exponent is None:
                     raise _syntax(line_no, f"bad exponent {etext!r}", item)
                 exps[gname] = exponent
@@ -353,33 +355,20 @@ def parse_script(text: str) -> ProcedureScript:
 
 
 def _expect_tail(toks, i, end, line_no, anchored_ok):
-    """The expect and attested numbers of ``toks[i:end]``, or None each.
-
-    A number token is anchored ("6:30e-1") when it holds an 'e' with
-    digits before it and an exponent after the last one; otherwise it is
-    a plain digit sequence.
-    """
+    """The expect and attested numbers of ``toks[i:end]``, or None each."""
     expect = attested = None
     while i < end:
         key = toks[i]
-        if i + 1 < end and (key == "expect" or key == "attested"):
-            tok = toks[i + 1]
-            value = None
-            if "e" in tok:
-                head, _, tail = tok.rpartition("e")
-                if head and tok[0] != "e":
-                    exponent = textio._exponent(tail)
-                    if exponent is not None:
-                        value = AnchoredNumber(textio.parse_spvn(head, line_no), exponent)
-            if value is None:
-                value = textio.parse_spvn(tok, line_no)
-            if key == "expect":
-                expect = value
-            else:
-                attested = value
-            i += 2
-        else:
+        if i + 1 == end or key != "expect" and key != "attested":
             raise _syntax(line_no, f"unexpected token {key!r}", key)
+        if (expect if key == "expect" else attested) is not None:
+            raise _syntax(line_no, f"duplicate {key!r}", key)
+        value = textio.parse_number(toks[i + 1], line_no)
+        if key == "expect":
+            expect = value
+        else:
+            attested = value
+        i += 2
     if not anchored_ok and (
         isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber)
     ):
@@ -395,6 +384,8 @@ def _digits_of(v) -> FloatingNumber:
 
 
 def _matches(computed, expected) -> bool:
+    """Whether ``computed`` shows ``expected``: an anchored expectation
+    needs the anchored value, any other the digits (or the reading)."""
     if expected is None:
         return True
     if isinstance(expected, AnchoredNumber):
@@ -477,28 +468,20 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
             ) from e
         if s.name:
             scope[s.name] = result
-        expected = s.expect
-        if expected is None:
-            matched = True
-        elif isinstance(expected, AnchoredNumber):
-            matched = conf is not None and result == expected
-        else:
-            matched = (result if conf is None else result.digits) == expected
         records.append(TraceRecord(
-            "step", s.name or op, f"{op} {' '.join(s.args)}", result, expected,
-            matched, s.attested, fact,
+            "step", s.name or op, f"{op} {' '.join(s.args)}", result, s.expect,
+            _matches(result, s.expect), s.attested, fact,
         ))
 
     for a in script.answers:
-        value = scope[a.name]
-        if a.window is None:
-            records.append(TraceRecord("answer", a.name, "final", value, None, True))
-            continue
-        system = a.window.lo.system
-        reading = metrology.from_number(_digits_of(value), system, a.window)
+        computed = scope[a.name]
+        op = "final"
+        if a.window is not None:
+            system = a.window.lo.system
+            computed = metrology.from_number(_digits_of(computed), system, a.window)
+            op = f"read table {system} within {a.window}"
         records.append(TraceRecord(
-            "answer", a.name, f"read table {system} within {a.window}", reading,
-            a.expect, a.expect is None or reading == a.expect,
+            "answer", a.name, op, computed, a.expect, _matches(computed, a.expect)
         ))
 
     return Trace(

@@ -22,10 +22,11 @@ a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
 arbitrary text.
 
 Importing this module loads ``re``, ``spvn`` and ``errors`` only.  The
-measurement parsers reach ``metrology``, and :func:`parse_anchored`
-reaches ``abacus``, through the package, whose lazy loader imports each
-layer on first use and binds it as a package attribute; so parsing a
-number never loads them, and no call runs an import statement.
+measurement parsers reach ``metrology``, and :func:`parse_number`
+reaches ``abacus`` for an anchored literal, through the package, whose
+lazy loader imports each layer on first use and binds it as a package
+attribute; so parsing a number never loads them, and no call runs an
+import statement.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _decimal(s: str) -> int | None:
         return None
 
 
-def _exponent(s: str) -> int | None:
+def read_exponent(s: str) -> int | None:
     """The power of sixty ``s`` names, or None if ``s`` names none.
 
     The grammar is an optional '-', then ASCII digits; leading zeros are
@@ -147,16 +148,22 @@ def _spvn_refusal(text: str, s: str, line: int) -> ParseError:
     raise AssertionError(f"{text!r} is a well-formed digit sequence")
 
 
-def parse_anchored(text: str, line: int = 1) -> AnchoredNumber:
-    """Parse "<digits>e<exponent>", e.g. "6:30e-1"."""
+def parse_number(text: str, line: int = 1) -> FloatingNumber | AnchoredNumber:
+    """Parse a digit sequence like "44:26:40", or "<digits>e<exponent>" like "6:30e-1".
+
+    A token with no 'e' is a digit sequence; one with an 'e' is an
+    anchored literal, its exponent after the last 'e'.
+    """
+    if "e" not in text:
+        return parse_spvn(text, line)
     s = text.strip()
-    head, sep, tail = s.rpartition("e")
-    if not sep or not head:
+    head, _, tail = s.rpartition("e")
+    if not head:
         raise MalformedSeparator(
             f"anchored literal needs digits and exponent: {text!r}",
             _diag(1, "expected <digits>e<exponent>", s, line),
         )
-    exponent = _exponent(tail)
+    exponent = read_exponent(tail)
     if exponent is None:
         raise MalformedSeparator(
             f"bad exponent in {text!r}",

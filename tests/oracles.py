@@ -5,14 +5,17 @@ Each one is written straight from the rule it checks, on digits or on
 library itself.  The speller is the search the library's one-pass
 spelling replaced: it backtracks, so it needs no rule on the units.  The
 two parsers are the library's own, as they read a token before they
-were made faster, and the two table writers are the library's own, as
-they wrote a table through ``csv.writer`` and a generator.
+were made faster; the number rule is the one corpus files read an
+``expect`` or ``attested`` token by before ``textio.parse_number``; and
+the two table writers are the library's own, as they wrote a table
+through ``csv.writer`` and a generator.
 """
 
 import csv
 import io
 from fractions import Fraction
 
+from mesomath.abacus import AnchoredNumber
 from mesomath.errors import (
     BadFraction,
     DigitOutOfRange,
@@ -86,6 +89,22 @@ def parse_spvn_by_parts(text: str, line: int = 1) -> FloatingNumber:
         digits.append(int(sig))
         col += len(part) + 1
     return FloatingNumber(digits)
+
+
+def expect_number_by_rule(tok: str, line: int = 1) -> FloatingNumber | AnchoredNumber:
+    """An ``expect`` or ``attested`` token read as corpus files read it
+    before ``textio.parse_number``: anchored when it holds an 'e' with
+    digits before it and, after the last 'e', an optional '-' and ASCII
+    digits; otherwise a digit sequence, which refuses any 'e'."""
+    if "e" in tok:
+        head, _, tail = tok.rpartition("e")
+        digits = tail[1:] if tail.startswith("-") else tail
+        if head and tok[0] != "e" and digits.isascii() and digits.isdigit():
+            exponent = int(digits.lstrip("0") or "0")
+            if tail[0] == "-":
+                exponent = -exponent
+            return AnchoredNumber(parse_spvn_by_parts(head, line), exponent)
+    return parse_spvn_by_parts(tok, line)
 
 
 _FRACTION_GLYPHS = {"½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10}

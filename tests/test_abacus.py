@@ -17,7 +17,7 @@ from mesomath.abacus import (
 from mesomath.errors import AnchorGap, NegativeResult, NotASquare, ZeroResult
 from mesomath.recip import reciprocal
 from mesomath.spvn import FloatingNumber, mul
-from mesomath.textio import parse_anchored as an, parse_spvn as fn
+from mesomath.textio import parse_number as an, parse_spvn as fn
 
 
 digit_seqs = st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any)

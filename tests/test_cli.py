@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mesomath import cli
 from mesomath.cli import EXIT_ARITH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from mesomath.errors import ParseError
-from mesomath.procedures import parse_script, shipped_corpus_dir
+from mesomath.procedures import parse_script, run, shipped_corpus_dir
 from mesomath.recip import ElementaryTable, reciprocal
 from mesomath.tables import gen_multiplication_table
 from mesomath.textio import parse_spvn as fn
@@ -504,6 +504,54 @@ class TestRunAndCheck:
         assert (code, out, err) == (
             EXIT_USAGE, "", "error: line 4: duplicate configuration 'A'\n"
         )
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("6:30e", "bad exponent in '6:30e'"),
+            ("6:30e1_0", "bad exponent in '6:30e1_0'"),
+            ("e3", "anchored literal needs digits and exponent: 'e3'"),
+        ],
+    )
+    def test_bad_anchored_literal_is_refused(self, capsys, tmp_path, token, message):
+        (tmp_path / "x.tab").write_text(
+            f'tablet "x"\ngiven-spvn a 2\nstep recip a expect {token} as r\n'
+        )
+        assert run_cli(capsys, "run", str(tmp_path / "x.tab")) == (
+            EXIT_USAGE, "", f"error: {message}\n"
+        )
+        assert run_cli(capsys, "check", str(tmp_path)) == (
+            EXIT_VERIFY, f"x: ERROR {message}\n0/1 tablets pass\n", ""
+        )
+
+    def test_repeated_expect_is_refused(self, capsys, tmp_path):
+        # the second value used to win: 30, the right reciprocal of 2, was
+        # reported as a mismatch
+        path = tmp_path / "x.tab"
+        path.write_text('tablet "x"\ngiven-spvn a 2\nstep recip a expect 30 expect 7 as r\n')
+        assert run_cli(capsys, "run", str(path)) == (
+            EXIT_USAGE, "", "error: line 3: duplicate 'expect'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "path", sorted(shipped_corpus_dir().glob("*.tab")), ids=lambda p: p.name
+    )
+    def test_run_agrees_with_check(self, capsys, path):
+        # run prints PASS exactly when the trace passes, and tags as many
+        # scribal errors over the tablet's configurations as check counts
+        script = parse_script(path.read_text(encoding="utf-8"))
+        notes = 0
+        for config in [c.name for c in script.configurations] or [None]:
+            argv = ("run", str(path)) + (("--config", config) if config else ())
+            code, out, _ = run_cli(capsys, *argv)
+            passed = run(script, config).passed
+            assert out.splitlines()[-1] == ("PASS" if passed else "FAIL")
+            assert code == (EXIT_OK if passed else EXIT_VERIFY)
+            notes += out.count("scribal error")
+        _, out, _ = run_cli(capsys, "check", str(path.parent))
+        line = next(x for x in out.splitlines() if x.startswith(f"{script.tablet}: "))
+        counted = line.partition(" scribal-notes=")[2]
+        assert int(counted or 0) == notes
 
     def test_check_empty_dir_warns(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", str(tmp_path))

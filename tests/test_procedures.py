@@ -153,6 +153,31 @@ class TestParseScript:
         assert str(e.value) == "line 3: given 'a' anchored twice"
         assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "a=e5"
 
+    @pytest.mark.parametrize("key", ["expect", "attested"])
+    def test_key_repeated_on_a_line_refused(self, key):
+        # the later value used to win, so "expect 30 expect 7" judged 30 wrong
+        text = f'tablet "t"\ngiven-spvn a 2\nstep recip a {key} 30 {key} 7 as r\n'
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == f"line 3: duplicate {key!r}"
+        assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == key
+        with pytest.raises(ScriptSyntax, match=f"^line 2: duplicate {key!r}$"):
+            parse_script(f'tablet "t"\ngiven L a "1 ninda" expect 1 {key} 1 {key} 2\n')
+
+    def test_second_tablet_directive_refused(self):
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script('tablet "t"\ngiven-spvn a 2\ntablet "u"\n')
+        assert str(e.value) == "line 3: duplicate tablet directive"
+        assert e.value.diagnostic.line == 3 and e.value.diagnostic.token == "u"
+
+    def test_quoted_number_is_stripped(self):
+        # the corpus rule refused whitespace after an exponent; the number
+        # reader strips the token first, as it does a digit sequence
+        tail = 'given-spvn a 12\nconfig A: a=e2\nstep half a expect {} as h\n'
+        quoted = parse_script('tablet "t"\n' + tail.format('"6e2 "'))
+        assert quoted.steps == parse_script('tablet "t"\n' + tail.format("6e2")).steps
+        assert run(quoted, "A").passed
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_lf_crlf_and_cr_end_lines(self, newline):
         text = newline.join(['tablet "t"', "given-spvn a 2", "step mul a a expect 4 as b", ""])

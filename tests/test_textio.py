@@ -11,14 +11,15 @@ from mesomath.errors import (
     EmptyInput,
     MalformedSeparator,
     MeasurementSyntax,
+    ParseError,
     SexagesimalError,
     UnitOrderViolation,
     UnknownUnit,
 )
 from mesomath.metrology import SYSTEMS
 from mesomath.spvn import FloatingNumber
-from mesomath.textio import parse_anchored, parse_measurement, parse_spvn, parse_window
-from oracles import parse_measurement_by_kinds, parse_spvn_by_parts
+from mesomath.textio import parse_measurement, parse_number, parse_spvn, parse_window
+from oracles import expect_number_by_rule, parse_measurement_by_kinds, parse_spvn_by_parts
 
 
 class TestParseSpvn:
@@ -125,30 +126,67 @@ class TestFormatSpvn:
         assert parse_spvn(str(n)) == n
 
 
+#: Number tokens shaped as digits, 'e' and an exponent, each part drawn
+#: from its grammar's characters and a few that are not in it, so that
+#: near misses of a well-formed anchored literal are common.
+_NUMBER_TOKENS = st.builds(
+    "{}{}{}".format,
+    st.text("0123456789:.", max_size=8),
+    st.sampled_from(["", "e", "ee"]),
+    st.text("0123456789-+_٣e", max_size=4),
+)
+
+
 class TestAnchoredLiterals:
     @pytest.mark.parametrize("text", ["6:30e-1", "5e0", "1:19:6:5:37:30e3"])
     def test_round_trip(self, text):
-        assert str(parse_anchored(text)) == text
+        assert str(parse_number(text)) == text
 
     def test_missing_exponent(self):
         with pytest.raises(MalformedSeparator):
-            parse_anchored("6:30e")
+            parse_number("6:30e")
 
     def test_no_digits(self):
         with pytest.raises(MalformedSeparator):
-            parse_anchored("e3")
+            parse_number("e3")
 
     @pytest.mark.parametrize("text", ["6:30e1_0", "6:30e٣", "6:30e+1", "6:30e 1"])
     def test_exponent_is_a_minus_then_ascii_digits(self, text):
         with pytest.raises(MalformedSeparator) as e:
-            parse_anchored(text)
+            parse_number(text)
         assert str(e.value) == f"bad exponent in {text!r}"
         assert e.value.diagnostic.message == "exponent must be an integer"
 
     def test_exponent_leading_zeros_at_any_length(self):
         zeros = "0" * 5000
-        assert str(parse_anchored(f"1e{zeros}1")) == "1e1"
-        assert str(parse_anchored(f"6:30e-{zeros}1")) == "6:30e-1"
+        assert str(parse_number(f"1e{zeros}1")) == "1e1"
+        assert str(parse_number(f"6:30e-{zeros}1")) == "6:30e-1"
+
+    def test_a_token_without_e_is_a_digit_sequence(self):
+        assert parse_number(" 6:30 ") == parse_spvn("6:30")
+        with pytest.raises(MalformedSeparator, match=r"^malformed digit sequence '6:3x'$"):
+            parse_number("6:3x")
+
+    @settings(max_examples=1000)
+    @given(st.text("0123456789:.e-٣_+", max_size=14) | _NUMBER_TOKENS)
+    def test_agrees_with_the_corpus_rule(self, tok):
+        assert _outcome(parse_number, tok) == _outcome(expect_number_by_rule, tok)
+
+    @pytest.mark.parametrize("tok", ["6e2 ", " 6e2 ", "6e2\t"])
+    def test_whitespace_after_the_exponent_is_stripped(self, tok):
+        # the one token the corpus rule refused and parse_number reads:
+        # the rule looked for the exponent before stripping
+        assert _outcome(expect_number_by_rule, tok) is None
+        assert parse_number(tok) == parse_number("6e2")
+
+
+def _outcome(parse, tok):
+    """The type and value ``parse`` reads from ``tok``, or None if it refuses it."""
+    try:
+        value = parse(tok)
+    except ParseError:
+        return None
+    return type(value), value
 
 
 #: Measurement tokens of every kind: the unit names and ASCII aliases of
@@ -346,7 +384,7 @@ class TestParserTotality:
     @given(st.text(max_size=20))
     def test_anchored_never_crashes(self, text):
         try:
-            parse_anchored(text)
+            parse_number(text)
         except SexagesimalError:
             pass
 
