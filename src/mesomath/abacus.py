@@ -123,16 +123,12 @@ def sqrt_anchored(a: AnchoredNumber) -> AnchoredNumber:
     9e1 (five hundred forty) has no root even though 9 does: the parity
     of the whole exponent has to cooperate.
     """
-    v = to_integer(a.digits)
     e = a.exponent
-    if e % 2 == 0:
-        scaled, f = v, e // 2
-    else:
-        scaled, f = v * BASE, (e - 1) // 2
+    scaled = to_integer(a.digits) * BASE ** (e % 2)
     r = isqrt(scaled)
     if r * r != scaled:
         raise NotASquare(f"{_clip(str(a))} is not a perfect square at its anchor")
-    return _from_scaled_integer(r, f)
+    return _from_scaled_integer(r, e // 2)
 
 
 class Configuration(NamedTuple):

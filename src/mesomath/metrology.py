@@ -397,16 +397,17 @@ def _cycles(n: FloatingNumber, system: UnitSystem) -> Iterator[int]:
     exactly when it is a whole number of twelfths that leaves 0 or one of
     the smallest unit's fractions over a whole count of that unit (see
     :func:`_spell`); the smallest such magnitude is 2 twelfths, a sixth
-    of the smallest unit.  The walk starts below that and skips every
-    cycle that fails the test.  Sixty times a whole number is a whole
-    number of smallest units, so every cycle after the first one yielded
-    is yielded too.
+    of the smallest unit.  Sixty times such a magnitude is one too, so
+    every cycle after the first one yielded is yielded, and a climb from
+    two cycles below the units place finds the first: the cycle j places
+    below is whole only if 60**j divides ``12 * v * d`` (canonical integer
+    ``v``, base denominator ``d``), and as 60 never divides ``v`` and
+    ``12 * d`` holds at most 2**4, 3**2 and 5, j <= 1 if 5 does not
+    divide ``v``, j <= 2 if 3 does not, and 2j <= 5 if 4 does not.
     """
     spellable = {0, *system.units[-1].spelling_fractions}
     num = 12 * to_integer(n) * system.base.denominator
-    den = system.base.numerator
-    while num >= 2 * BASE * den:
-        den *= BASE
+    den = system.base.numerator * BASE**2
     while num < 2 * den or num % den or num // den % 12 not in spellable:
         num *= BASE
     t = num // den

@@ -96,8 +96,8 @@ class TraceRecord(NamedTuple):
     @property
     def scribal_note(self) -> bool:
         """The computation gives the expected value; the tablet shows another."""
-        a = self.attested
-        return a is not None and self.matched and a != self.expected
+        a, e = self.attested, self.expected
+        return a is not None and e is not None and self.matched and a != e
 
 
 class Trace(NamedTuple):

@@ -300,18 +300,14 @@ def sqrt(n: FloatingNumber) -> FloatingNumber:
 
 
 def _icbrt(v: int) -> int:
-    # Newton iteration seeded from the bit length; exact for any size.
+    # Integer Newton seeded above the root: by AM-GM no step lands below
+    # the root's floor, and every step from above it falls, so it stops there.
     r = 1 << -(-v.bit_length() // 3)
     while True:
         nr = (2 * r + v // (r * r)) // 3
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**3 > v:
-        r -= 1
-    while (r + 1) ** 3 <= v:
-        r += 1
-    return r
 
 
 def cbrt(n: FloatingNumber) -> FloatingNumber:

@@ -8,7 +8,11 @@ two parsers are the library's own, as they read a token before they
 were made faster; the number rule is the one corpus files read an
 ``expect`` or ``attested`` token by before ``textio.parse_number``; and
 the two table writers are the library's own, as they wrote a table
-through ``csv.writer`` and a generator.
+through ``csv.writer`` and a generator.  The cycle walk and the cube
+root are the library's own too, as they were before the arithmetic
+ruled out their extra loops: the walk descended to the cycle below 2
+twelfths before it climbed, and the root corrected Newton's result by
+unit steps.
 """
 
 import csv
@@ -33,7 +37,7 @@ from mesomath.metrology import (
     UnitSystem,
     get_system,
 )
-from mesomath.spvn import FloatingNumber
+from mesomath.spvn import FloatingNumber, to_integer
 
 
 def regular_exponents(v: int) -> tuple[int, int, int] | None:
@@ -340,3 +344,36 @@ def two_columns(rows) -> str:
         return ""
     width = max(len(a) for a, _ in rows)
     return "\n".join(f"{a.ljust(width)}  {b}" for a, b in rows) + "\n"
+
+
+def cycles_by_descent(n: FloatingNumber, system: UnitSystem):
+    """``metrology._cycles`` as it walked before it started two cycles
+    below the units place: descend until the magnitude is below 120
+    twelfths, then climb to the first cycle that holds a reading."""
+    spellable = {0, *system.units[-1].spelling_fractions}
+    num = 12 * to_integer(n) * system.base.denominator
+    den = system.base.numerator
+    while num >= 2 * 60 * den:
+        den *= 60
+    while num < 2 * den or num % den or num // den % 12 not in spellable:
+        num *= 60
+    t = num // den
+    while True:
+        yield t
+        t *= 60
+
+
+def icbrt_corrected(v: int) -> int:
+    """The floor of the cube root of the positive ``v``: integer Newton
+    from above, then corrected by unit steps in both directions."""
+    r = 1 << -(-v.bit_length() // 3)
+    while True:
+        nr = (2 * r + v // (r * r)) // 3
+        if nr >= r:
+            break
+        r = nr
+    while r**3 > v:
+        r -= 1
+    while (r + 1) ** 3 <= v:
+        r += 1
+    return r

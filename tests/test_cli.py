@@ -301,6 +301,23 @@ class TestExitCodes:
         assert code == EXIT_ARITH and out == ""
         assert err == "error: reading too long: its count of danna would have more than 4300 digits\n"
 
+    def test_long_reading_is_refused_at_once(self):
+        # the cycle walk starts two cycles below the units place, so the
+        # first reading of n digits costs a few steps on an n-digit integer
+        # and the whole process ends well inside the bound
+        cmd = [sys.executable, "-m", "mesomath.cli", "convert", "readings", "L"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            cmd + [":".join(["7"] * 6000), "--span", "1"], capture_output=True, text=True
+        )
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == EXIT_ARITH and proc.stdout == ""
+        assert proc.stderr == (
+            "error: reading too long: its count of danna would have more than 4300 digits\n"
+        )
+        proc = subprocess.run(cmd + [":".join(["7"] * 1500), "--span", "1"], capture_output=True)
+        assert proc.returncode == EXIT_OK and proc.stdout.count(b"\n") == 1
+
     def test_leading_zeros_past_the_int_limit_are_insignificant(self, capsys):
         assert run_cli(capsys, "mul", "0" * 4999 + "1", "2") == (EXIT_OK, "2\n", "")
 
@@ -531,6 +548,17 @@ class TestRunAndCheck:
         path.write_text('tablet "x"\ngiven-spvn a 2\nstep recip a expect 30 expect 7 as r\n')
         assert run_cli(capsys, "run", str(path)) == (
             EXIT_USAGE, "", "error: line 3: duplicate 'expect'\n"
+        )
+
+    def test_attested_without_expect_is_no_scribal_note(self, capsys, tmp_path):
+        # with nothing expected there is no right value for the tablet to
+        # miss: check counted a note here that run never tagged
+        path = tmp_path / "t.tab"
+        path.write_text('tablet "t"\ngiven-spvn a 2\nstep recip a attested 30 as r\n')
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == EXIT_OK and "scribal error" not in out
+        assert run_cli(capsys, "check", str(tmp_path)) == (
+            EXIT_OK, "t: pass\n1/1 tablets pass\n", ""
         )
 
     @pytest.mark.parametrize(

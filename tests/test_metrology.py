@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from mesomath.metrology import (
     _spell,
     to_number,
 )
-from mesomath.spvn import FloatingNumber, mul, to_integer
+from mesomath.spvn import FloatingNumber, from_integer, mul, to_integer
 from mesomath.textio import parse_measurement, parse_spvn as fn
 import oracles
 from oracles import canonical_integer
@@ -713,6 +714,82 @@ def test_cycles_yield_only_spellable_magnitudes(system, digits):
     for t in ts:
         mm = _spell(s, t)
         assert mm is not None and mm.twelfths == t and to_number(mm) == n
+
+
+# --- the climb from two cycles down against the descent it replaced -------------
+
+
+def _first_cycles_agree(n, s):
+    assert list(islice(_cycles(n, s), 3)) == list(islice(oracles.cycles_by_descent(n, s), 3))
+
+
+def _variant(kind, p, d):
+    """System ``kind``'s ladder over the base p/d."""
+    s = get_system(kind)
+    return UnitSystem(s.kind, s.units, Fraction(p, d), s.anchor_offset)
+
+
+def _readable(v, p):
+    """``v`` times the part of ``p`` prime to 60, as a floating number:
+    only then is some cycle of it whole over a base with numerator ``p``;
+    otherwise neither walk ends."""
+    for q in (2, 3, 5):
+        while p % q == 0:
+            p //= q
+    return from_integer(v * p)
+
+
+_DIVISORS_OF_60 = [d for d in range(1, 61) if 60 % d == 0]
+# many factors of 2, 3 and 5, but never all of 4, 3 and 5: over a
+# denominator such as 30 or 60 some of these first read two cycles below
+# the units place, the deepest cycle the walk may start at
+_DEEP = [1, 2, 3, 4, 5, 7, 59, 4**9 * 3**9, 3**9 * 5**9, 2 * 3**9 * 5**9, 4**9 * 5**9, 7**40]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(sorted(SYSTEMS)),
+    st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any),
+)
+def test_first_cycles_match_the_descent_on_short_numbers(system, digits):
+    _first_cycles_agree(FloatingNumber(digits), get_system(system))
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_first_cycles_match_the_descent_on_smooth_numbers(system):
+    s = get_system(system)
+    for v in oracles.smooth_numbers(60**4):
+        _first_cycles_agree(from_integer(v), s)
+
+
+@pytest.mark.parametrize(
+    "system, length", zip(sorted(SYSTEMS), (3000, 2000, 1000, 300, 30))
+)
+def test_first_cycles_match_the_descent_on_long_numbers(system, length):
+    rng = random.Random(length)
+    v = rng.randrange(60 ** (length - 1), 60**length)
+    for w in (v, v * 15**9):
+        _first_cycles_agree(from_integer(w), get_system(system))
+
+
+def test_first_cycles_match_the_descent_over_every_base():
+    # every numerator from 1 to 120 over every denominator that divides 60
+    for p in range(1, 121):
+        for d in _DIVISORS_OF_60:
+            s = _variant("L", p, d)
+            for v in _DEEP:
+                _first_cycles_agree(_readable(v, p), s)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(sorted(SYSTEMS)),
+    st.integers(1, 120),
+    st.sampled_from(_DIVISORS_OF_60),
+    st.integers(1, 60**6),
+)
+def test_first_cycles_match_the_descent_in_variant_systems(system, p, d, v):
+    _first_cycles_agree(_readable(v, p), _variant(system, p, d))
 
 
 # --- readings too long to print -----------------------------------------------

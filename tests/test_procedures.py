@@ -389,6 +389,11 @@ class TestRunReciprocalExercises:
         assert str(notes[0].attested) == "41"
         assert str(notes[0].expected) == "40"
 
+    @pytest.mark.parametrize("tail", ["attested 30", "attested 7"])
+    def test_attested_without_expect_is_no_scribal_note(self, tail):
+        t = run(parse_script(f'tablet "t"\ngiven-spvn a 2\nstep recip a {tail} as r\n'))
+        assert t.passed and t.scribal_notes() == ()
+
     def test_long_reciprocal_trace_products(self):
         t = run(parse_script(corpus_text("cbs1215-20.tab")))
         assert t.passed

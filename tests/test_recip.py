@@ -3,6 +3,7 @@ import sys
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesomath.errors import (
     Irregular,
@@ -14,6 +15,7 @@ from mesomath.errors import (
 from mesomath import recip, spvn
 from mesomath.recip import (
     ElementaryTable,
+    _icbrt,
     _standard_table,
     FactorStrategy,
     cbrt,
@@ -27,7 +29,7 @@ from mesomath.recip import (
 from mesomath.spvn import SimplerOrdering, compare_simpler, from_integer, mul, to_integer
 from mesomath.tables import gen_reciprocal_table
 from mesomath.textio import parse_spvn as fn
-from oracles import is_wedge_suffix, regular_exponents
+from oracles import icbrt_corrected, is_wedge_suffix, regular_exponents
 
 
 class TestIsRegular:
@@ -317,6 +319,25 @@ class TestCbrt:
     def test_not_a_cube_long(self):
         with pytest.raises(NotACube):
             cbrt(fn("4:5:7:30"))
+
+
+class TestIntegerCubeRoot:
+    """``_icbrt`` ends at its Newton loop; the oracle still corrects."""
+
+    def test_every_integer_to_100000(self):
+        assert all(_icbrt(v) == icbrt_corrected(v) for v in range(1, 100_001))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(2, 2**400), st.sampled_from([-1, 0, 1]))
+    def test_next_to_a_cube(self, x, offset):
+        v = x**3 + offset
+        assert _icbrt(v) == icbrt_corrected(v) == x - (offset < 0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 2**1000))
+    def test_drawn_integers(self, v):
+        r = _icbrt(v)
+        assert r == icbrt_corrected(v) and r**3 <= v < (r + 1) ** 3
 
 
 def test_import_builds_no_reciprocal_table():
