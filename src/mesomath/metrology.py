@@ -16,14 +16,21 @@ of twelfths of its unit and is kept as that integer: 1/2 is 6.  Every
 unit size is a whole number of smallest units, so a magnitude is one
 integer too: :attr:`MeasurementValue.twelfths`, the count of twelfths
 of the system's smallest unit.  Every base has a denominator dividing 60
-(a :class:`UnitSystem` refuses any other), so :func:`to_number` turns
-that integer into a number with integer arithmetic alone.  Parsing,
+and a numerator with no prime factor but 2, 3 and 5 (a
+:class:`UnitSystem` refuses any other), so :func:`to_number` turns that
+integer into a number with integer arithmetic alone, and the cycle walk
+of a reverse reading ends.  Parsing,
 spelling, printing, the cycle walk of reverse readings and the ladder
 search all run on integers; ``Fraction`` appears only at the exact
-edges, :attr:`UnitSystem.base` and :meth:`MeasurementValue.value`.  Each
-system's ladder is expanded once, on first use, together with the
-printed text of every row, so formatting a table renders nothing.
-Nothing here rounds.
+edges, :attr:`UnitSystem.base` and :meth:`MeasurementValue.value`.  A
+measurement is built in one of two ways: the public constructor checks
+its terms and sums its magnitude, and the trusted builder
+:func:`_measurement` fills the same slots with no check, for
+:func:`_spell`, which spells a known magnitude canonically by
+construction, and for :func:`mesomath.textio.parse_measurement`, which
+checks each term as it reads it.  Each system's ladder is expanded
+once, on first use, together with the printed text of every row, so
+formatting a table renders nothing.  Nothing here rounds.
 
 Reading a table backwards needs no search.  A :class:`UnitSystem`
 refuses any spelling fraction, on a unit above the smallest, that is not
@@ -127,8 +134,10 @@ class UnitSystem(_Record):
     """Units in descending order plus the base correspondence.
 
     ``base`` is the abstract number of one smallest unit, as an exact
-    fraction whose denominator divides 60; every other correspondence
-    follows from the ladder.
+    fraction whose denominator divides 60 and whose numerator is a
+    positive product of 2, 3 and 5 (so that some power of 60 is a
+    multiple of it, and the cycle walk of a reverse reading ends); every
+    other correspondence follows from the ladder.
     ``anchor_offset`` fixes the conventional computing scale used by
     explicit-exponent hints: the power of sixty that places the
     customary unit (ninda, kuš, gin, sar, sila) at 1e0.
@@ -144,6 +153,14 @@ class UnitSystem(_Record):
             raise ValueError(
                 f"system {kind}: the denominator of base {base}"
                 f" does not divide {BASE}"
+            )
+        n = base.numerator
+        # a positive n is a product of 2, 3 and 5 exactly when it divides
+        # 60**k, k its bit length: no exponent in n reaches k
+        if n <= 0 or pow(BASE, n.bit_length(), n):
+            raise ValueError(
+                f"system {kind}: the numerator of base {base}"
+                " is not a positive product of 2, 3 and 5"
             )
         # measurements are split on whitespace, and CSV rows are not quoted
         for u in units:
@@ -233,10 +250,7 @@ class MeasurementValue(_Record):
                     f"fraction {t.frac}/12 of {t.unit!r} not allowed"
                 )
             twelfths += count * sys.units[idx].size
-        init = object.__setattr__
-        init(self, "system", system)
-        init(self, "terms", terms)
-        init(self, "twelfths", twelfths)
+        _measurement(system, terms, twelfths, self)
 
     def value(self) -> Fraction:
         """Exact magnitude in multiples of the system's smallest unit."""
@@ -244,6 +258,26 @@ class MeasurementValue(_Record):
 
     def __str__(self) -> str:
         return " ".join(str(t) for t in self.terms)
+
+
+def _measurement(
+    system: str,
+    terms: tuple[Term, ...],
+    twelfths: int,
+    m: MeasurementValue | None = None,
+) -> MeasurementValue:
+    """The measurement of ``terms`` in ``system``, of magnitude
+    ``twelfths``, built with no check: the caller vouches for what the
+    validating constructor checks.  That constructor fills its own
+    instance ``m`` through this builder too.
+    """
+    if m is None:
+        m = object.__new__(MeasurementValue)
+    init = object.__setattr__
+    init(m, "system", system)
+    init(m, "terms", terms)
+    init(m, "twelfths", twelfths)
+    return m
 
 
 # --- the five standard systems ------------------------------------------------
@@ -342,26 +376,29 @@ def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
     ``t % 12`` twelfths whatever was taken above, and either that unit
     spells it or nothing could.  A reading whose top-unit count has more
     decimal digits than ``str`` may print raises :class:`ReadingTooLong`
-    before any term is built.
+    before any term is built.  The terms are canonical by construction
+    and their magnitude is ``t``, so :func:`_measurement` builds the
+    value with no second check.
     """
     if t <= 0:
         return None
     if t >= _ALWAYS_PRINTABLE:
         _check_printable(system, t)
     terms = []
+    rest = t
     for u in system.units:
-        whole, t = divmod(t, 12 * u.size)
+        whole, rest = divmod(rest, 12 * u.size)
         for f in u.spelling_fractions:
-            if f * u.size <= t:
-                t -= f * u.size
+            if f * u.size <= rest:
+                rest -= f * u.size
                 break
         else:
             f = 0
         if whole or f:
             terms.append(Term(u.name, whole, f))
-    if t:
+    if rest:
         return None
-    return MeasurementValue(system.kind, tuple(terms))
+    return _measurement(system.kind, tuple(terms), t)
 
 
 class _Window(NamedTuple):

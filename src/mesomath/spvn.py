@@ -20,8 +20,10 @@ it validates each one, then :func:`_fold` strips the zeros at both ends
 and folds the representative.  :func:`from_integer` takes a
 representative: it strips the factors of 60, converts to digits and
 fills the two slots directly, since digits made that way are in range by
-construction.  :func:`mul` and everything built on it go through
-:func:`from_integer`.  :func:`mesomath.textio.parse_spvn` takes a token
+construction.  A representative below 60**3, as nearly every entry of
+the curriculum tables is, is split by one or two ``divmod`` calls with
+no list and no group loop.  :func:`mul` and everything built on it go
+through :func:`from_integer`.  :func:`mesomath.textio.parse_spvn` takes a token
 whose regular expression has already bounded every part to 0..59, reads
 the parts' values and fills the two slots from :func:`_fold`, with no
 second check.
@@ -45,6 +47,9 @@ BASE = 60
 #: Digits per group in both directions of the bridge, and 60 to that power.
 _GROUP = 5
 _CHUNK = BASE**_GROUP
+#: Representatives below this hold at most three digits, which
+#: :func:`from_integer` reads off with at most two divisions.
+_SHORT = BASE**3
 #: (last digit, digit before it) of every integer below 3600, built from
 #: bytes so importing costs no Python-level loop.
 _PAIRS = tuple(
@@ -104,7 +109,10 @@ class FloatingNumber:
         return mul(self, other)
 
     def __str__(self) -> str:
-        return ":".join([_SHOWN[d] for d in self._digits])
+        ds = self._digits
+        if len(ds) == 1:
+            return _SHOWN[ds[0]]
+        return ":".join([_SHOWN[d] for d in ds])
 
     def __repr__(self) -> str:
         return f"FloatingNumber({str(self)!r})"
@@ -163,14 +171,29 @@ def from_integer(v: int) -> FloatingNumber:
     Factors of 60 are stripped first, so 60 and 3600 both come back as
     "1"; the result always has a nonzero last digit.  A ``v`` that is
     not an integer raises :class:`TypeError` rather than being truncated.
-    Digits come out least significant first: five per division of the
-    whole integer, then the at most five of its top group.
+    A representative below 60**3 is split into its one to three digits
+    directly.  A longer one's digits come out least significant first:
+    five per division of the whole integer, then the at most five of its
+    top group.
     """
     v = index(v)
     if v <= 0:
         raise NonPositive(f"no floating number for {v}")
     while v % BASE == 0:
         v //= BASE
+    a = object.__new__(FloatingNumber)
+    a._int = v
+    # Trusted construction: digits made by divmod are in range and the
+    # last one is nonzero, so the validating constructor is skipped.
+    if v < _SHORT:
+        if v < BASE:
+            a._digits = (v,)
+        elif v < 3600:
+            a._digits = divmod(v, BASE)
+        else:
+            q, r = divmod(v, 3600)
+            a._digits = (q, *divmod(r, BASE))
+        return a
     ds = []
     w = v
     while w >= _CHUNK:
@@ -187,11 +210,7 @@ def from_integer(v: int) -> FloatingNumber:
     if not ds[-1]:
         ds.pop()
     ds.reverse()
-    # Trusted construction: digits made by divmod are in range and the
-    # last one is nonzero, so the validating constructor is skipped.
-    a = object.__new__(FloatingNumber)
     a._digits = tuple(ds)
-    a._int = v
     return a
 
 

@@ -3,7 +3,10 @@
 The standard reciprocal table, multiplication tables, squares and root
 tables, and the ordered list a student worked through.  Everything is a
 pure generator over the spvn core, so outputs are deterministic and the
-text/CSV emitters are diff-stable.  Each CSV row, here and in
+text/CSV emitters are diff-stable.  The tables that take no input (the
+reciprocal and squares tables, the heads and the curriculum) are built
+once per process, on first use, and the square roots are read off the
+squares table; nothing is built at import.  Each CSV row, here and in
 ``metrology``, is one f-string with no ``csv`` module: digits, integers,
 fraction names and unit names (which ``UnitSystem`` holds free of
 whitespace, commas and quotes) hold no character that needs quoting.
@@ -85,18 +88,19 @@ def gen_multiplication_table(head: FloatingNumber) -> MultiplicationTable:
     reads simply "3", the same sign as three.
     """
     h = to_integer(head)
-    rows = tuple((m, from_integer(h * m)) for m in MULTIPLIERS)
+    rows = tuple([(m, from_integer(h * m)) for m in MULTIPLIERS])
     return MultiplicationTable(head=head, rows=rows)
 
 
+@lru_cache(maxsize=None)
 def gen_squares_table() -> tuple[tuple[int, FloatingNumber], ...]:
     """n and its square for n = 1..59."""
-    return tuple((n, from_integer(n * n)) for n in range(1, 60))
+    return tuple([(n, from_integer(n * n)) for n in range(1, 60)])
 
 
 def gen_square_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """The squares table inverted: exact roots only."""
-    return tuple((from_integer(n * n), n) for n in range(1, 60))
+    return tuple([(s, n) for n, s in gen_squares_table()])
 
 
 def gen_cube_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
@@ -114,12 +118,14 @@ class CurriculumEntry(NamedTuple):
         return f"{self.kind} table"
 
 
+@lru_cache(maxsize=None)
 def multiplication_heads() -> tuple[FloatingNumber, ...]:
     from .textio import parse_spvn
 
-    return tuple(parse_spvn(s) for s in _HEAD_STRINGS)
+    return tuple([parse_spvn(s) for s in _HEAD_STRINGS])
 
 
+@lru_cache(maxsize=None)
 def curriculum() -> tuple[CurriculumEntry, ...]:
     """The ordered series: reciprocal table, 38 multiplication tables by
     descending head, then squares, square roots, cube roots."""

@@ -15,7 +15,9 @@ count or a fraction only when it is none.  A fraction token ("1/2",
 "2/4" or the glyph "½") is read straight into the twelfths of its unit
 that :class:`~mesomath.metrology.Term` keeps: ``12 * num`` divided by
 ``den`` must leave no remainder and land in the allowed set, so no
-``Fraction`` is built.
+``Fraction`` is built.  Each term is checked, and the magnitude
+summed, as it is read, so a measurement is built by the trusted builder
+``metrology._measurement`` with no second check.
 
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
@@ -206,11 +208,16 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
     strictly descending order, counts positive.  Each token is looked
     up once: as a unit name, then as a count, and only a token that is
     neither is read as a fraction.
+
+    The first unit out of order or zero count is raised only after the
+    last token, as :class:`UnitOrderViolation` at column 1 over the whole
+    text, so an error in a later token wins over it.
     """
     metrology = _pkg.metrology
     system = metrology.get_system(system_kind)
     positions = system._positions
     units = system.units
+    Term = metrology.Term
     toks = text.split()
     if not toks:
         raise EmptyInput(
@@ -219,6 +226,9 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
     terms: list[metrology.Term] = []
     whole: int | None = None
     frac: int | None = None
+    last = -1
+    twelfths = 0
+    order = None  # the message of the first term out of order or zero
     col = 1
     for tok in toks:
         idx = positions.get(tok)
@@ -228,7 +238,16 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
                     f"unit {tok!r} has no count",
                     _diag(col, "missing count before unit", tok, line),
                 )
-            terms.append(metrology.Term(units[idx].name, whole or 0, frac or 0))
+            unit = units[idx]
+            count = 12 * (whole or 0) + (frac or 0)
+            if order is None:
+                if idx <= last:
+                    order = f"units out of descending order at {unit.name!r}"
+                elif not count:
+                    order = f"count of {unit.name!r} must be positive"
+            last = idx
+            twelfths += count * unit.size
+            terms.append(Term(unit.name, whole or 0, frac or 0))
             whole = None
             frac = None
         elif tok.isascii() and tok.isdigit():
@@ -262,12 +281,9 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
             f"dangling count at end of {text!r}",
             _diag(col, "count without a unit", toks[-1], line),
         )
-    try:
-        return metrology.MeasurementValue(system.kind, tuple(terms))
-    except UnitOrderViolation as e:
-        raise UnitOrderViolation(
-            str(e), _diag(1, str(e), text, line)
-        ) from None
+    if order is not None:
+        raise UnitOrderViolation(order, _diag(1, order, text, line))
+    return metrology._measurement(system.kind, tuple(terms), twelfths)
 
 
 def parse_window(text: str, system_kind: str, line: int = 1) -> metrology.Window:

@@ -651,6 +651,18 @@ def test_system_bases_divide_sixty():
         UnitSystem("X", get_system("L").units, Fraction(1, 7))
 
 
+@pytest.mark.parametrize("base", [Fraction(7), Fraction(14, 3), Fraction(121, 60), Fraction(0), Fraction(-10)])
+def test_system_base_numerators_are_products_of_2_3_and_5(base):
+    # over a numerator with another prime factor the cycle walk of a
+    # number prime to it never ends, so such a base is refused
+    with pytest.raises(ValueError, match=f"^system X: the numerator of base {base} is not a positive product"):
+        UnitSystem("X", get_system("L").units, base)
+    # the five shipped systems, and a long product of 2, 3 and 5, build
+    for s in SYSTEMS.values():
+        assert UnitSystem(s.kind, s.units, s.base, s.anchor_offset) == s
+    assert UnitSystem("X", get_system("L").units, Fraction(2**40 * 3**30 * 5**20, 30)).kind == "X"
+
+
 @pytest.mark.parametrize("name", ["", " ", "a b", "a\tb", "a\nb", "a\u00a0b", "a,b", 'a"b'])
 @pytest.mark.parametrize("alias", [False, True])
 def test_unit_names_split_and_write_as_one_field(name, alias):
@@ -680,6 +692,18 @@ def test_spell_matches_search_below_a_bound(system):
     s = get_system(system)
     for t in range(-3, 5000):
         assert _spell(s, t) == oracles.spell(s, t)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_spell_over_the_ladder_and_four_cycles(system):
+    # _spell builds its value with no second check: each spelling over
+    # every ladder row's first four readings is the search's, and keeps
+    # the magnitude it was asked for
+    s = get_system(system)
+    for _, n in full_ladder(system).rows:
+        for t in islice(_cycles(n, s), 4):
+            mm = _spell(s, t)
+            assert mm == oracles.spell(s, t) and mm.twelfths == t
 
 
 @settings(deadline=None, max_examples=500)
@@ -729,14 +753,16 @@ def _variant(kind, p, d):
     return UnitSystem(s.kind, s.units, Fraction(p, d), s.anchor_offset)
 
 
-def _readable(v, p):
-    """``v`` times the part of ``p`` prime to 60, as a floating number:
-    only then is some cycle of it whole over a base with numerator ``p``;
-    otherwise neither walk ends."""
-    for q in (2, 3, 5):
-        while p % q == 0:
-            p //= q
-    return from_integer(v * p)
+def _first_cycles_agree_over(kind, p, d, v):
+    """The walks agree on ``v`` over the base p/d, or, when ``p`` has a
+    prime factor other than 2, 3 and 5 (over which no cycle of a ``v``
+    prime to it is whole, so neither walk would end), the base is
+    refused."""
+    if oracles.regular_exponents(p) is None:
+        with pytest.raises(ValueError, match="is not a positive product of 2, 3 and 5$"):
+            _variant(kind, p, d)
+    else:
+        _first_cycles_agree(from_integer(v), _variant(kind, p, d))
 
 
 _DIVISORS_OF_60 = [d for d in range(1, 61) if 60 % d == 0]
@@ -776,9 +802,8 @@ def test_first_cycles_match_the_descent_over_every_base():
     # every numerator from 1 to 120 over every denominator that divides 60
     for p in range(1, 121):
         for d in _DIVISORS_OF_60:
-            s = _variant("L", p, d)
             for v in _DEEP:
-                _first_cycles_agree(_readable(v, p), s)
+                _first_cycles_agree_over("L", p, d, v)
 
 
 @settings(deadline=None, max_examples=300)
@@ -789,7 +814,7 @@ def test_first_cycles_match_the_descent_over_every_base():
     st.integers(1, 60**6),
 )
 def test_first_cycles_match_the_descent_in_variant_systems(system, p, d, v):
-    _first_cycles_agree(_readable(v, p), _variant(system, p, d))
+    _first_cycles_agree_over(system, p, d, v)
 
 
 # --- readings too long to print -----------------------------------------------

@@ -12,7 +12,7 @@ from mesomath.spvn import (
     to_integer,
 )
 from mesomath.textio import parse_spvn as fn
-from oracles import smooth_numbers
+from oracles import digits_of, smooth_numbers
 
 
 digit_seqs = st.lists(st.integers(0, 59), min_size=1, max_size=5)
@@ -94,6 +94,26 @@ class TestIntegerBridge:
         while w % 60 == 0:
             w //= 60
         assert to_integer(n) == w
+
+
+class TestShortPath:
+    """Below 60**3 ``from_integer`` splits a representative directly."""
+
+    def test_every_short_representative(self):
+        for v in range(1, 60**3):
+            if v % 60:
+                n = from_integer(v)
+                assert n.digits == digits_of(v)
+                assert str(n) == ":".join(map(str, digits_of(v)))
+
+    @pytest.mark.parametrize("bound", [60, 60**2, 60**3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_both_sides_of_each_bound(self, bound, k):
+        for v in (bound - 1, bound + 1, bound * 7 - 1, bound * 59 + 1):
+            n = from_integer(v * 60**k)
+            assert n.digits == digits_of(v) and to_integer(n) == v
+            assert str(n) == ":".join(map(str, digits_of(v)))
+            assert n == FloatingNumber(digits_of(v))
 
 
 class TestMul:

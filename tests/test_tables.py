@@ -100,6 +100,9 @@ class TestSquaresAndRoots:
         assert rows["2:24"] == 12
         assert len(rows) == 59
 
+    def test_square_roots_are_the_squares_inverted(self):
+        assert gen_square_roots_table() == tuple((s, n) for n, s in gen_squares_table())
+
     def test_cube_roots_row_8(self):
         rows = {str(c): n for c, n in gen_cube_roots_table()}
         assert rows["8"] == 2
@@ -133,6 +136,33 @@ class TestCurriculum:
         kinds = [e.kind for e in curriculum()[-3:]]
         assert kinds == ["squares", "square-roots", "cube-roots"]
         assert len(curriculum()) == 42
+
+
+class TestConstantTables:
+    @pytest.mark.parametrize(
+        "gen", [gen_reciprocal_table, gen_squares_table, multiplication_heads, curriculum]
+    )
+    def test_built_once(self, gen):
+        assert gen() is gen()
+
+    def test_squares_formatted_from_the_one_table(self, monkeypatch):
+        import mesomath.tables
+
+        gen_squares_table()
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return from_integer(v)
+
+        monkeypatch.setattr(mesomath.tables, "from_integer", counted)
+        for fmt in ("text", "csv"):
+            format_squares_table(fmt)
+        gen_square_roots_table()
+        assert calls == []
+        # the counter does count: a multiplication table converts each row
+        gen_multiplication_table(fn("9"))
+        assert len(calls) == len(MULTIPLIERS)
 
 
 class TestEmitters:

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mesomath.errors import (
     BadFraction,
@@ -16,7 +16,7 @@ from mesomath.errors import (
     UnitOrderViolation,
     UnknownUnit,
 )
-from mesomath.metrology import SYSTEMS
+from mesomath.metrology import SYSTEMS, MeasurementValue
 from mesomath.spvn import FloatingNumber
 from mesomath.textio import parse_measurement, parse_number, parse_spvn, parse_window
 from oracles import expect_number_by_rule, parse_measurement_by_kinds, parse_spvn_by_parts
@@ -197,11 +197,15 @@ _UNIT_NAMES = sorted(
     {n for s in SYSTEMS.values() for u in s.units for n in (u.name, *u.aliases)}
 )
 _COUNTS = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 3), st.integers(0, 400))
+_GLYPHS = ["½", "⅓", "⅔", "¼", "⅙", "⅚"]
+_SPELLED = ["1/2", "2/3", "1/3", "1/4", "1/6", "5/6", "2/4", "4/6", "02/004"]
 _FRACTIONS = (
-    st.sampled_from(["½", "⅓", "⅔", "¼", "⅙", "⅚"])
-    | st.sampled_from(["1/2", "2/3", "1/3", "1/4", "1/6", "5/6", "2/4", "4/6", "02/004"])
+    st.sampled_from(_GLYPHS)
+    | st.sampled_from(_SPELLED)
     | st.builds("{}/{}".format, st.integers(0, 13), st.integers(0, 13))
 )
+#: the allowed fractions only, in every spelling
+_ALLOWED = st.sampled_from(_GLYPHS + _SPELLED)
 _JUNK = st.sampled_from(
     ["", "/", "1/", "/2", "a/2", "01/02", "1//2", "x", "1kush", "٣", "½½", "-1", "1.5"]
 )
@@ -298,6 +302,54 @@ class TestParseMeasurement:
                 return type(e), str(e), e.diagnostic
 
         assert outcome(parse_measurement) == outcome(parse_measurement_by_kinds)
+
+
+class TestTrustedMeasurement:
+    """``parse_measurement`` checks each term as it reads it and builds the
+    value with no second check; the validating constructor agrees."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), st.sampled_from(sorted(SYSTEMS)))
+    def test_equals_the_validated_value(self, data, kind):
+        # descending units, each with a count, a fraction or both, in
+        # every spelling the parser reads
+        units = SYSTEMS[kind].units
+        toks = []
+        for i in sorted(data.draw(st.sets(st.integers(0, len(units) - 1), min_size=1))):
+            count, frac = data.draw(st.tuples(st.none() | _COUNTS, st.none() | _ALLOWED))
+            toks += [t for t in (count, frac) if t is not None] or ["1"]
+            toks.append(data.draw(st.sampled_from((units[i].name, *units[i].aliases))))
+        text = " ".join(toks)
+        try:
+            want = parse_measurement_by_kinds(text, kind)
+        except SexagesimalError:
+            assume(False)
+        m = parse_measurement(text, kind)
+        checked = MeasurementValue(m.system, m.terms)
+        assert m == checked == want and m.twelfths == checked.twelfths
+
+    @pytest.mark.parametrize(
+        "text, error, message, col, token",
+        [
+            ("1 kuš 1 ninda", UnitOrderViolation,
+             "units out of descending order at 'ninda'", 1, "1 kuš 1 ninda"),
+            ("1 ninda 1/2 ninda", UnitOrderViolation,
+             "units out of descending order at 'ninda'", 1, "1 ninda 1/2 ninda"),
+            ("0 ninda", UnitOrderViolation, "count of 'ninda' must be positive", 1, "0 ninda"),
+            ("1 ninda 0 kuš 1 ninda", UnitOrderViolation,
+             "count of 'kuš' must be positive", 1, "1 ninda 0 kuš 1 ninda"),
+            # an error in a later token wins over the order and the count
+            ("1 kuš 0 ninda xyz", UnknownUnit, "unknown unit 'xyz' in system L", 15, "xyz"),
+            ("1 ninda 1 ninda 3", MeasurementSyntax,
+             "dangling count at end of '1 ninda 1 ninda 3'", 19, "3"),
+        ],
+    )
+    def test_error_order_pinned(self, text, error, message, col, token):
+        with pytest.raises(error) as e:
+            parse_measurement(text, "L", 4)
+        assert type(e.value) is error and str(e.value) == message
+        d = e.value.diagnostic
+        assert (d.line, d.column, d.token) == (4, col, token)
 
 
 class TestParseWindow:
