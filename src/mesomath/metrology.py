@@ -51,6 +51,8 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
+import mesomath as _pkg
+
 from .errors import (
     AmbiguousReading,
     MeasurementSyntax,
@@ -648,8 +650,4 @@ def gen_metrological_table(
 
 
 def format_metrological_table(table: MetrologicalTable, fmt: str = "text") -> str:
-    if fmt == "csv":
-        return "measurement,number\n" + "".join([f"{m},{n}\n" for m, n in table.texts])
-    from .tables import format_two_columns
-
-    return format_two_columns(table.texts)
+    return _pkg.tables._write(table.texts, "measurement,number\n", fmt)

@@ -26,6 +26,7 @@ from .abacus import AnchoredNumber, Configuration
 from .errors import (
     MissingConfig,
     ParseDiagnostic,
+    ParseError,
     ScriptSyntax,
     SexagesimalError,
     UnknownName,
@@ -199,8 +200,8 @@ def _join_segments(segs: list[str]) -> list[str]:
     return toks
 
 
-def _syntax(line_no: int, msg: str, token: str = "") -> ScriptSyntax:
-    return ScriptSyntax(
+def _syntax(line_no: int, msg: str, token: str = "", error=ScriptSyntax) -> ParseError:
+    return error(
         f"line {line_no}: {msg}",
         ParseDiagnostic(line=line_no, column=1, message=msg, token=token),
     )
@@ -240,7 +241,7 @@ def parse_script(text: str) -> ProcedureScript:
                 raise _syntax(line_no, "empty step")
             op = toks[1]
             if op not in _OPS:
-                raise UnknownOp(f"line {line_no}: unknown operation {op!r}")
+                raise _syntax(line_no, f"unknown operation {op!r}", op, UnknownOp)
             arity = _OPS[op][0]
             end = 2 + arity
             args = tuple(toks[2:end])
@@ -248,13 +249,13 @@ def parse_script(text: str) -> ProcedureScript:
                 raise _syntax(line_no, f"{op} takes {arity} operand name(s)")
             for a in args:
                 if a not in defined:
-                    raise UnknownName(f"line {line_no}: undefined name {a!r}")
+                    raise _syntax(line_no, f"undefined name {a!r}", a, UnknownName)
             new_name = None
             stop = n
             if n - end >= 2 and toks[-2] == "as":
                 new_name = toks[-1]
                 stop -= 2
-            expect, attested = _expect_tail(toks, end, stop, line_no, anchored_ok=True)
+            expect, attested = _expect_tail(toks, end, stop, line_no)
             steps.append(Step(op, args, expect, attested, new_name, line_no))
             if new_name:
                 defined.add(new_name)
@@ -270,7 +271,9 @@ def parse_script(text: str) -> ProcedureScript:
             if n < 6:
                 raise _syntax(line_no, 'given needs: <table> <name> "<measurement>" expect <number>')
             system, name, meas_text = toks[1], toks[2], toks[3]
-            expect, attested = _expect_tail(toks, 4, n, line_no, anchored_ok=False)
+            expect, attested = _expect_tail(toks, 4, n, line_no)
+            if isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber):
+                raise _syntax(line_no, "givens expect plain digit sequences")
             if expect is None:
                 raise _syntax(line_no, "given needs an expect value")
             m = textio.parse_measurement(meas_text, system, line_no)
@@ -299,9 +302,8 @@ def parse_script(text: str) -> ProcedureScript:
                 if not gname or not etext.startswith("e"):
                     raise _syntax(line_no, f"bad anchor {item!r}", item)
                 if gname not in defined:
-                    raise UnknownName(
-                        f"line {line_no}: configuration anchors unknown given {gname!r}"
-                    )
+                    msg = f"configuration anchors unknown given {gname!r}"
+                    raise _syntax(line_no, msg, gname, UnknownName)
                 if gname in exps:
                     raise _syntax(line_no, f"given {gname!r} anchored twice", item)
                 exponent = textio.read_exponent(etext[1:])
@@ -315,7 +317,7 @@ def parse_script(text: str) -> ProcedureScript:
                 raise _syntax(line_no, "answer needs a name")
             name = toks[1]
             if name not in defined:
-                raise UnknownName(f"line {line_no}: undefined name {name!r}")
+                raise _syntax(line_no, f"undefined name {name!r}", name, UnknownName)
             if n == 2:
                 answers.append(Answer(name, None, None, line_no))
             else:
@@ -354,7 +356,7 @@ def parse_script(text: str) -> ProcedureScript:
     )
 
 
-def _expect_tail(toks, i, end, line_no, anchored_ok):
+def _expect_tail(toks, i, end, line_no):
     """The expect and attested numbers of ``toks[i:end]``, or None each."""
     expect = attested = None
     while i < end:
@@ -369,10 +371,6 @@ def _expect_tail(toks, i, end, line_no, anchored_ok):
         else:
             attested = value
         i += 2
-    if not anchored_ok and (
-        isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber)
-    ):
-        raise _syntax(line_no, "givens expect plain digit sequences")
     return expect, attested
 
 
@@ -457,10 +455,7 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
             )
         operands = [scope[a] for a in s.args]
         try:
-            if conf is None:
-                spvn.check_product(op, *operands)
-            else:
-                spvn.check_product(op, *[x.digits for x in operands])
+            spvn.check_product(op, *[_digits_of(x) for x in operands])
             result, fact = form(*operands)
         except SexagesimalError as e:
             raise type(e)(

@@ -266,16 +266,8 @@ def compare_simpler(a: FloatingNumber, b: FloatingNumber) -> SimplerOrdering:
     40 is simpler than 4:26:40 (fewer digits) and simpler than 50 (same
     count, smaller value).  This is a total order on normalized values.
     """
-    if a.digits == b.digits:
-        return SimplerOrdering.EQUAL
-    ka, kb = len(a), len(b)
-    if ka != kb:
-        return SimplerOrdering.SIMPLER if ka < kb else SimplerOrdering.LESS_SIMPLE
-    return (
-        SimplerOrdering.SIMPLER
-        if to_integer(a) < to_integer(b)
-        else SimplerOrdering.LESS_SIMPLE
-    )
+    ka, kb = (len(a), a._int), (len(b), b._int)
+    return SimplerOrdering((ka > kb) - (ka < kb))
 
 
 ONE = FloatingNumber((1,))

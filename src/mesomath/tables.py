@@ -6,10 +6,12 @@ pure generator over the spvn core, so outputs are deterministic and the
 text/CSV emitters are diff-stable.  The tables that take no input (the
 reciprocal and squares tables, the heads and the curriculum) are built
 once per process, on first use, and the square roots are read off the
-squares table; nothing is built at import.  Each CSV row, here and in
-``metrology``, is one f-string with no ``csv`` module: digits, integers,
-fraction names and unit names (which ``UnitSystem`` holds free of
-whitespace, commas and quotes) hold no character that needs quoting.
+squares table; nothing is built at import.  The squares table's text
+is rendered once per format, too.  Every two-column table, here and in
+``metrology``, is written by ``_write`` from its printed rows: a CSV row
+is one f-string with no ``csv`` module, since digits, integers, fraction
+names and unit names (which ``UnitSystem`` holds free of whitespace,
+commas and quotes) hold no character that needs quoting.
 """
 
 from __future__ import annotations
@@ -146,23 +148,25 @@ def format_two_columns(rows: Sequence[tuple[str, str]]) -> str:
     return "".join([f"{a.ljust(width)}  {b}\n" for a, b in rows])
 
 
-def format_reciprocal_table(table: ElementaryTable, fmt: str = "text") -> str:
+def _write(rows: Sequence[tuple[str, str]], header: str, fmt: str) -> str:
+    """Printed rows as CSV under ``header``, or as two text columns."""
     if fmt == "csv":
-        return "entry,reciprocal\n" + "".join([f"{e},{r}\n" for e, r in table.pairs])
-    return format_two_columns([(str(e), str(r)) for e, r in table.pairs])
+        return header + "".join([f"{a},{b}\n" for a, b in rows])
+    return format_two_columns(rows)
+
+
+def format_reciprocal_table(table: ElementaryTable, fmt: str = "text") -> str:
+    return _write([(str(e), str(r)) for e, r in table.pairs], "entry,reciprocal\n", fmt)
 
 
 def format_multiplication_table(t: MultiplicationTable, fmt: str = "text") -> str:
-    if fmt == "csv":
-        head = str(t.head)
-        return "head,multiplier,product\n" + "".join(
-            [f"{head},{m},{p}\n" for m, p in t.rows]
-        )
-    return format_two_columns([(str(m), str(p)) for m, p in t.rows])
+    # a CSV row's first printed column is the head and the multiplier
+    head = f"{t.head}," if fmt == "csv" else ""
+    return _write(
+        [(f"{head}{m}", str(p)) for m, p in t.rows], "head,multiplier,product\n", fmt
+    )
 
 
+@lru_cache(maxsize=None)
 def format_squares_table(fmt: str = "text") -> str:
-    rows = gen_squares_table()
-    if fmt == "csv":
-        return "n,square\n" + "".join([f"{n},{s}\n" for n, s in rows])
-    return format_two_columns([(str(n), str(s)) for n, s in rows])
+    return _write([(str(n), str(s)) for n, s in gen_squares_table()], "n,square\n", fmt)

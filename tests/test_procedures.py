@@ -199,6 +199,54 @@ class TestParseScript:
         assert plain.answers[0].window == quoted.answers[0].window
 
 
+class TestRefusalsNameTheirLine:
+    # every refusal of parse_script carries its line, column 1 and the
+    # offending token in a diagnostic, whatever its class
+    HEAD = 'tablet "t"\ngiven-spvn a 2\n'
+
+    @pytest.mark.parametrize(
+        "line, cls, message, token",
+        [
+            ("step frobnicate a expect 1", UnknownOp, "unknown operation 'frobnicate'", "frobnicate"),
+            ("step mul a c", UnknownName, "undefined name 'c'", "c"),
+            ("answer z", UnknownName, "undefined name 'z'", "z"),
+            ("config A: a=e0, q=e1", UnknownName, "configuration anchors unknown given 'q'", "q"),
+            ("frobnicate a", ScriptSyntax, "unknown directive 'frobnicate'", "frobnicate"),
+            ("step recip a whatever 30", ScriptSyntax, "unexpected token 'whatever'", "whatever"),
+            ("config A: a=x1", ScriptSyntax, "bad anchor 'a=x1'", "a=x1"),
+            ('tablet "u"', ScriptSyntax, "duplicate tablet directive", "u"),
+        ],
+    )
+    def test_refusal(self, line, cls, message, token):
+        with pytest.raises(cls) as e:
+            parse_script(self.HEAD + line + "\n")
+        assert type(e.value) is cls
+        assert str(e.value) == f"line 3: {message}"
+        assert e.value.diagnostic == ParseDiagnostic(
+            line=3, column=1, message=message, token=token
+        )
+
+
+class TestGivenTail:
+    # a given's expect and attested numbers are plain; the order of its
+    # refusals is pinned
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ("expect 5e1", "givens expect plain digit sequences"),
+            ("attested 5e1", "givens expect plain digit sequences"),
+            ("attested 5", "given needs an expect value"),
+            ("expect 5e1 expect 6", "duplicate 'expect'"),
+        ],
+    )
+    def test_refusal(self, tail, message):
+        text = f'tablet "t"\ngiven L a "1 ninda" {tail}\n'
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(text)
+        assert str(e.value) == f"line 2: {message}"
+        assert e.value.diagnostic.line == 2
+
+
 def _split_outcome(split, text):
     try:
         return split(text)

@@ -140,7 +140,15 @@ class TestCurriculum:
 
 class TestConstantTables:
     @pytest.mark.parametrize(
-        "gen", [gen_reciprocal_table, gen_squares_table, multiplication_heads, curriculum]
+        "gen",
+        [
+            gen_reciprocal_table,
+            gen_squares_table,
+            multiplication_heads,
+            curriculum,
+            pytest.param(lambda: format_squares_table("text"), id="format_squares_text"),
+            pytest.param(lambda: format_squares_table("csv"), id="format_squares_csv"),
+        ],
     )
     def test_built_once(self, gen):
         assert gen() is gen()
