@@ -358,15 +358,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _dispatch(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
+        # first: a ParseError is also a SexagesimalError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SexagesimalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARITH
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

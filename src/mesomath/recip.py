@@ -14,9 +14,10 @@ reciprocal of 9 is 6:40, even though 6:40 heads no row of its own.
 from __future__ import annotations
 
 import enum
-from functools import cache
 from math import isqrt, prod
 from typing import NamedTuple
+
+import mesomath as _pkg
 
 from .errors import Irregular, LoopMismatch, NoProgress, NotACube, NotASquare, _clip
 from .spvn import (
@@ -97,15 +98,6 @@ class ElementaryTable:
 
     def __len__(self) -> int:
         return len(self._pairs)
-
-
-@cache
-def _standard_table() -> ElementaryTable:
-    # tables imports this module, so it is imported here, on first use;
-    # the table is built then too, never while importing.
-    from .tables import gen_reciprocal_table
-
-    return gen_reciprocal_table()
 
 
 class FactorStrategy(enum.Enum):
@@ -220,7 +212,8 @@ def reciprocal(
     first, with the single ``pow`` of :func:`is_regular`.
     """
     if table is None:
-        table = _standard_table()
+        # tables imports this module: the package loads it on first use
+        table = _pkg.tables.gen_reciprocal_table()
     v = to_integer(n)
     if not _is_regular_rep(v):
         raise Irregular(f"{_clip(str(n))} is without reciprocal")

@@ -152,7 +152,9 @@ def _write(rows: Sequence[tuple[str, str]], header: str, fmt: str) -> str:
     """Printed rows as CSV under ``header``, or as two text columns."""
     if fmt == "csv":
         return header + "".join([f"{a},{b}\n" for a, b in rows])
-    return format_two_columns(rows)
+    if fmt == "text":
+        return format_two_columns(rows)
+    raise ValueError(f"unknown table format {fmt!r}")
 
 
 def format_reciprocal_table(table: ElementaryTable, fmt: str = "text") -> str:

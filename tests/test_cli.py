@@ -46,6 +46,7 @@ class TestArithmeticCommands:
 
     def test_recip(self, capsys):
         assert run_cli(capsys, "recip", "5:3:24:26:40")[1] == "11:51:54:50:37:30\n"
+        assert run_cli(capsys, "recip", "7:30") == (EXIT_OK, "8\n", "")
 
     def test_recip_trace(self, capsys):
         code, out, _ = run_cli(capsys, "recip", "4:26:40", "--trace")
@@ -452,6 +453,8 @@ class TestConvert:
     def test_readings(self, capsys):
         _, out, _ = run_cli(capsys, "convert", "readings", "L", "3", "--span", "4")
         assert out.splitlines() == ["1/2 kuš 3 šu-si", "3 ninda", "3 uš", "6 danna"]
+        _, out, _ = run_cli(capsys, "convert", "readings", "Lh", "6", "--span", "4")
+        assert out.splitlines() == ["3 šu-si", "1/2 ninda", "30 ninda", "1 danna"]
 
 
 class TestRunAndCheck:
@@ -539,6 +542,13 @@ class TestRunAndCheck:
         )
         assert run_cli(capsys, "check", str(tmp_path)) == (
             EXIT_VERIFY, f"x: ERROR {message}\n0/1 tablets pass\n", ""
+        )
+
+    def test_undefined_operand_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "undefined.tab"
+        path.write_text('tablet "t"\nstep recip a\n')
+        assert run_cli(capsys, "run", str(path)) == (
+            EXIT_USAGE, "", "error: line 2: undefined name 'a'\n"
         )
 
     def test_repeated_expect_is_refused(self, capsys, tmp_path):
@@ -750,13 +760,19 @@ def _file_bytes(draw):
     return bytes(data)
 
 
-_NUMBER = st.sampled_from(["1", "7", "0", "1:75", "4:26:40", "3.30", "x", ""]) | st.text(
-    "0123456789:.e- ", max_size=6
+#: atoms no command should take: huge, out of range, control and non-ASCII digits
+_HOSTILE = st.sampled_from(
+    ["", "7" * 5000, ":".join(["7"] * 5000), "1:2:77", "1e99999", "\x00", "½", "٣"]
+)
+_NUMBER = (
+    st.sampled_from(["1", "7", "0", "1:75", "4:26:40", "3.30", "x"])
+    | st.text("0123456789:.e- ", max_size=6)
+    | _HOSTILE
 )
 _SYSTEM = st.sampled_from(["L", "Lh", "S", "W", "C", "Q"])
 _MEASUREMENT = st.sampled_from(
-    ["1 ninda", "2 kush", "1/2 ninda", "6 she", "9 gin", "1 sar", "1 kush 3 shu-si", "x", ""]
-)
+    ["1 ninda", "2 kush", "1/2 ninda", "6 she", "9 gin", "1 sar", "1 kush 3 shu-si", "x"]
+) | _HOSTILE
 _WINDOW = st.builds(
     lambda a, sep, b: a + sep + b, _MEASUREMENT, st.sampled_from(["..", ".", ""]), _MEASUREMENT
 )
@@ -829,6 +845,8 @@ class TestCliTotality:
         out, err = out.getvalue(), err.getvalue()
         assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_ARITH)
         assert "Traceback" not in err
+        if code in (EXIT_USAGE, EXIT_ARITH):
+            assert err.startswith(("error:", "usage:")), (argv, err[:200])
         if code == EXIT_VERIFY:
             # run ends in FAIL; check names each failed or refused tablet
             assert "FAIL" in out.splitlines() or any(

@@ -16,7 +16,6 @@ from mesomath import recip, spvn
 from mesomath.recip import (
     ElementaryTable,
     _icbrt,
-    _standard_table,
     FactorStrategy,
     cbrt,
     factor_reciprocals,
@@ -346,23 +345,22 @@ def test_import_builds_no_reciprocal_table():
         "import sys\n"
         "built = []\n"
         "sys.setprofile(lambda frame, event, arg: event == 'call' and frame.f_code.co_name"
-        " in ('_standard_table', 'gen_reciprocal_table') and built.append(1))\n"
+        " == 'gen_reciprocal_table' and built.append(1))\n"
         "import mesomath, mesomath.cli\n"
         "sys.setprofile(None)\n"
-        "print(len(built), mesomath.recip._standard_table.cache_info().currsize,"
-        " mesomath.tables.gen_reciprocal_table.cache_info().currsize)\n"
+        "print(len(built), mesomath.tables.gen_reciprocal_table.cache_info().currsize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_standard_table_is_built_once():
     n = fn("4:26:40")
     reciprocal(n)
-    hits = _standard_table.cache_info().hits
+    before = gen_reciprocal_table.cache_info()
     reciprocal(n)
     factor_reciprocals(reciprocal(n)[1])
-    assert _standard_table.cache_info().hits == hits + 2
-    assert _standard_table() is gen_reciprocal_table()
+    after = gen_reciprocal_table.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 2, before.misses, 1)

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mesomath.metrology import format_metrological_table, gen_metrological_table
 from mesomath.recip import reciprocal
 from mesomath.spvn import FloatingNumber, from_integer, mul, to_integer
 from mesomath.tables import (
@@ -18,7 +19,7 @@ from mesomath.tables import (
     gen_squares_table,
     multiplication_heads,
 )
-from mesomath.textio import parse_spvn as fn
+from mesomath.textio import parse_measurement, parse_spvn as fn
 import oracles
 
 # The standard table, all 27 clauses in tablet order.
@@ -186,6 +187,22 @@ class TestEmitters:
         assert lines[0] == "head,multiplier,product"
         assert "9,7,1:3" in lines
         assert "9,20,3" in lines
+
+    def test_unknown_format_is_refused(self):
+        # no other format falls back to text, and none is kept in the
+        # squares table's cache
+        one, two = (parse_measurement(t, "L") for t in ("1 ninda", "2 ninda"))
+        emitters = [
+            lambda fmt: format_reciprocal_table(gen_reciprocal_table(), fmt),
+            lambda fmt: format_multiplication_table(gen_multiplication_table(fn("9")), fmt),
+            format_squares_table,
+            lambda fmt: format_metrological_table(gen_metrological_table("L", one, two), fmt),
+        ]
+        for emit in emitters:
+            for fmt in ("CSV", "", "txt"):
+                with pytest.raises(ValueError, match="unknown table format"):
+                    emit(fmt)
+        assert format_squares_table.cache_info().currsize <= 2
 
 
 class TestEmittersMatchOracles:
