@@ -40,22 +40,24 @@ class ElementaryTable:
     over, so no factorization converts or sorts the table again.  It
     maps each known value's canonical integer representative to the
     value, its reciprocal and that reciprocal's representative, and lists
-    every known value but 1 as ``(representative, 60**(len - 1), value)``,
-    largest representative first.  Representatives are distinct (the
-    integer bridge is a bijection), so that order is exactly the order
-    of sorting the values by :func:`to_integer`.
+    every known value but 1 as a row ``(t, m, M)``: its representative
+    ``t``, ``m = 60**(len - 1)`` and ``M = 60**len``, largest ``t``
+    first.  Representatives are distinct (the integer bridge is a
+    bijection), so that order is exactly the order of sorting the values
+    by :func:`to_integer`.
 
     A second, 60-entry index narrows the wedge-suffix search by the last
     digit ``d`` of the number being peeled.  Entry ``d`` keeps, in the
-    same order, only the values that can be read at the end of such a
+    same order, only the rows that can be read at the end of such a
     number: those of several digits whose own last digit is ``d``, and
     the one-digit values at most ``d`` (readable inside that digit).
 
     Last, construction finds the peel's window: the least ``60**k`` that
     every known value divides, with ``k`` at least the length of the
     longest value (4 for the standard table, since 44:26:40 is
-    2**8 * 5**4).  :func:`_pick_divisor` reads a quotient only through
-    it (see there), so the peel picks factors on ``k + 1`` digits.
+    2**8 * 5**4).  Every known value is below it, and every ``t``, ``m``
+    and ``M`` divides it, so :func:`reciprocal` reads a quotient only
+    through its residue modulo the window.
     """
 
     __slots__ = ("_pairs", "_by_rep", "_divisors", "_wedge_by_last", "_window")
@@ -72,7 +74,7 @@ class ElementaryTable:
         self._pairs = pairs
         self._by_rep = by_rep
         self._divisors = tuple(
-            (t, BASE ** (len(v) - 1), v)
+            (t, BASE ** (len(v) - 1), BASE ** len(v))
             for t, (v, _, _) in sorted(by_rep.items(), reverse=True)
             if t > 1
         )
@@ -122,12 +124,18 @@ class Factorization(NamedTuple):
     reciprocal: FloatingNumber
 
     def quotients(self) -> tuple[FloatingNumber, ...]:
-        """The left-hand column: the number, then each successive quotient."""
+        """The left-hand column: the number, then each successive quotient.
+
+        The last quotient is the table value that ended the peel, so the
+        column ends on the last factor, converted no second time.
+        """
         out = [self.source]
         cur = to_integer(self.source)
-        for f in self.factors[:-1]:
+        for f in self.factors[:-2]:
             cur //= to_integer(f)
             out.append(from_integer(cur))
+        if len(self.factors) > 1:
+            out.append(self.factors[-1])
         return tuple(out)
 
 
@@ -151,51 +159,6 @@ def is_regular(n: FloatingNumber) -> bool:
     return _is_regular_rep(to_integer(n))
 
 
-def _is_wedge_suffix_rep(t: int, m: int, v: int) -> bool:
-    """Can the table value ``t`` be read in the final wedge groups of ``v``?
-
-    ``t`` and ``v`` are representatives and ``m = 60**(len(t) - 1)``.
-    All digits of ``t`` but the first must equal the final digits of
-    ``v``, and ``t``'s leading digit must be at most the digit of ``v``
-    in that position: 6:40 is visible at the end of 4:26:40 because the
-    6 can be read inside the 26.  On integers: ``v >= m`` says ``v`` has
-    at least as many digits as ``t``; the remainders mod ``m`` are the
-    digits after ``t``'s first; and ``v // m % 60`` is the digit of ``v``
-    under that first digit, ``t // m``.
-    """
-    return v >= m and v % m == t % m and v // m % BASE >= t // m
-
-
-def _pick_divisor(
-    v: int, table: ElementaryTable, strategy: FactorStrategy
-) -> tuple[int, int, FloatingNumber] | None:
-    """The index entry to peel from representative ``v``, or None.
-
-    Only table values that divide ``v`` exactly qualify, 1 excluded.
-    Under the wedge strategy the largest of them that is a wedge suffix
-    of ``v`` wins; otherwise, or when none is, the largest of them does.
-    Wedge suffixes are looked for only among the entries that the
-    table's last-digit index lists for ``v``'s last digit; that list
-    keeps the index order (largest first) and holds every possible
-    suffix, so its first hit is the first hit of a full scan.
-
-    Every test here is ``v % t``, ``v % m``, ``v // m % 60`` or
-    ``v >= m`` for table values ``t`` and ``m = 60**(len(t) - 1)`` that
-    divide the table's window ``w``.  So for ``v >= w`` each gives the
-    same answer on ``v % w + w`` as on ``v``, and :func:`reciprocal`
-    passes that short stand-in for a long quotient.
-    """
-    if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
-        for d in table._wedge_by_last[v % BASE]:
-            t, m, _ = d
-            if not v % t and _is_wedge_suffix_rep(t, m, v):
-                return d
-    for d in table._divisors:
-        if not v % d[0]:
-            return d
-    return None
-
-
 def reciprocal(
     n: FloatingNumber,
     strategy: FactorStrategy = FactorStrategy.WEDGE_SUFFIX_LONGEST,
@@ -210,6 +173,21 @@ def reciprocal(
     the school choices (6:40 out of 4:26:40, then 40; and the 6:40,
     40, 16, 16, 16 run of the long exercises).  Regularity is checked
     first, with the single ``pow`` of :func:`is_regular`.
+
+    The whole choice is made in this one loop, on ``s``, the quotient
+    modulo the table's window.  A row ``(t, m, M)`` qualifies when ``t``
+    divides the quotient, and is a wedge suffix of it when also
+    ``s % m == t % m`` (the digits after ``t``'s first match the
+    quotient's last ones) and ``s % M >= t``: given that match, the
+    latter says the quotient's digit under ``t``'s leading digit is at
+    least that digit, and since ``t >= m`` it implies that the quotient
+    has as many digits as ``t``.  Wedge suffixes are looked for only in
+    the rows that the last-digit index lists for ``s``'s last digit;
+    they keep the index order and hold every possible suffix, so the
+    first hit there is the first hit of a full scan.  Each of ``t``,
+    ``m`` and ``M`` divides the window, so the residue answers every
+    test as the whole quotient would.  Every known value is below the
+    window, so a longer quotient goes on peeling without a lookup.
     """
     if table is None:
         # tables imports this module: the package loads it on first use
@@ -222,13 +200,26 @@ def reciprocal(
     # Each peeled entry is (factor, its reciprocal, that reciprocal's rep).
     by_rep = table._by_rep
     window = table._window
+    divisors = table._divisors
+    wedge = (
+        table._wedge_by_last
+        if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST
+        else ((),) * BASE
+    )
     peeled = []
-    while v not in by_rep:
-        d = _pick_divisor(v if v < window else v % window + window, table, strategy)
-        if d is None:
-            raise NoProgress(f"no table factor divides {_clip(str(from_integer(v)))}")
-        peeled.append(by_rep[d[0]])
-        v //= d[0]
+    while v >= window or v not in by_rep:
+        s = v % window
+        for t, m, M in wedge[s % BASE]:
+            if not s % t and s % m == t % m and s % M >= t:
+                break
+        else:
+            for t, _, _ in divisors:
+                if not s % t:
+                    break
+            else:
+                raise NoProgress(f"no table factor divides {_clip(str(from_integer(v)))}")
+        peeled.append(by_rep[t])
+        v //= t
     peeled.append(by_rep[v])
     factors, recips, reps = zip(*peeled)
     out = from_integer(prod(reps))

@@ -18,7 +18,7 @@ from mesomath.procedures import parse_script, run, shipped_corpus_dir
 from mesomath.recip import ElementaryTable, reciprocal
 from mesomath.tables import gen_multiplication_table
 from mesomath.textio import parse_spvn as fn
-from oracles import digits_of
+from oracles import digits_of, smooth_numbers
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +137,29 @@ class TestRecipTracePin:
             code, out, err = run_cli(capsys, "recip", n, "--trace", "--strategy", strategy)
             assert code == EXIT_OK and not err
             h.update(f"{n}\n{out}".encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("wedge", "ac9fa0ea750fa2425c842400fbdd9ae6eecef456d49557c0570b457e3de5b048"),
+            ("largest", "95b11653f29620d61d5d8da396ca796dece2bfbcbce428b18b19f8ed2aa3c775"),
+        ],
+    )
+    def test_short_reciprocals_and_the_way_back(self, capsys, strategy, digest):
+        # the 432 regular numbers below 60**4 that 60 does not divide, each
+        # inverted and its reciprocal inverted again, as the sweep does
+        h = hashlib.sha256()
+        for v in smooth_numbers(60**4):
+            if not v % 60:
+                continue
+            n = _sexagesimal(v)
+            code, out, err = run_cli(capsys, "recip", n, "--trace", "--strategy", strategy)
+            assert code == EXIT_OK and not err
+            r = out.splitlines()[-1]
+            code, back, err = run_cli(capsys, "recip", r, "--trace", "--strategy", strategy)
+            assert code == EXIT_OK and not err and back.splitlines()[-1] == n
+            h.update(f"{n}\n{out}{back}".encode())
         assert h.hexdigest() == digest
 
 

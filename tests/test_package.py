@@ -8,6 +8,7 @@ process has long since imported every layer.
 import copy
 import importlib
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import mesomath
 from mesomath import abacus, errors, metrology, procedures, recip, tables
 from mesomath.procedures import shipped_corpus_dir
 from mesomath.textio import parse_measurement, parse_spvn, parse_window
+import mutants
 
 LAYERS = ("abacus", "errors", "metrology", "procedures", "recip", "spvn", "tables", "textio")
 #: every public name and the layer it lives in
@@ -385,3 +387,14 @@ class TestRecordReprs:
             "error=\"line 1: unknown directive 'bogus'\")), warnings=())"
         )
         assert not summary.passed
+
+
+def test_every_mutant_applies_once(tmp_path):
+    # tests/mutants.py runs outside tier-1; this keeps each entry's text
+    # current with its module, so an edit there fails here first
+    pkg = tmp_path / "src" / "mesomath"
+    pkg.mkdir(parents=True)
+    for m in mutants.MUTANTS:
+        shutil.copy(mutants.ROOT / "src" / "mesomath" / m.module, pkg)
+        mutants.apply(m, tmp_path)
+        assert all((mutants.ROOT / t).is_file() for t in m.tests), m.name

@@ -176,9 +176,16 @@ def _reference_reciprocal(n, strategy, table):
     return answer, tuple(factors)
 
 
+# every regular number of 1 to 8 digits: the reference reads the wedge
+# suffixes on digits, so these meet each row's test at every length
+short_regulars = st.sampled_from(
+    [from_integer(v) for v in smooth_numbers(60**8) if v % 60]
+)
+
+
 @pytest.mark.parametrize("strategy", list(FactorStrategy))
-@settings(deadline=None, max_examples=150)
-@given(long_regulars)
+@settings(deadline=None, max_examples=300)
+@given(long_regulars | short_regulars)
 def test_factor_choice_matches_reference(strategy, n):
     from mesomath.tables import gen_reciprocal_table
 
@@ -209,19 +216,6 @@ def test_anchored_reciprocal_exponent_short():
 def test_anchored_reciprocal_exponent_long(n, e):
     a = abacus.AnchoredNumber(n, e)
     assert abacus.recip_anchored(a)[0] == _anchored_by_loop(n, e)
-
-
-@settings(deadline=None)
-@given(
-    st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any),
-    st.lists(st.integers(0, 59), min_size=1, max_size=8).filter(any),
-)
-def test_integer_wedge_form_agrees_with_digits(td, nd):
-    t, n = FloatingNumber(td), FloatingNumber(nd)
-    m = 60 ** (len(t) - 1)
-    assert recip._is_wedge_suffix_rep(to_integer(t), m, to_integer(n)) == (
-        is_wedge_suffix(t, n)
-    )
 
 
 # Standard pairs without the one-place numbers below 9: many quotients
@@ -274,14 +268,23 @@ def test_wedge_index_lists_exactly_the_possible_suffixes(which):
     from mesomath.tables import gen_reciprocal_table
 
     table = gen_reciprocal_table() if which == "standard" else VARIANT
-    # The wedge test reads v only through v % (60 * m) and whether v >= m,
-    # so v in range(m, 61 * m) meets every case it can ever see.
-    endings = {
-        (t, m, f): {
-            v % 60 for v in range(m, 61 * m) if recip._is_wedge_suffix_rep(t, m, v)
+    known = {to_integer(t) for pair in table.pairs for t in pair}
+    rows = [(t, 60 ** (len(digits_of(t)) - 1), 60 ** len(digits_of(t))) for t in known]
+    assert table._divisors == tuple(sorted((r for r in rows if r[0] > 1), reverse=True))
+    # The digit oracle reads only a number's last len(t) digits, and a hit
+    # needs all of them but the one under t's lead to be t's, so these
+    # numbers meet every (digit under the lead, last digit) there can be.
+    endings = {}
+    for row in table._divisors:
+        t = from_integer(row[0])
+        tail = t.digits[1:-1]
+        endings[row] = {
+            n.digits[-1]
+            for x in range(60)
+            for d in range(60)
+            for n in [FloatingNumber((1, x, *tail, d))]
+            if is_wedge_suffix(t, n)
         }
-        for t, m, f in table._divisors
-    }
     assert len(table._wedge_by_last) == 60
     for d in range(60):
         want = tuple(e for e in table._divisors if d in endings[e])
@@ -294,6 +297,15 @@ def test_standard_table_window():
 
     assert gen_reciprocal_table()._window == 60**4
     assert VARIANT._window == 60**3
+
+
+@pytest.mark.parametrize("which", ["standard", "variant"])
+def test_every_known_value_is_below_the_window(which):
+    # so a quotient at or past the window is never looked up in the table
+    from mesomath.tables import gen_reciprocal_table
+
+    table = gen_reciprocal_table() if which == "standard" else VARIANT
+    assert max(table._by_rep) < table._window
 
 
 @st.composite
@@ -330,16 +342,18 @@ def test_windowed_peel_matches_whole_quotient_peel(which, strategy, n):
 
 
 def test_variant_table_reaches_the_fallback():
-    # 2:8 (= 128): no entry the index lists for its last digit 8 is a
-    # dividing suffix, so the pick is the largest exact divisor, 1:4 (= 64)
-    v = 128
-    assert not any(
-        v % t == 0 and recip._is_wedge_suffix_rep(t, m, v)
-        for t, m, _ in VARIANT._wedge_by_last[v % 60]
-    )
-    pick = recip._pick_divisor(v, VARIANT, FactorStrategy.WEDGE_SUFFIX_LONGEST)
-    assert pick[2] == parse_spvn("1:4")
-    assert not is_wedge_suffix(parse_spvn("1:4"), parse_spvn("2:8"))
+    # 34:8 (= 2048 = 1:4 * 32): 1:4, 32 and 16 divide it, but none is a
+    # wedge suffix of it, so the pick is the largest divisor, 1:4, which
+    # leaves 32 (2:8 = 1:4 * 2 reaches the same pick, then stalls on 2)
+    n = parse_spvn("34:8")
+    known = {t for pair in VARIANT.pairs for t in pair}
+    divisors = [t for t in known if to_integer(n) % to_integer(t) == 0]
+    assert divisors and not any(is_wedge_suffix(t, n) for t in divisors)
+    assert max(divisors, key=to_integer) == parse_spvn("1:4")
+    _, fact = reciprocal(n, FactorStrategy.WEDGE_SUFFIX_LONGEST, VARIANT)
+    assert fact.factors == (parse_spvn("1:4"), parse_spvn("32"))
+    with pytest.raises(NoProgress, match="divides 2$"):
+        reciprocal(parse_spvn("2:8"), FactorStrategy.WEDGE_SUFFIX_LONGEST, VARIANT)
 
 
 # --- regularity by one modular power, against the exponent oracle --------------

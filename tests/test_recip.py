@@ -133,6 +133,22 @@ class TestReciprocal:
             "11:51:54:50:37:30",
         ]
 
+    def test_quotient_column_ends_on_the_last_factor(self):
+        # the last quotient is the table value that ended the peel
+        _, fact = reciprocal(fn("5:3:24:26:40"))
+        q = fact.quotients()
+        assert len(q) == len(fact.factors) == 5
+        assert q[-1] == fact.factors[-1]
+        assert to_integer(q[-1]) == to_integer(fact.source) // prod(
+            map(to_integer, fact.factors[:-1])
+        )
+
+    def test_table_value_is_its_own_quotient_column(self):
+        n = fn("44:26:40")
+        _, fact = reciprocal(n)
+        assert fact.factors == (n,)
+        assert fact.quotients() == (n,)
+
     def test_table_lookup(self):
         r, fact = reciprocal(fn("2"))
         assert r == fn("30")
