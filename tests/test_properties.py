@@ -218,6 +218,21 @@ def test_anchored_reciprocal_exponent_long(n, e):
     assert abacus.recip_anchored(a)[0] == _anchored_by_loop(n, e)
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any),
+    st.lists(st.integers(0, 59), min_size=1, max_size=8).filter(any),
+)
+def test_integer_wedge_form_agrees_with_digits(td, nd):
+    # the wedge test of reciprocal's loop, on the quotient's residue modulo
+    # a window that each of t, m and M divides, as the loop reads it
+    t, n = FloatingNumber(td), FloatingNumber(nd)
+    ti = to_integer(t)
+    m, M = 60 ** (len(t) - 1), 60 ** len(t)
+    s = to_integer(n) % 60**4
+    assert (s % m == ti % m and s % M >= ti) == is_wedge_suffix(t, n)
+
+
 # Standard pairs without the one-place numbers below 9: many quotients
 # stall, and many have divisors but no wedge suffix among them (1:4 and 32
 # both divide 2:8), which the standard table never leaves to the fallback.
