@@ -227,118 +227,126 @@ def parse_script(text: str) -> ProcedureScript:
 
     for line_no, raw in enumerate(_lines(text), start=1):
         try:
-            toks = _split_line(raw)
-        except ValueError as e:
-            raise _syntax(line_no, f"bad quoting: {e}") from None
-        if not toks:
-            continue
-        kw = toks[0]
-        n = len(toks)
+            try:
+                toks = _split_line(raw)
+            except ValueError as e:
+                raise _syntax(line_no, f"bad quoting: {e}") from None
+            if not toks:
+                continue
+            kw = toks[0]
+            n = len(toks)
 
-        # most lines are steps
-        if kw == "step":
-            if n < 2:
-                raise _syntax(line_no, "empty step")
-            op = toks[1]
-            if op not in _OPS:
-                raise _syntax(line_no, f"unknown operation {op!r}", op, UnknownOp)
-            arity = _OPS[op][0]
-            end = 2 + arity
-            args = tuple(toks[2:end])
-            if len(args) != arity:
-                raise _syntax(line_no, f"{op} takes {arity} operand name(s)")
-            for a in args:
-                if a not in defined:
-                    raise _syntax(line_no, f"undefined name {a!r}", a, UnknownName)
-            new_name = None
-            stop = n
-            if n - end >= 2 and toks[-2] == "as":
-                new_name = toks[-1]
-                stop -= 2
-            expect, attested = _expect_tail(toks, end, stop, line_no)
-            steps.append(Step(op, args, expect, attested, new_name, line_no))
-            if new_name:
-                defined.add(new_name)
+            # most lines are steps
+            if kw == "step":
+                if n < 2:
+                    raise _syntax(line_no, "empty step")
+                op = toks[1]
+                if op not in _OPS:
+                    raise _syntax(line_no, f"unknown operation {op!r}", op, UnknownOp)
+                arity = _OPS[op][0]
+                end = 2 + arity
+                args = tuple(toks[2:end])
+                if len(args) != arity:
+                    raise _syntax(line_no, f"{op} takes {arity} operand name(s)")
+                for a in args:
+                    if a not in defined:
+                        raise _syntax(line_no, f"undefined name {a!r}", a, UnknownName)
+                new_name = None
+                stop = n
+                if n - end >= 2 and toks[-2] == "as":
+                    new_name = toks[-1]
+                    stop -= 2
+                expect, attested = _expect_tail(toks, end, stop, line_no)
+                steps.append(Step(op, args, expect, attested, new_name, line_no))
+                if new_name:
+                    defined.add(new_name)
 
-        elif kw == "tablet":
-            if n != 2:
-                raise _syntax(line_no, "tablet takes one quoted id")
-            if tablet is not None:
-                raise _syntax(line_no, "duplicate tablet directive", toks[1])
-            tablet = toks[1]
+            elif kw == "tablet":
+                if n != 2:
+                    raise _syntax(line_no, "tablet takes one quoted id")
+                if tablet is not None:
+                    raise _syntax(line_no, "duplicate tablet directive", toks[1])
+                tablet = toks[1]
 
-        elif kw == "given":
-            if n < 6:
-                raise _syntax(line_no, 'given needs: <table> <name> "<measurement>" expect <number>')
-            system, name, meas_text = toks[1], toks[2], toks[3]
-            expect, attested = _expect_tail(toks, 4, n, line_no)
-            if isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber):
-                raise _syntax(line_no, "givens expect plain digit sequences")
-            if expect is None:
-                raise _syntax(line_no, "given needs an expect value")
-            m = textio.parse_measurement(meas_text, system, line_no)
-            givens.append(Given(name, expect, attested, m, line_no))
-            defined.add(name)
-
-        elif kw == "given-spvn":
-            if n != 3:
-                raise _syntax(line_no, "given-spvn needs: <name> <number>")
-            name = toks[1]
-            givens.append(Given(name, textio.parse_spvn(toks[2], line_no), None, None, line_no))
-            defined.add(name)
-
-        elif kw == "config":
-            if n < 2 or not toks[1].endswith(":"):
-                raise _syntax(line_no, "config needs: <name>: given=e<int>, ...")
-            cname = toks[1][:-1]
-            if cname in configs:
-                raise _syntax(line_no, f"duplicate configuration {cname!r}", cname)
-            exps: dict[str, int] = {}
-            for item in islice(toks, 2, None):
-                item = item.rstrip(",")
-                if not item:
-                    continue
-                gname, _, etext = item.partition("=")
-                if not gname or not etext.startswith("e"):
-                    raise _syntax(line_no, f"bad anchor {item!r}", item)
-                if gname not in defined:
-                    msg = f"configuration anchors unknown given {gname!r}"
-                    raise _syntax(line_no, msg, gname, UnknownName)
-                if gname in exps:
-                    raise _syntax(line_no, f"given {gname!r} anchored twice", item)
-                exponent = textio.read_exponent(etext[1:])
-                if exponent is None:
-                    raise _syntax(line_no, f"bad exponent {etext!r}", item)
-                exps[gname] = exponent
-            configs[cname] = (Configuration(cname, exps), line_no)
-
-        elif kw == "answer":
-            if n < 2:
-                raise _syntax(line_no, "answer needs a name")
-            name = toks[1]
-            if name not in defined:
-                raise _syntax(line_no, f"undefined name {name!r}", name, UnknownName)
-            if n == 2:
-                answers.append(Answer(name, None, None, line_no))
-            else:
-                if n < 5 or toks[3] != "window":
+            elif kw == "given":
+                if n < 6:
                     raise _syntax(
-                        line_no,
-                        'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"',
+                        line_no, 'given needs: <table> <name> "<measurement>" expect <number>'
                     )
-                system = toks[2]
-                window = textio.parse_window(toks[4], system, line_no)
-                expect_m = None
-                i = 5
-                if n - i >= 2 and toks[i] == "expect":
-                    expect_m = textio.parse_measurement(toks[i + 1], system, line_no)
-                    i += 2
-                if i < n:
-                    raise _syntax(line_no, f"unexpected token {toks[i]!r}", toks[i])
-                answers.append(Answer(name, window, expect_m, line_no))
+                system, name, meas_text = toks[1], toks[2], toks[3]
+                expect, attested = _expect_tail(toks, 4, n, line_no)
+                if isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber):
+                    raise _syntax(line_no, "givens expect plain digit sequences")
+                if expect is None:
+                    raise _syntax(line_no, "given needs an expect value")
+                m = textio.parse_measurement(meas_text, system)
+                givens.append(Given(name, expect, attested, m, line_no))
+                defined.add(name)
 
-        else:
-            raise _syntax(line_no, f"unknown directive {kw!r}", kw)
+            elif kw == "given-spvn":
+                if n != 3:
+                    raise _syntax(line_no, "given-spvn needs: <name> <number>")
+                name = toks[1]
+                givens.append(Given(name, textio.parse_spvn(toks[2]), None, None, line_no))
+                defined.add(name)
+
+            elif kw == "config":
+                if n < 2 or not toks[1].endswith(":"):
+                    raise _syntax(line_no, "config needs: <name>: given=e<int>, ...")
+                cname = toks[1][:-1]
+                if cname in configs:
+                    raise _syntax(line_no, f"duplicate configuration {cname!r}", cname)
+                exps: dict[str, int] = {}
+                for item in islice(toks, 2, None):
+                    item = item.rstrip(",")
+                    if not item:
+                        continue
+                    gname, _, etext = item.partition("=")
+                    if not gname or not etext.startswith("e"):
+                        raise _syntax(line_no, f"bad anchor {item!r}", item)
+                    if gname not in defined:
+                        msg = f"configuration anchors unknown given {gname!r}"
+                        raise _syntax(line_no, msg, gname, UnknownName)
+                    if gname in exps:
+                        raise _syntax(line_no, f"given {gname!r} anchored twice", item)
+                    exponent = textio.read_exponent(etext[1:])
+                    if exponent is None:
+                        raise _syntax(line_no, f"bad exponent {etext!r}", item)
+                    exps[gname] = exponent
+                configs[cname] = (Configuration(cname, exps), line_no)
+
+            elif kw == "answer":
+                if n < 2:
+                    raise _syntax(line_no, "answer needs a name")
+                name = toks[1]
+                if name not in defined:
+                    raise _syntax(line_no, f"undefined name {name!r}", name, UnknownName)
+                if n == 2:
+                    answers.append(Answer(name, None, None, line_no))
+                else:
+                    if n < 5 or toks[3] != "window":
+                        raise _syntax(
+                            line_no,
+                            'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"',
+                        )
+                    system = toks[2]
+                    window = textio.parse_window(toks[4], system)
+                    expect_m = None
+                    i = 5
+                    if n - i >= 2 and toks[i] == "expect":
+                        expect_m = textio.parse_measurement(toks[i + 1], system)
+                        i += 2
+                    if i < n:
+                        raise _syntax(line_no, f"unexpected token {toks[i]!r}", toks[i])
+                    answers.append(Answer(name, window, expect_m, line_no))
+
+            else:
+                raise _syntax(line_no, f"unknown directive {kw!r}", kw)
+        except ParseError as e:
+            # textio places every refusal on line 1 of its text; this is the
+            # one place a refusal gets its line in the script
+            e.diagnostic = e.diagnostic._replace(line=line_no)
+            raise
 
     if tablet is None:
         raise _syntax(1, "missing tablet directive")
@@ -365,7 +373,7 @@ def _expect_tail(toks, i, end, line_no):
             raise _syntax(line_no, f"unexpected token {key!r}", key)
         if (expect if key == "expect" else attested) is not None:
             raise _syntax(line_no, f"duplicate {key!r}", key)
-        value = textio.parse_number(toks[i + 1], line_no)
+        value = textio.parse_number(toks[i + 1])
         if key == "expect":
             expect = value
         else:
@@ -510,12 +518,14 @@ class CorpusSummary(NamedTuple):
 
 
 def _read_script(path: str | Path) -> ProcedureScript:
+    """The script in the UTF-8 file ``path``; a byte-order mark is skipped."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return parse_script(data.decode("utf-8"))
+        return parse_script(data.decode("utf-8-sig"))
     except UnicodeDecodeError as e:
-        line = len(_lines(data[: e.start].decode("utf-8")))
+        # the error's offset counts from after any byte-order mark
+        line = len(_lines(e.object[: e.start].decode("utf-8")))
         raise _syntax(line, f"not UTF-8 text: {e.reason}") from None
 
 

@@ -21,7 +21,10 @@ summed, as it is read, so a measurement is built by the trusted builder
 
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
-arbitrary text.
+arbitrary text.  A diagnostic reports a position within the parser's
+text, always on line 1; the caller places it in a file, as
+:func:`~mesomath.procedures.parse_script` sets the script line of every
+refusal it raises.
 
 Importing this module loads ``re``, ``spvn`` and ``errors`` only.  The
 measurement parsers reach ``metrology``, and :func:`parse_number`
@@ -39,6 +42,7 @@ from typing import TYPE_CHECKING
 import mesomath as _pkg
 
 from .errors import (
+    AllZero,
     BadFraction,
     DigitOutOfRange,
     EmptyInput,
@@ -56,8 +60,9 @@ if TYPE_CHECKING:
     from .abacus import AnchoredNumber
 
 
-def _diag(col: int, message: str, token: str = "", line: int = 1) -> ParseDiagnostic:
-    return ParseDiagnostic(line=line, column=col, message=message, token=token)
+def _diag(col: int, message: str, token: str = "") -> ParseDiagnostic:
+    """A refusal at column ``col`` of the parser's text, which is line 1."""
+    return ParseDiagnostic(1, col, message, token)
 
 
 def _ascii_digits(s: str) -> bool:
@@ -105,7 +110,7 @@ _SPVN = re.compile(r"(?:0*[1-5]?[0-9][:.])*0*[1-5]?[0-9]")
 _PART = {str(d): d for d in range(BASE)} | {f"0{d}": d for d in range(10)}
 
 
-def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
+def parse_spvn(text: str) -> FloatingNumber:
     """Parse a digit sequence like "44:26:40" (or "44.26.40").
 
     A token that ``_SPVN`` matches is built from its parts with no second
@@ -113,7 +118,7 @@ def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
     """
     s = text.strip()
     if _SPVN.fullmatch(s) is None:
-        raise _spvn_refusal(text, s, line)
+        raise _spvn_refusal(text, s)
     parts = s.replace(".", ":").split(":")
     try:
         ds = list(map(_PART.__getitem__, parts))
@@ -123,20 +128,24 @@ def parse_spvn(text: str, line: int = 1) -> FloatingNumber:
         # against its digit limit
         ds = [int(p[-2:]) for p in parts]
     x = object.__new__(FloatingNumber)
-    x._digits, x._int = _fold(ds)
+    try:
+        x._digits, x._int = _fold(ds)
+    except AllZero as e:
+        e.diagnostic = _diag(1, "no nonzero digit", s)
+        raise
     return x
 
 
-def _spvn_refusal(text: str, s: str, line: int) -> ParseError:
+def _spvn_refusal(text: str, s: str) -> ParseError:
     """The error for a token that ``_SPVN`` refuses, naming its first bad part."""
     if not s:
-        return EmptyInput("empty number", _diag(1, "empty number", text, line))
+        return EmptyInput("empty number", _diag(1, "empty number", text))
     col = 1
     for part in s.replace(".", ":").split(":"):
         if not _ascii_digits(part):
             return MalformedSeparator(
                 f"malformed digit sequence {text!r}",
-                _diag(col, "expected a base-60 digit", part, line),
+                _diag(col, "expected a base-60 digit", part),
             )
         # leading zeros are insignificant; a third significant digit is
         # out of range before int() reads it, however long the part is
@@ -144,41 +153,41 @@ def _spvn_refusal(text: str, s: str, line: int) -> ParseError:
         if len(sig) > 2 or int(sig) > 59:
             return DigitOutOfRange(
                 f"digit {sig} outside 0..59",
-                _diag(col, "digit outside 0..59", part, line),
+                _diag(col, "digit outside 0..59", part),
             )
         col += len(part) + 1
     raise AssertionError(f"{text!r} is a well-formed digit sequence")
 
 
-def parse_number(text: str, line: int = 1) -> FloatingNumber | AnchoredNumber:
+def parse_number(text: str) -> FloatingNumber | AnchoredNumber:
     """Parse a digit sequence like "44:26:40", or "<digits>e<exponent>" like "6:30e-1".
 
     A token with no 'e' is a digit sequence; one with an 'e' is an
     anchored literal, its exponent after the last 'e'.
     """
     if "e" not in text:
-        return parse_spvn(text, line)
+        return parse_spvn(text)
     s = text.strip()
     head, _, tail = s.rpartition("e")
     if not head:
         raise MalformedSeparator(
             f"anchored literal needs digits and exponent: {text!r}",
-            _diag(1, "expected <digits>e<exponent>", s, line),
+            _diag(1, "expected <digits>e<exponent>", s),
         )
     exponent = read_exponent(tail)
     if exponent is None:
         raise MalformedSeparator(
             f"bad exponent in {text!r}",
-            _diag(len(head) + 2, "exponent must be an integer", tail, line),
+            _diag(len(head) + 2, "exponent must be an integer", tail),
         )
-    return _pkg.AnchoredNumber(parse_spvn(head, line), exponent)
+    return _pkg.AnchoredNumber(parse_spvn(head), exponent)
 
 
 # each glyph as twelfths of its unit
 _FRACTION_GLYPHS = {"½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10}
 
 
-def _parse_fraction_token(tok: str, system, col: int, line: int) -> int | None:
+def _parse_fraction_token(tok: str, system, col: int) -> int | None:
     """The fraction ``tok`` names, in twelfths; None if it names none."""
     if tok in _FRACTION_GLYPHS:
         return _FRACTION_GLYPHS[tok]
@@ -190,18 +199,18 @@ def _parse_fraction_token(tok: str, system, col: int, line: int) -> int | None:
     if n is None or not d:
         raise BadFraction(
             f"bad fraction {tok!r}",
-            _diag(col, "fraction must look like 1/3", tok, line),
+            _diag(col, "fraction must look like 1/3", tok),
         )
     f, r = divmod(12 * n, d)
     if r or f not in _pkg.metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {tok} is not used in system {system.kind}",
-            _diag(col, "fraction not in the allowed set", tok, line),
+            _diag(col, "fraction not in the allowed set", tok),
         )
     return f
 
 
-def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.MeasurementValue:
+def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue:
     """Parse "1/2 kush 3 shu-si" and friends for the given unit system.
 
     Grammar: one or more groups of [count] [fraction] unit, units in
@@ -214,15 +223,17 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
     text, so an error in a later token wins over it.
     """
     metrology = _pkg.metrology
-    system = metrology.get_system(system_kind)
+    try:
+        system = metrology.get_system(system_kind)
+    except UnknownUnit as e:
+        e.diagnostic = _diag(1, "unknown unit system", system_kind)
+        raise
     positions = system._positions
     units = system.units
     Term = metrology.Term
     toks = text.split()
     if not toks:
-        raise EmptyInput(
-            "empty measurement", _diag(1, "empty measurement", text, line)
-        )
+        raise EmptyInput("empty measurement", _diag(1, "empty measurement", text))
     terms: list[metrology.Term] = []
     whole: int | None = None
     frac: int | None = None
@@ -236,7 +247,7 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
             if whole is None and frac is None:
                 raise MeasurementSyntax(
                     f"unit {tok!r} has no count",
-                    _diag(col, "missing count before unit", tok, line),
+                    _diag(col, "missing count before unit", tok),
                 )
             unit = units[idx]
             count = 12 * (whole or 0) + (frac or 0)
@@ -254,47 +265,51 @@ def parse_measurement(text: str, system_kind: str, line: int = 1) -> metrology.M
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
                     f"expected a unit before {tok!r}",
-                    _diag(col, "two counts in a row", tok, line),
+                    _diag(col, "two counts in a row", tok),
                 )
             whole = _decimal(tok)
             if whole is None:
                 raise MeasurementSyntax(
                     "count has too many digits",
-                    _diag(col, "count too long", tok, line),
+                    _diag(col, "count too long", tok),
                 )
         else:
-            f = _parse_fraction_token(tok, system, col, line)
+            f = _parse_fraction_token(tok, system, col)
             if f is None:
                 raise UnknownUnit(
                     f"unknown unit {tok!r} in system {system.kind}",
-                    _diag(col, "unknown unit", tok, line),
+                    _diag(col, "unknown unit", tok),
                 )
             if frac is not None:
                 raise MeasurementSyntax(
                     f"two fractions in a row at {tok!r}",
-                    _diag(col, "two fractions in a row", tok, line),
+                    _diag(col, "two fractions in a row", tok),
                 )
             frac = f
         col += len(tok) + 1
     if whole is not None or frac is not None:
         raise MeasurementSyntax(
             f"dangling count at end of {text!r}",
-            _diag(col, "count without a unit", toks[-1], line),
+            _diag(col, "count without a unit", toks[-1]),
         )
     if order is not None:
-        raise UnitOrderViolation(order, _diag(1, order, text, line))
+        raise UnitOrderViolation(order, _diag(1, order, text))
     return metrology._measurement(system.kind, tuple(terms), twelfths)
 
 
-def parse_window(text: str, system_kind: str, line: int = 1) -> metrology.Window:
+def parse_window(text: str, system_kind: str) -> metrology.Window:
     """Parse a reading window "<m>".."<m>"; the quotes are optional."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise MeasurementSyntax(
             f'window must look like "<m>".."<m>": {text!r}',
-            _diag(1, 'window needs "<m>".."<m>"', text, line),
+            _diag(1, 'window needs "<m>".."<m>"', text),
         )
-    return _pkg.metrology.Window(
-        parse_measurement(lo.strip().strip('"'), system_kind, line),
-        parse_measurement(hi.strip().strip('"'), system_kind, line),
-    )
+    lo_m = parse_measurement(lo.strip().strip('"'), system_kind)
+    hi_m = parse_measurement(hi.strip().strip('"'), system_kind)
+    try:
+        return _pkg.metrology.Window(lo_m, hi_m)
+    except MeasurementSyntax as e:
+        # both bounds are in one system, so only their order is refused
+        e.diagnostic = _diag(1, "window bounds out of order", text)
+        raise

@@ -73,6 +73,16 @@ MUTANTS = (
         equivalent="the last quotient is the table value that ended the peel, "
         "and converting it again builds the same digits",
     ),
+    Mutant(
+        "script-line-dropped", "procedures.py",
+        "e.diagnostic = e.diagnostic._replace(line=line_no)", "pass",
+        ("tests/test_procedures.py",),
+    ),
+    Mutant(
+        "all-zero-diagnostic-dropped", "textio.py",
+        'e.diagnostic = _diag(1, "no nonzero digit", s)', "pass",
+        ("tests/test_textio.py",),
+    ),
 )
 
 

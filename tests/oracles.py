@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from mesomath.abacus import AnchoredNumber
 from mesomath.errors import (
+    AllZero,
     BadFraction,
     DigitOutOfRange,
     EmptyInput,
@@ -69,33 +70,38 @@ def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
     return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
 
 
-def parse_spvn_by_parts(text: str, line: int = 1) -> FloatingNumber:
+def parse_spvn_by_parts(text: str) -> FloatingNumber:
     """``textio.parse_spvn`` read one part at a time, as it was before it
     matched the whole token at once: the same value, or the same error
     class, message, column and token."""
     s = text.strip()
     if not s:
-        raise EmptyInput("empty number", ParseDiagnostic(line, 1, "empty number", text))
+        raise EmptyInput("empty number", ParseDiagnostic(1, 1, "empty number", text))
     digits = []
     col = 1
     for part in s.replace(".", ":").split(":"):
         if not (part.isascii() and part.isdigit()):
             raise MalformedSeparator(
                 f"malformed digit sequence {text!r}",
-                ParseDiagnostic(line, col, "expected a base-60 digit", part),
+                ParseDiagnostic(1, col, "expected a base-60 digit", part),
             )
         sig = part.lstrip("0") or "0"
         if len(sig) > 2 or int(sig) > 59:
             raise DigitOutOfRange(
                 f"digit {sig} outside 0..59",
-                ParseDiagnostic(line, col, "digit outside 0..59", part),
+                ParseDiagnostic(1, col, "digit outside 0..59", part),
             )
         digits.append(int(sig))
         col += len(part) + 1
+    if not any(digits):
+        raise AllZero(
+            "a digit sequence must contain a nonzero digit",
+            ParseDiagnostic(1, 1, "no nonzero digit", s),
+        )
     return FloatingNumber(digits)
 
 
-def expect_number_by_rule(tok: str, line: int = 1) -> FloatingNumber | AnchoredNumber:
+def expect_number_by_rule(tok: str) -> FloatingNumber | AnchoredNumber:
     """An ``expect`` or ``attested`` token read as corpus files read it
     before ``textio.parse_number``: anchored when it holds an 'e' with
     digits before it and, after the last 'e', an optional '-' and ASCII
@@ -107,8 +113,8 @@ def expect_number_by_rule(tok: str, line: int = 1) -> FloatingNumber | AnchoredN
             exponent = int(digits.lstrip("0") or "0")
             if tail[0] == "-":
                 exponent = -exponent
-            return AnchoredNumber(parse_spvn_by_parts(head, line), exponent)
-    return parse_spvn_by_parts(tok, line)
+            return AnchoredNumber(parse_spvn_by_parts(head), exponent)
+    return parse_spvn_by_parts(tok)
 
 
 _FRACTION_GLYPHS = {"½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10}
@@ -122,7 +128,7 @@ def _count(s: str) -> int | None:
         return None
 
 
-def _fraction_by_text(tok: str, kind: str, col: int, line: int) -> int | None:
+def _fraction_by_text(tok: str, kind: str, col: int) -> int | None:
     if tok in _FRACTION_GLYPHS:
         return _FRACTION_GLYPHS[tok]
     if "/" not in tok:
@@ -133,18 +139,18 @@ def _fraction_by_text(tok: str, kind: str, col: int, line: int) -> int | None:
     if n is None or not d:
         raise BadFraction(
             f"bad fraction {tok!r}",
-            ParseDiagnostic(line, col, "fraction must look like 1/3", tok),
+            ParseDiagnostic(1, col, "fraction must look like 1/3", tok),
         )
     f, r = divmod(12 * n, d)
     if r or f not in ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {tok} is not used in system {kind}",
-            ParseDiagnostic(line, col, "fraction not in the allowed set", tok),
+            ParseDiagnostic(1, col, "fraction not in the allowed set", tok),
         )
     return f
 
 
-def parse_measurement_by_kinds(text: str, system_kind: str, line: int = 1) -> MeasurementValue:
+def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
     """``textio.parse_measurement`` as it read a token before it looked
     units up first: as a count, then as a fraction, then as a unit.  The
     same value, or the same error class, message, column and token."""
@@ -152,7 +158,7 @@ def parse_measurement_by_kinds(text: str, system_kind: str, line: int = 1) -> Me
     toks = text.split()
     if not toks:
         raise EmptyInput(
-            "empty measurement", ParseDiagnostic(line, 1, "empty measurement", text)
+            "empty measurement", ParseDiagnostic(1, 1, "empty measurement", text)
         )
     terms = []
     whole = frac = None
@@ -162,21 +168,21 @@ def parse_measurement_by_kinds(text: str, system_kind: str, line: int = 1) -> Me
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
                     f"expected a unit before {tok!r}",
-                    ParseDiagnostic(line, col, "two counts in a row", tok),
+                    ParseDiagnostic(1, col, "two counts in a row", tok),
                 )
             whole = _count(tok)
             if whole is None:
                 raise MeasurementSyntax(
                     "count has too many digits",
-                    ParseDiagnostic(line, col, "count too long", tok),
+                    ParseDiagnostic(1, col, "count too long", tok),
                 )
         else:
-            f = _fraction_by_text(tok, system.kind, col, line)
+            f = _fraction_by_text(tok, system.kind, col)
             if f is not None:
                 if frac is not None:
                     raise MeasurementSyntax(
                         f"two fractions in a row at {tok!r}",
-                        ParseDiagnostic(line, col, "two fractions in a row", tok),
+                        ParseDiagnostic(1, col, "two fractions in a row", tok),
                     )
                 frac = f
             else:
@@ -184,12 +190,12 @@ def parse_measurement_by_kinds(text: str, system_kind: str, line: int = 1) -> Me
                     unit = system.unit(tok)
                 except UnknownUnit as e:
                     raise UnknownUnit(
-                        str(e), ParseDiagnostic(line, col, "unknown unit", tok)
+                        str(e), ParseDiagnostic(1, col, "unknown unit", tok)
                     ) from None
                 if whole is None and frac is None:
                     raise MeasurementSyntax(
                         f"unit {tok!r} has no count",
-                        ParseDiagnostic(line, col, "missing count before unit", tok),
+                        ParseDiagnostic(1, col, "missing count before unit", tok),
                     )
                 terms.append(Term(unit.name, whole or 0, frac or 0))
                 whole = frac = None
@@ -197,13 +203,13 @@ def parse_measurement_by_kinds(text: str, system_kind: str, line: int = 1) -> Me
     if whole is not None or frac is not None:
         raise MeasurementSyntax(
             f"dangling count at end of {text!r}",
-            ParseDiagnostic(line, col, "count without a unit", toks[-1]),
+            ParseDiagnostic(1, col, "count without a unit", toks[-1]),
         )
     try:
         return MeasurementValue(system.kind, tuple(terms))
     except UnitOrderViolation as e:
         raise UnitOrderViolation(
-            str(e), ParseDiagnostic(line, 1, str(e), text)
+            str(e), ParseDiagnostic(1, 1, str(e), text)
         ) from None
 
 

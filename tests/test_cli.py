@@ -532,6 +532,19 @@ class TestRunAndCheck:
             "1/3 tablets pass",
         ]
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # an editor may save a tablet with a UTF-8 byte-order mark; run and
+        # check read it as the same tablet without one
+        src = shipped_corpus_dir() / "ybc4663-7.tab"
+        (tmp_path / "bom.tab").write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        argv = ("--config", "A")
+        assert run_cli(capsys, "run", str(tmp_path / "bom.tab"), *argv) == (
+            run_cli(capsys, "run", str(src), *argv)
+        )
+        assert run_cli(capsys, "check", str(tmp_path)) == (
+            EXIT_OK, "YBC 4663 #7: pass configs=A,B,C\n1/1 tablets pass\n", ""
+        )
+
     def test_repeated_configurations_and_anchors_are_refused(self, capsys, tmp_path):
         head = 'tablet "{}"\ngiven-spvn a 2\nconfig A: a=e0\n'
         (tmp_path / "c.tab").write_text(head.format("c") + "config A: a=e1\n")

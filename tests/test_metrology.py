@@ -10,7 +10,13 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesomath.errors import AmbiguousReading, MeasurementSyntax, NoReading, ReadingTooLong
+from mesomath.errors import (
+    AmbiguousReading,
+    MeasurementSyntax,
+    NoReading,
+    ReadingTooLong,
+    UnitOrderViolation,
+)
 from mesomath.metrology import (
     ALLOWED_FRACTIONS,
     SYSTEMS,
@@ -81,6 +87,26 @@ FULL_LADDERS = {
 def full_ladder(system):
     lo, hi, _, _ = FULL_LADDERS[system]
     return gen_metrological_table(system, m(lo, system), m(hi, system))
+
+
+class TestMeasurementValueRefusals:
+    """The validating constructor refuses each malformed term list."""
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ((), "a measurement needs at least one term"),
+            ((Term("kuš", 1, 5),), "fraction 5/12 of 'kuš' not allowed"),
+            ((Term("ninda", 1, 1),), "fraction 1/12 of 'ninda' not allowed"),
+            ((Term("kuš", 1), Term("ninda", 1)), "units out of descending order at 'ninda'"),
+            ((Term("ninda", 0),), "count of 'ninda' must be positive"),
+            ((Term("ninda", -1, 6),), "count of 'ninda' must be positive"),
+        ],
+    )
+    def test_refusal(self, terms, message):
+        with pytest.raises(UnitOrderViolation) as e:
+            MeasurementValue("L", terms)
+        assert type(e.value) is UnitOrderViolation and str(e.value) == message
 
 
 class TestToNumber:

@@ -12,6 +12,7 @@ from mesomath.errors import (
     MissingConfig,
     NotASquare,
     ParseDiagnostic,
+    ParseError,
     ProductTooLong,
     ScriptSyntax,
     UnknownName,
@@ -215,6 +216,17 @@ class TestRefusalsNameTheirLine:
             ("step recip a whatever 30", ScriptSyntax, "unexpected token 'whatever'", "whatever"),
             ("config A: a=x1", ScriptSyntax, "bad anchor 'a=x1'", "a=x1"),
             ('tablet "u"', ScriptSyntax, "duplicate tablet directive", "u"),
+            # the shape refusals name no token
+            ("step", ScriptSyntax, "empty step", ""),
+            ("step mul a", ScriptSyntax, "mul takes 2 operand name(s)", ""),
+            ("tablet", ScriptSyntax, "tablet takes one quoted id", ""),
+            ('given L b "1 ninda" expect', ScriptSyntax,
+             'given needs: <table> <name> "<measurement>" expect <number>', ""),
+            ("given-spvn b", ScriptSyntax, "given-spvn needs: <name> <number>", ""),
+            ("config A", ScriptSyntax, "config needs: <name>: given=e<int>, ...", ""),
+            ("answer", ScriptSyntax, "answer needs a name", ""),
+            ("answer a L", ScriptSyntax,
+             'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"', ""),
         ],
     )
     def test_refusal(self, line, cls, message, token):
@@ -225,6 +237,45 @@ class TestRefusalsNameTheirLine:
         assert e.value.diagnostic == ParseDiagnostic(
             line=3, column=1, message=message, token=token
         )
+
+
+#: tokens that a shipped tablet's value tokens are replaced by: refusals
+#: of each kind, the script's own keywords, and arbitrary text on one line
+_CORRUPT_TOKENS = st.sampled_from(
+    ["0", "0:0", "0e1", "1:75", "6:30e1_0", "e3", "1/5 kuš", "0 ninda", "3 furlong",
+     "2 ninda..1 ninda", "1 ninda", "Q", "", "expect", "as", "#", "sum=e", "wage=e0"]
+) | st.text(max_size=10).filter(lambda t: "\r" not in t and "\n" not in t)
+
+
+def _value_positions(toks: list[str]) -> list[int]:
+    """Where a line holds a token that only that line reads: a table name,
+    a measurement, a window, a number, or an anchor."""
+    kw = toks[0]
+    fixed = {"given": (1, 3), "given-spvn": (2,), "answer": (2, 4)}.get(kw, ())
+    keyed = [i + 1 for i in range(1, len(toks) - 1) if toks[i] in ("expect", "attested")]
+    anchors = range(2, len(toks)) if kw == "config" else ()
+    return sorted({i for i in (*fixed, *keyed, *anchors) if i < len(toks)})
+
+
+class TestCorruptedTablets:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_every_refusal_names_the_corrupted_line(self, data):
+        path = data.draw(st.sampled_from(sorted(CORPUS.glob("*.tab"))), label="tablet")
+        lines = path.read_text(encoding="utf-8").split("\n")
+        candidates = [
+            (i, toks) for i, toks in enumerate(map(_split_line, lines))
+            if toks and _value_positions(toks)
+        ]
+        i, toks = data.draw(st.sampled_from(candidates), label="line")
+        toks[data.draw(st.sampled_from(_value_positions(toks)), label="token")] = data.draw(
+            _CORRUPT_TOKENS, label="replacement"
+        )
+        lines[i] = " ".join(map(shlex.quote, toks))
+        try:
+            parse_script("\n".join(lines))
+        except ParseError as e:
+            assert e.diagnostic is not None and e.diagnostic.line == i + 1
 
 
 class TestGivenTail:
@@ -635,6 +686,20 @@ class TestRunFile:
         path.write_bytes(b'tablet "t"\ngiven-spvn a 2\n# caf\xe9\n')
         with pytest.raises(ScriptSyntax) as e:
             run_file(path)
+        assert e.value.diagnostic.line == 3
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = corpus_text("ybc7302.tab")
+        path = tmp_path / "bom.tab"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert run_file(path) == run(parse_script(text))
+
+    def test_not_utf8_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom-latin1.tab"
+        path.write_bytes(b'\xef\xbb\xbftablet "t"\ngiven-spvn a 2\n# caf\xe9\n')
+        with pytest.raises(ScriptSyntax) as e:
+            run_file(path)
+        assert str(e.value) == "line 3: not UTF-8 text: invalid continuation byte"
         assert e.value.diagnostic.line == 3
 
     def test_not_utf8_counts_universal_newlines(self, tmp_path):

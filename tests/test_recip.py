@@ -196,6 +196,20 @@ class TestReciprocal:
         with pytest.raises(NoProgress):
             reciprocal(fn("2:5"), table=table)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([("2", "31")], "2 and 31 are not a reciprocal pair"),
+            ([("2", "30"), ("3", "30")], "3 and 30 are not a reciprocal pair"),
+            ([("1:4", "56:15"), ("7", "8:34:17:8:34:17")],
+             "7 and 8:34:17:8:34:17 are not a reciprocal pair"),
+        ],
+    )
+    def test_table_refuses_a_pair_that_is_not_reciprocal(self, pairs, message):
+        with pytest.raises(ValueError) as e:
+            ElementaryTable([(fn(a), fn(b)) for a, b in pairs])
+        assert str(e.value) == message
+
     def test_table_lookup_both_ways(self):
         table = ElementaryTable([(fn("2"), fn("30"))])
         assert reciprocal(fn("30"), table=table)[0] == fn("2")

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mesomath.errors import (
+    AllZero,
     BadFraction,
     DigitOutOfRange,
     EmptyInput,
     MalformedSeparator,
     MeasurementSyntax,
+    ParseDiagnostic,
     ParseError,
     SexagesimalError,
     UnitOrderViolation,
     UnknownUnit,
 )
 from mesomath.metrology import SYSTEMS, MeasurementValue
+from mesomath.procedures import parse_script
 from mesomath.spvn import FloatingNumber
 from mesomath.textio import parse_measurement, parse_number, parse_spvn, parse_window
 from oracles import expect_number_by_rule, parse_measurement_by_kinds, parse_spvn_by_parts
@@ -63,9 +66,9 @@ class TestParseSpvn:
     )
     def test_refusal_names_the_first_bad_part(self, text, cls, column, token):
         with pytest.raises(cls) as e:
-            parse_spvn(text, line=4)
+            parse_spvn(text)
         d = e.value.diagnostic
-        assert (d.line, d.column, d.token) == (4, column, token)
+        assert (d.line, d.column, d.token) == (1, column, token)
 
     @given(
         st.text(alphabet="0159:. \t-a٣", max_size=16)
@@ -76,7 +79,7 @@ class TestParseSpvn:
     def test_matches_the_part_by_part_reading(self, text):
         def outcome(parse):
             try:
-                return parse(text, 3)
+                return parse(text)
             except SexagesimalError as e:
                 return type(e), str(e), e.diagnostic
 
@@ -95,7 +98,7 @@ class TestParseSpvn:
             "import sys\n"
             "from mesomath.textio import parse_spvn\n"
             "try:\n"
-            "    parse_spvn(sys.stdin.read(), 3)\n"
+            "    parse_spvn(sys.stdin.read())\n"
             "except Exception as e:\n"
             "    print(type(e).__name__, e.diagnostic.column, e.diagnostic.token)\n"
         )
@@ -104,7 +107,7 @@ class TestParseSpvn:
             text=True, check=True, timeout=30,
         )
         with pytest.raises(SexagesimalError) as e:
-            parse_spvn_by_parts(text, 3)
+            parse_spvn_by_parts(text)
         d = e.value.diagnostic
         assert out.stdout.split() == [type(e.value).__name__, str(d.column), d.token]
 
@@ -297,7 +300,7 @@ class TestParseMeasurement:
 
         def outcome(parse):
             try:
-                return parse(text, kind, 5)
+                return parse(text, kind)
             except SexagesimalError as e:
                 return type(e), str(e), e.diagnostic
 
@@ -346,10 +349,14 @@ class TestTrustedMeasurement:
     )
     def test_error_order_pinned(self, text, error, message, col, token):
         with pytest.raises(error) as e:
-            parse_measurement(text, "L", 4)
+            parse_measurement(text, "L")
         assert type(e.value) is error and str(e.value) == message
         d = e.value.diagnostic
-        assert (d.line, d.column, d.token) == (4, col, token)
+        assert (d.line, d.column, d.token) == (1, col, token)
+
+
+#: a script whose fourth line is the one under test
+_SCRIPT = 'tablet "t"\n# the line under test is line 4\ngiven-spvn a 2\n'
 
 
 class TestParseWindow:
@@ -362,13 +369,71 @@ class TestParseWindow:
 
     def test_missing_dots(self):
         with pytest.raises(MeasurementSyntax) as e:
-            parse_window("1 kush", "L", line=4)
-        assert e.value.diagnostic.line == 4 and e.value.diagnostic.token == "1 kush"
+            parse_window("1 kush", "L")
+        assert e.value.diagnostic == ParseDiagnostic(1, 1, 'window needs "<m>".."<m>"', "1 kush")
 
     def test_bound_error_keeps_its_line(self):
+        # the bound's own diagnostic, which a script places on its line
         with pytest.raises(UnknownUnit) as e:
-            parse_window("1 kush..2 furlong", "L", line=7)
-        assert e.value.diagnostic.line == 7
+            parse_window("1 kush..2 furlong", "L")
+        assert e.value.diagnostic == ParseDiagnostic(1, 3, "unknown unit", "furlong")
+        with pytest.raises(UnknownUnit) as e:
+            parse_script(f'{_SCRIPT}answer a L window "1 kush..2 furlong"\n')
+        assert e.value.diagnostic == ParseDiagnostic(4, 3, "unknown unit", "furlong")
+
+
+_ALL_ZERO = "a digit sequence must contain a nonzero digit"
+
+
+class TestScriptLines:
+    """A parser reports its refusal on line 1 of its text; ``parse_script``
+    moves it to the script line that holds the token, and changes nothing
+    else: not the class, the message, the column or the token."""
+
+    @pytest.mark.parametrize(
+        "parse, args, script_line, error, message, col, token",
+        [
+            (parse_spvn, ("1:0059.2a:3",), "given-spvn b 1:0059.2a:3",
+             MalformedSeparator, "malformed digit sequence '1:0059.2a:3'", 8, "2a"),
+            (parse_number, ("6:30e1_0",), "step square a expect 6:30e1_0",
+             MalformedSeparator, "bad exponent in '6:30e1_0'", 6, "1_0"),
+            (parse_measurement, ("1 kuš 0 ninda xyz", "L"),
+             'given L b "1 kuš 0 ninda xyz" expect 1',
+             UnknownUnit, "unknown unit 'xyz' in system L", 15, "xyz"),
+            (parse_measurement, ("3 ninda 1 ninda", "L"),
+             'answer a L window "1 ninda..2 ninda" expect "3 ninda 1 ninda"',
+             UnitOrderViolation, "units out of descending order at 'ninda'", 1,
+             "3 ninda 1 ninda"),
+            (parse_window, ("1 kush", "L"), 'answer a L window "1 kush"',
+             MeasurementSyntax, 'window must look like "<m>".."<m>": \'1 kush\'', 1,
+             "1 kush"),
+            # a literal with no nonzero digit, which the grammar reads
+            (parse_spvn, ("0",), "given-spvn b 0", AllZero, _ALL_ZERO, 1, "0"),
+            (parse_number, ("0:0",), "step square a expect 0:0", AllZero, _ALL_ZERO, 1, "0:0"),
+            (parse_number, ("0e1",), "step square a expect 0e1", AllZero, _ALL_ZERO, 1, "0"),
+            # a system name that names no system
+            (parse_measurement, ("1 ninda", "Q"), 'given Q b "1 ninda" expect 10',
+             UnknownUnit, "unknown unit system 'Q'", 1, "Q"),
+            (parse_window, ("1 ninda..2 ninda", "Q"), 'answer a Q window "1 ninda..2 ninda"',
+             UnknownUnit, "unknown unit system 'Q'", 1, "Q"),
+            # window bounds out of order
+            (parse_window, ("2 ninda..1 ninda", "L"), 'answer a L window "2 ninda..1 ninda"',
+             MeasurementSyntax, "window bounds must be ordered, same system", 1,
+             "2 ninda..1 ninda"),
+        ],
+    )
+    def test_refusal_moves_to_the_script_line(
+        self, parse, args, script_line, error, message, col, token
+    ):
+        with pytest.raises(error) as alone:
+            parse(*args)
+        with pytest.raises(error) as scripted:
+            parse_script(f"{_SCRIPT}{script_line}\n")
+        for e in (alone, scripted):
+            assert type(e.value) is error and str(e.value) == message
+        d = alone.value.diagnostic
+        assert d is not None and (d.line, d.column, d.token) == (1, col, token)
+        assert scripted.value.diagnostic == d._replace(line=4)
 
 
 class TestLongTokens:
