@@ -50,12 +50,16 @@ EXIT_ARITH = 3
 #: and one at ``spvn.MAX_PRODUCT_DIGITS`` would run to hundreds of MB.
 MAX_TRACE_DIGITS = 1_000
 
-#: The plain arithmetic sub-commands: name -> (function, operands, help).
+#: The number sub-commands, which the REPL reads too: name -> (function,
+#: operands, help).  ``recip`` comes last: its parser also takes
+#: ``--trace`` and ``--strategy``, which ``_dispatch`` reads.
 _ARITH = {
     "mul": (spvn.mul, ("a", "b"), "multiply two numbers"),
     "square": (spvn.square, ("a",), "square a number"),
     "sqrt": (recip.sqrt, ("a",), "exact square root"),
     "cbrt": (recip.cbrt, ("a",), "exact cube root"),
+    "recip": (lambda a: recip.reciprocal(a)[0], ("a",),
+              "reciprocal by trailing-part factorization"),
 }
 
 
@@ -106,9 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(op, help=desc)
         for name in operands:
             q.add_argument(name)
-
-    q = sub.add_parser("recip", help="reciprocal by trailing-part factorization")
-    q.add_argument("a")
     q.add_argument("--trace", action="store_true", help="show the factor columns")
     q.add_argument(
         "--strategy", choices=sorted(s.value for s in FactorStrategy), default="wedge"
@@ -222,10 +223,6 @@ def _repl() -> int:
             return scope[tok]
         return textio.parse_spvn(tok)
 
-    ops = {
-        **_ARITH,
-        "recip": (lambda a: recip.reciprocal(a)[0], ("a",), ""),
-    }
     interactive = sys.stdin.isatty()
     while True:
         if interactive:
@@ -247,10 +244,10 @@ def _repl() -> int:
         try:
             if len(toks) == 1:
                 value = resolve(toks[0])
-            elif toks and toks[0] in ops and len(toks) == 1 + len(ops[toks[0]][1]):
+            elif toks and toks[0] in _ARITH and len(toks) == 1 + len(_ARITH[toks[0]][1]):
                 operands = [resolve(t) for t in toks[1:]]
                 spvn.check_product(toks[0], *operands)
-                value = ops[toks[0]][0](*operands)
+                value = _ARITH[toks[0]][0](*operands)
             else:
                 print(f"error: cannot evaluate {line!r}", file=sys.stderr)
                 continue
@@ -266,12 +263,7 @@ def _repl() -> int:
 def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
     cmd = args.command
 
-    if cmd in _ARITH:
-        fn, names, _ = _ARITH[cmd]
-        operands = [textio.parse_spvn(getattr(args, name)) for name in names]
-        spvn.check_product(cmd, *operands)
-        print(fn(*operands))
-    elif cmd == "recip":
+    if cmd == "recip":
         a = textio.parse_spvn(args.a)
         spvn.check_product(cmd, a)
         if args.trace and len(a) > MAX_TRACE_DIGITS:
@@ -283,6 +275,11 @@ def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
             _print_recip_trace(fact)
         else:
             print(r)
+    elif cmd in _ARITH:
+        fn, names, _ = _ARITH[cmd]
+        operands = [textio.parse_spvn(getattr(args, name)) for name in names]
+        spvn.check_product(cmd, *operands)
+        print(fn(*operands))
     elif cmd == "table":
         from . import tables
 

@@ -223,7 +223,7 @@ def parse_script(text: str) -> ProcedureScript:
     configs: dict[str, tuple[Configuration, int]] = {}
     steps: list[Step] = []
     answers: list[Answer] = []
-    defined: set[str] = set()
+    defined: dict[str, bool] = {}  # name -> whether it is a given
 
     for line_no, raw in enumerate(_lines(text), start=1):
         try:
@@ -259,7 +259,7 @@ def parse_script(text: str) -> ProcedureScript:
                 expect, attested = _expect_tail(toks, end, stop, line_no)
                 steps.append(Step(op, args, expect, attested, new_name, line_no))
                 if new_name:
-                    defined.add(new_name)
+                    defined[new_name] = False
 
             elif kw == "tablet":
                 if n != 2:
@@ -281,14 +281,14 @@ def parse_script(text: str) -> ProcedureScript:
                     raise _syntax(line_no, "given needs an expect value")
                 m = textio.parse_measurement(meas_text, system)
                 givens.append(Given(name, expect, attested, m, line_no))
-                defined.add(name)
+                defined[name] = True
 
             elif kw == "given-spvn":
                 if n != 3:
                     raise _syntax(line_no, "given-spvn needs: <name> <number>")
                 name = toks[1]
                 givens.append(Given(name, textio.parse_spvn(toks[2]), None, None, line_no))
-                defined.add(name)
+                defined[name] = True
 
             elif kw == "config":
                 if n < 2 or not toks[1].endswith(":"):
@@ -304,7 +304,7 @@ def parse_script(text: str) -> ProcedureScript:
                     gname, _, etext = item.partition("=")
                     if not gname or not etext.startswith("e"):
                         raise _syntax(line_no, f"bad anchor {item!r}", item)
-                    if gname not in defined:
+                    if not defined.get(gname):
                         msg = f"configuration anchors unknown given {gname!r}"
                         raise _syntax(line_no, msg, gname, UnknownName)
                     if gname in exps:
@@ -466,9 +466,8 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
             spvn.check_product(op, *[_digits_of(x) for x in operands])
             result, fact = form(*operands)
         except SexagesimalError as e:
-            raise type(e)(
-                f"{script.tablet}: step {op} at line {s.line}: {e}", e.diagnostic
-            ) from e
+            e.args = (f"{script.tablet}: step {op} at line {s.line}: {e}", *e.args[1:])
+            raise
         if s.name:
             scope[s.name] = result
         records.append(TraceRecord(

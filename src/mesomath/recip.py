@@ -226,18 +226,15 @@ def reciprocal(
     return out, Factorization(n, factors, recips, out)
 
 
-def reciprocal_loop(
-    n: FloatingNumber,
-    strategy: FactorStrategy = FactorStrategy.WEDGE_SUFFIX_LONGEST,
-    table: ElementaryTable | None = None,
-) -> tuple[Factorization, Factorization]:
+def reciprocal_loop(n: FloatingNumber) -> tuple[Factorization, Factorization]:
     """Invert, then invert the result: the loop must come back to ``n``.
 
+    Both peels use the standard table and the wedge-suffix strategy.
     Returns both factorizations; ``back.reciprocal`` equals ``n``.
     Raises :class:`LoopMismatch` when it does not.
     """
-    r, forward = reciprocal(n, strategy, table)
-    back_value, back = reciprocal(r, strategy, table)
+    r, forward = reciprocal(n)
+    back_value, back = reciprocal(r)
     if back_value != n:
         raise LoopMismatch(
             f"loop failed: {_clip(str(n))} -> {_clip(str(r))} -> {_clip(str(back_value))}"

@@ -561,6 +561,13 @@ class TestRunAndCheck:
             EXIT_USAGE, "", "error: line 4: duplicate configuration 'A'\n"
         )
 
+    def test_anchor_on_a_step_result_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "x.tab"
+        path.write_text('tablet "x"\ngiven-spvn a 2\nstep square a as r\nconfig A: a=e0, r=e5\n')
+        assert run_cli(capsys, "run", str(path), "--config", "A") == (
+            EXIT_USAGE, "", "error: line 4: configuration anchors unknown given 'r'\n"
+        )
+
     @pytest.mark.parametrize(
         "token, message",
         [
@@ -764,6 +771,18 @@ class TestRepl:
             "error: operands of recip hold 36415 digits together, more than 10000",
             "error: operands of square hold 10002 digits together, more than 10000",
         ]
+
+    @pytest.mark.parametrize(
+        "op, operands",
+        [("mul", "9 7"), ("square", "1:30"), ("sqrt", "2:15"), ("cbrt", "8"),
+         ("recip", "4:26:40")],
+    )
+    def test_reads_the_sub_commands(self, capsys, monkeypatch, op, operands):
+        # every number sub-command, evaluated on one REPL line
+        assert set(cli._ARITH) == {"mul", "square", "sqrt", "cbrt", "recip"}
+        want = run_cli(capsys, op, *operands.split())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{op} {operands}\n"))
+        assert run_cli(capsys, "repl") == want
 
     def test_error_recovery(self):
         session = "recip 7\nmul 2 3\n"

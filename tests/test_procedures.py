@@ -238,6 +238,14 @@ class TestRefusalsNameTheirLine:
             line=3, column=1, message=message, token=token
         )
 
+    def test_an_anchor_names_a_given(self):
+        # a step result is defined, but only a given takes an anchor
+        message = "configuration anchors unknown given 'r'"
+        with pytest.raises(UnknownName) as e:
+            parse_script(self.HEAD + "step square a as r\nconfig A: a=e0, r=e5\n")
+        assert str(e.value) == f"line 4: {message}"
+        assert e.value.diagnostic == ParseDiagnostic(4, 1, message, "r")
+
 
 #: tokens that a shipped tablet's value tokens are replaced by: refusals
 #: of each kind, the script's own keywords, and arbitrary text on one line
@@ -382,6 +390,22 @@ class TestStepErrors:
             run(script)
         assert str(e.value) == "t: step mul at line 3: digit 75 out of range"
         assert e.value.diagnostic is diag
+
+    def test_the_step_error_is_the_one_raised(self, monkeypatch):
+        # the step's place is put in front of the message of the raised
+        # error itself, so whatever else it carries reaches the caller
+        raised = NotASquare("no root of 2")
+        raised.operand = fn("2")
+
+        def boom(a, b):
+            raise raised
+
+        monkeypatch.setattr(procedures.spvn, "mul", boom)
+        script = parse_script('tablet "t"\ngiven-spvn a 2\nstep mul a a expect 4\n')
+        with pytest.raises(NotASquare) as e:
+            run(script)
+        assert e.value is raised and e.value.operand == fn("2")
+        assert e.value.args == ("t: step mul at line 3: no root of 2",)
 
 
 def _product_script(op: str, lengths) -> str:

@@ -280,7 +280,7 @@ class TestReciprocalLoop:
         # a typed error, not an assert, so the check survives python -O
         from mesomath import recip
 
-        monkeypatch.setattr(recip, "reciprocal", lambda n, s, t: (fn("2"), None))
+        monkeypatch.setattr(recip, "reciprocal", lambda n: (fn("2"), None))
         with pytest.raises(LoopMismatch, match="loop failed"):
             reciprocal_loop(fn("3"))
 
