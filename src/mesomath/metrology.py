@@ -48,13 +48,14 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterator, NamedTuple
 
 import mesomath as _pkg
 
 from .errors import (
     AmbiguousReading,
+    BadFraction,
     MeasurementSyntax,
     NoReading,
     ReadingTooLong,
@@ -219,11 +220,13 @@ class Term(NamedTuple):
 class MeasurementValue(_Record):
     """A concrete quantity: ordered unit terms in one system.
 
-    Units strictly descending, every count positive, fractions from the
-    allowed set.  "1/2 kuš 3 šu-si" carries its fraction on the kuš
-    term; "2 1/4 še" on its only term.  ``twelfths`` is the magnitude as
-    a count of twelfths of the system's smallest unit, computed on
-    construction with integers only.  A measurement is not a tuple, so
+    Units strictly descending, every count a positive integer, fractions
+    from the allowed set.  "1/2 kuš 3 šu-si" carries its fraction on the
+    kuš term; "2 1/4 še" on its only term.  Each term keeps its unit's
+    name, not the alias it was given by, so a measurement equals the one
+    its text parses to.  ``twelfths`` is the magnitude as a count of
+    twelfths of the system's smallest unit, computed on construction
+    with integers only.  A measurement is not a tuple, so
     one reading never passes for the tuple of readings that
     :func:`enumerate_readings` returns.
     """
@@ -235,24 +238,27 @@ class MeasurementValue(_Record):
         sys = get_system(system)
         if not terms:
             raise UnitOrderViolation("a measurement needs at least one term")
+        canonical = []
         last_index = -1
         twelfths = 0
         for t in terms:
             idx = sys.position(t.unit)
             if idx <= last_index:
-                raise UnitOrderViolation(
-                    f"units out of descending order at {t.unit!r}"
-                )
+                raise UnitOrderViolation(f"units out of descending order at {t.unit!r}")
             last_index = idx
-            count = 12 * t.whole + t.frac
-            if t.whole < 0 or count <= 0:
+            try:
+                whole, frac = index(t.whole), index(t.frac)
+            except TypeError:
+                raise MeasurementSyntax(f"count of {t.unit!r} must be an integer") from None
+            count = 12 * whole + frac
+            if whole < 0 or count <= 0:
                 raise UnitOrderViolation(f"count of {t.unit!r} must be positive")
-            if t.frac and t.frac not in ALLOWED_FRACTIONS:
-                raise UnitOrderViolation(
-                    f"fraction {t.frac}/12 of {t.unit!r} not allowed"
-                )
-            twelfths += count * sys.units[idx].size
-        _measurement(system, terms, twelfths, self)
+            if frac and frac not in ALLOWED_FRACTIONS:
+                raise BadFraction(f"fraction {frac}/12 of {t.unit!r} not allowed")
+            unit = sys.units[idx]
+            twelfths += count * unit.size
+            canonical.append(Term(unit.name, whole, frac))
+        _measurement(system, tuple(canonical), twelfths, self)
 
     def value(self) -> Fraction:
         """Exact magnitude in multiples of the system's smallest unit."""

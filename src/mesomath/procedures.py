@@ -207,6 +207,13 @@ def _syntax(line_no: int, msg: str, token: str = "", error=ScriptSyntax) -> Pars
     )
 
 
+def _define(defined: dict[str, bool], name: str, given: bool, line_no: int) -> None:
+    """Enter ``name``, a given or not, in ``defined``: a name is defined once."""
+    if name in defined:
+        raise _syntax(line_no, f"name {name!r} defined twice", name)
+    defined[name] = given
+
+
 def _lines(text: str) -> list[str]:
     """``text`` cut at universal newlines (LF, CRLF, CR) and nowhere else.
 
@@ -259,7 +266,7 @@ def parse_script(text: str) -> ProcedureScript:
                 expect, attested = _expect_tail(toks, end, stop, line_no)
                 steps.append(Step(op, args, expect, attested, new_name, line_no))
                 if new_name:
-                    defined[new_name] = False
+                    _define(defined, new_name, False, line_no)
 
             elif kw == "tablet":
                 if n != 2:
@@ -281,14 +288,14 @@ def parse_script(text: str) -> ProcedureScript:
                     raise _syntax(line_no, "given needs an expect value")
                 m = textio.parse_measurement(meas_text, system)
                 givens.append(Given(name, expect, attested, m, line_no))
-                defined[name] = True
+                _define(defined, name, True, line_no)
 
             elif kw == "given-spvn":
                 if n != 3:
                     raise _syntax(line_no, "given-spvn needs: <name> <number>")
                 name = toks[1]
                 givens.append(Given(name, textio.parse_spvn(toks[2]), None, None, line_no))
-                defined[name] = True
+                _define(defined, name, True, line_no)
 
             elif kw == "config":
                 if n < 2 or not toks[1].endswith(":"):

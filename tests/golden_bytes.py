@@ -63,9 +63,13 @@ STDIN = {
 
 #: tablets that run, fail or are refused; written to ``{tmp}``
 TABLETS = {
+    "anchored-step.tab": (
+        'tablet "t"\ngiven-spvn a 2\nstep square a as r\nconfig A: a=e0, r=e5\n'
+    ),
     "bad-digit.tab": 'tablet "t"\ngiven-spvn a 1:2:77\n',
     "bad-quote.tab": 'tablet "t\n',
     "bad-unit.tab": 'tablet "t"\ngiven L a "3 kuz" expect 3\n',
+    "defined-twice.tab": 'tablet "t"\ngiven-spvn a 2\ngiven-spvn a 3\n',
     "duplicate-config.tab": (
         'tablet "t"\ngiven-spvn a 2\nconfig A: a=e0\nconfig A: a=e1\n'
     ),

@@ -83,6 +83,27 @@ MUTANTS = (
         'e.diagnostic = _diag(1, "no nonzero digit", s)', "pass",
         ("tests/test_textio.py",),
     ),
+    Mutant(
+        "recip-not-a-number-command", "cli.py",
+        '    "recip": (lambda a: recip.reciprocal(a)[0], ("a",),\n'
+        '              "reciprocal by trailing-part factorization"),\n',
+        "", ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "anchor-on-any-name", "procedures.py",
+        "if not defined.get(gname):", "if gname not in defined:",
+        ("tests/test_procedures.py",),
+    ),
+    Mutant(
+        "step-location-dropped", "procedures.py",
+        'e.args = (f"{script.tablet}: step {op} at line {s.line}: {e}", *e.args[1:])',
+        "pass", ("tests/test_procedures.py",),
+    ),
+    Mutant(
+        "alias-kept", "metrology.py",
+        "canonical.append(Term(unit.name, whole, frac))",
+        "canonical.append(Term(t.unit, whole, frac))", ("tests/test_metrology.py",),
+    ),
 )
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mesomath.errors import (
     AmbiguousReading,
+    BadFraction,
     MeasurementSyntax,
     NoReading,
     ReadingTooLong,
@@ -104,9 +105,44 @@ class TestMeasurementValueRefusals:
         ],
     )
     def test_refusal(self, terms, message):
-        with pytest.raises(UnitOrderViolation) as e:
+        # a disallowed fraction is a BadFraction, as the parser refuses it
+        cls = BadFraction if message.startswith("fraction") else UnitOrderViolation
+        with pytest.raises(cls) as e:
             MeasurementValue("L", terms)
-        assert type(e.value) is UnitOrderViolation and str(e.value) == message
+        assert type(e.value) is cls and str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "term",
+        [Term("ninda", 1.5), Term("ninda", 1, 6.0), Term("ninda", "1"), Term("ninda", None)],
+    )
+    def test_count_must_be_an_integer(self, term):
+        with pytest.raises(MeasurementSyntax) as e:
+            MeasurementValue("L", (term,))
+        assert str(e.value) == "count of 'ninda' must be an integer"
+
+
+class TestMeasurementValueIsCanonical:
+    """The constructor builds the measurement its text parses to."""
+
+    @pytest.mark.parametrize(
+        "system, terms, text",
+        [
+            ("L", (Term("kush", 1),), "1 kush"),
+            ("L", (Term("ush", 2), Term("kush", 1, 6), Term("szu-si", 3)),
+             "2 uš 1 1/2 kuš 3 šu-si"),
+            ("W", (Term("sze", 0, 6),), "1/2 she"),
+        ],
+    )
+    def test_alias_is_kept_as_the_unit_name(self, system, terms, text):
+        built = MeasurementValue(system, terms)
+        parsed = parse_measurement(text, system)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.terms == parsed.terms and str(built) == str(parsed)
+
+    def test_integer_like_counts_are_kept_as_integers(self):
+        built = MeasurementValue("L", (Term("ninda", True, 6),))
+        assert built == parse_measurement("1 1/2 ninda", "L")
+        assert type(built.terms[0].whole) is int and built.twelfths == 18 * 360
 
 
 class TestToNumber:

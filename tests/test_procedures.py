@@ -216,6 +216,10 @@ class TestRefusalsNameTheirLine:
             ("step recip a whatever 30", ScriptSyntax, "unexpected token 'whatever'", "whatever"),
             ("config A: a=x1", ScriptSyntax, "bad anchor 'a=x1'", "a=x1"),
             ('tablet "u"', ScriptSyntax, "duplicate tablet directive", "u"),
+            # a name is defined once, by a given or by a step
+            ("given-spvn a 3", ScriptSyntax, "name 'a' defined twice", "a"),
+            ('given L a "1 ninda" expect 1', ScriptSyntax, "name 'a' defined twice", "a"),
+            ("step square a as a", ScriptSyntax, "name 'a' defined twice", "a"),
             # the shape refusals name no token
             ("step", ScriptSyntax, "empty step", ""),
             ("step mul a", ScriptSyntax, "mul takes 2 operand name(s)", ""),
@@ -237,6 +241,13 @@ class TestRefusalsNameTheirLine:
         assert e.value.diagnostic == ParseDiagnostic(
             line=3, column=1, message=message, token=token
         )
+
+    def test_a_step_result_is_defined_once(self):
+        message = "name 'r' defined twice"
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script(self.HEAD + "step square a as r\nstep recip a as r\n")
+        assert str(e.value) == f"line 4: {message}"
+        assert e.value.diagnostic == ParseDiagnostic(4, 1, message, "r")
 
     def test_an_anchor_names_a_given(self):
         # a step result is defined, but only a given takes an anchor
