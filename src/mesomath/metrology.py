@@ -244,7 +244,9 @@ class MeasurementValue(_Record):
         for t in terms:
             idx = sys.position(t.unit)
             if idx <= last_index:
-                raise UnitOrderViolation(f"units out of descending order at {t.unit!r}")
+                raise UnitOrderViolation(
+                    f"units out of descending order at {t.unit!r}"
+                )
             last_index = idx
             try:
                 whole, frac = index(t.whole), index(t.frac)

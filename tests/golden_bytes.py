@@ -254,27 +254,27 @@ def digest(command: str, tmp: Path, exit_only: bool) -> str:
     return hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()[:16]
 
 
-def read_digests(path: Path = DIGESTS) -> dict[str, str]:
+def read_digests() -> dict[str, str]:
     """command -> digest, in the file's order."""
     pinned = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in DIGESTS.read_text(encoding="utf-8").splitlines():
         value, _, command = line.partition(" ")
         pinned[command] = value
     return pinned
 
 
 def main() -> int:
+    listed = list(commands())
+    if len(set(listed)) != len(listed):
+        print("two commands of the list are the same", file=sys.stderr)
+        return 1
     old = read_digests() if DIGESTS.exists() else {}
     new = {}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         write_tablets(tmp)
-        for command in commands():
-            exit_only = _argparse_made(_parse(command)[0])
-            new[command] = digest(command, tmp, exit_only)
-    if len(new) != len(list(commands())):
-        print("two commands of the list are the same", file=sys.stderr)
-        return 1
+        for command in listed:
+            new[command] = digest(command, tmp, _argparse_made(_parse(command)[0]))
     for command, value in new.items():
         if command not in old:
             print(f"new      {command}")
@@ -282,7 +282,6 @@ def main() -> int:
             print(f"moved    {command}")
     for command in old.keys() - new.keys():
         print(f"dropped  {command}")
-    DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text("".join(f"{v} {c}\n" for c, v in new.items()), encoding="utf-8")
     print(f"{len(new)} commands in {DIGESTS.name}")
     return 0
