@@ -188,6 +188,8 @@ def _print_trace(trace: procedures.Trace) -> None:
 
 
 def _cmd_check(directory: str | None) -> int:
+    from collections import Counter
+
     from . import procedures
 
     if directory is None:
@@ -195,15 +197,18 @@ def _cmd_check(directory: str | None) -> int:
     summary = procedures.verify_corpus(directory)
     for w in summary.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    # a tablet id that more than one file holds is told apart by the file
+    shared = Counter(rep.tablet for rep in summary.reports)
     for rep in summary.reports:
+        name = rep.tablet if shared[rep.tablet] == 1 else f"{rep.tablet} ({rep.path.name})"
         if rep.error is not None:
-            print(f"{rep.tablet}: ERROR {rep.error}")
+            print(f"{name}: ERROR {rep.error}")
             continue
         notes = sum(len(t.scribal_notes()) for t in rep.traces)
         configs = [t.configuration for t in rep.traces if t.configuration]
         detail = f" configs={','.join(configs)}" if configs else ""
         detail += f" scribal-notes={notes}" if notes else ""
-        print(f"{rep.tablet}: {'pass' if rep.passed else 'FAIL'}{detail}")
+        print(f"{name}: {'pass' if rep.passed else 'FAIL'}{detail}")
         for t in rep.traces:
             for r in t.mismatches():
                 print(

@@ -56,6 +56,7 @@ import mesomath as _pkg
 from .errors import (
     AmbiguousReading,
     BadFraction,
+    EmptyInput,
     MeasurementSyntax,
     NoReading,
     ReadingTooLong,
@@ -237,7 +238,7 @@ class MeasurementValue(_Record):
     def __init__(self, system: str, terms: tuple[Term, ...]):
         sys = get_system(system)
         if not terms:
-            raise UnitOrderViolation("a measurement needs at least one term")
+            raise EmptyInput("empty measurement")
         canonical = []
         last_index = -1
         twelfths = 0

@@ -12,6 +12,9 @@ A step may carry both ``expect`` (the correct number) and ``attested``
 (what the tablet actually shows).  When the computation matches the
 expectation but the tablet disagrees, that is a scribal error: the trace
 notes it and the tablet still passes.
+
+Every refusal of :func:`parse_script` begins ``line N:`` and its
+diagnostic holds line N, whichever module raised it.
 """
 
 from __future__ import annotations
@@ -200,17 +203,21 @@ def _join_segments(segs: list[str]) -> list[str]:
     return toks
 
 
-def _syntax(line_no: int, msg: str, token: str = "", error=ScriptSyntax) -> ParseError:
-    return error(
-        f"line {line_no}: {msg}",
-        ParseDiagnostic(line=line_no, column=1, message=msg, token=token),
-    )
+def _syntax(msg: str, token: str = "", error=ScriptSyntax) -> ParseError:
+    return error(msg, ParseDiagnostic(line=1, column=1, message=msg, token=token))
 
 
-def _define(defined: dict[str, bool], name: str, given: bool, line_no: int) -> None:
+def _on_line(line_no: int, e: ParseError) -> ParseError:
+    """``e`` on script line ``line_no``, in its diagnostic and its message."""
+    e.diagnostic = e.diagnostic._replace(line=line_no)
+    e.args = (f"line {line_no}: {e}", *e.args[1:])
+    return e
+
+
+def _define(defined: dict[str, bool], name: str, given: bool) -> None:
     """Enter ``name``, a given or not, in ``defined``: a name is defined once."""
     if name in defined:
-        raise _syntax(line_no, f"name {name!r} defined twice", name)
+        raise _syntax(f"name {name!r} defined twice", name)
     defined[name] = given
 
 
@@ -237,7 +244,7 @@ def parse_script(text: str) -> ProcedureScript:
             try:
                 toks = _split_line(raw)
             except ValueError as e:
-                raise _syntax(line_no, f"bad quoting: {e}") from None
+                raise _syntax(f"bad quoting: {e}") from None
             if not toks:
                 continue
             kw = toks[0]
@@ -246,63 +253,62 @@ def parse_script(text: str) -> ProcedureScript:
             # most lines are steps
             if kw == "step":
                 if n < 2:
-                    raise _syntax(line_no, "empty step")
+                    raise _syntax("empty step")
                 op = toks[1]
                 if op not in _OPS:
-                    raise _syntax(line_no, f"unknown operation {op!r}", op, UnknownOp)
+                    raise _syntax(f"unknown operation {op!r}", op, UnknownOp)
                 arity = _OPS[op][0]
                 end = 2 + arity
                 args = tuple(toks[2:end])
                 if len(args) != arity:
-                    raise _syntax(line_no, f"{op} takes {arity} operand name(s)")
+                    raise _syntax(f"{op} takes {arity} operand name(s)")
                 for a in args:
                     if a not in defined:
-                        raise _syntax(line_no, f"undefined name {a!r}", a, UnknownName)
+                        raise _syntax(f"undefined name {a!r}", a, UnknownName)
                 new_name = None
                 stop = n
                 if n - end >= 2 and toks[-2] == "as":
                     new_name = toks[-1]
                     stop -= 2
-                expect, attested = _expect_tail(toks, end, stop, line_no)
+                expect, attested = _expect_tail(toks, end, stop)
                 steps.append(Step(op, args, expect, attested, new_name, line_no))
                 if new_name:
-                    _define(defined, new_name, False, line_no)
+                    _define(defined, new_name, False)
 
             elif kw == "tablet":
                 if n != 2:
-                    raise _syntax(line_no, "tablet takes one quoted id")
+                    raise _syntax("tablet takes one quoted id")
                 if tablet is not None:
-                    raise _syntax(line_no, "duplicate tablet directive", toks[1])
+                    raise _syntax("duplicate tablet directive", toks[1])
                 tablet = toks[1]
 
             elif kw == "given":
                 if n < 6:
-                    raise _syntax(
-                        line_no, 'given needs: <table> <name> "<measurement>" expect <number>'
-                    )
+                    msg = 'given needs: <table> <name> "<measurement>" expect <number>'
+                    raise _syntax(msg)
                 system, name, meas_text = toks[1], toks[2], toks[3]
-                expect, attested = _expect_tail(toks, 4, n, line_no)
+                expect, attested = _expect_tail(toks, 4, n)
                 if isinstance(expect, AnchoredNumber) or isinstance(attested, AnchoredNumber):
-                    raise _syntax(line_no, "givens expect plain digit sequences")
+                    raise _syntax("givens expect plain digit sequences")
                 if expect is None:
-                    raise _syntax(line_no, "given needs an expect value")
+                    raise _syntax("given needs an expect value")
                 m = textio.parse_measurement(meas_text, system)
                 givens.append(Given(name, expect, attested, m, line_no))
-                _define(defined, name, True, line_no)
+                _define(defined, name, True)
 
             elif kw == "given-spvn":
                 if n != 3:
-                    raise _syntax(line_no, "given-spvn needs: <name> <number>")
+                    raise _syntax("given-spvn needs: <name> <number>")
                 name = toks[1]
                 givens.append(Given(name, textio.parse_spvn(toks[2]), None, None, line_no))
-                _define(defined, name, True, line_no)
+                _define(defined, name, True)
 
             elif kw == "config":
                 if n < 2 or not toks[1].endswith(":"):
-                    raise _syntax(line_no, "config needs: <name>: given=e<int>, ...")
+                    raise _syntax("config needs: <name>: given=e<int>, ...")
                 cname = toks[1][:-1]
                 if cname in configs:
-                    raise _syntax(line_no, f"duplicate configuration {cname!r}", cname)
+                    raise _syntax(f"duplicate configuration {cname!r}", cname)
                 exps: dict[str, int] = {}
                 for item in islice(toks, 2, None):
                     item = item.rstrip(",")
@@ -310,32 +316,30 @@ def parse_script(text: str) -> ProcedureScript:
                         continue
                     gname, _, etext = item.partition("=")
                     if not gname or not etext.startswith("e"):
-                        raise _syntax(line_no, f"bad anchor {item!r}", item)
+                        raise _syntax(f"bad anchor {item!r}", item)
                     if not defined.get(gname):
                         msg = f"configuration anchors unknown given {gname!r}"
-                        raise _syntax(line_no, msg, gname, UnknownName)
+                        raise _syntax(msg, gname, UnknownName)
                     if gname in exps:
-                        raise _syntax(line_no, f"given {gname!r} anchored twice", item)
+                        raise _syntax(f"given {gname!r} anchored twice", item)
                     exponent = textio.read_exponent(etext[1:])
                     if exponent is None:
-                        raise _syntax(line_no, f"bad exponent {etext!r}", item)
+                        raise _syntax(f"bad exponent {etext!r}", item)
                     exps[gname] = exponent
                 configs[cname] = (Configuration(cname, exps), line_no)
 
             elif kw == "answer":
                 if n < 2:
-                    raise _syntax(line_no, "answer needs a name")
+                    raise _syntax("answer needs a name")
                 name = toks[1]
                 if name not in defined:
-                    raise _syntax(line_no, f"undefined name {name!r}", name, UnknownName)
+                    raise _syntax(f"undefined name {name!r}", name, UnknownName)
                 if n == 2:
                     answers.append(Answer(name, None, None, line_no))
                 else:
                     if n < 5 or toks[3] != "window":
-                        raise _syntax(
-                            line_no,
-                            'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"',
-                        )
+                        msg = 'answer needs: <name> <table> window "<m>".."<m>" expect "<m>"'
+                        raise _syntax(msg)
                     system = toks[2]
                     window = textio.parse_window(toks[4], system)
                     expect_m = None
@@ -344,24 +348,22 @@ def parse_script(text: str) -> ProcedureScript:
                         expect_m = textio.parse_measurement(toks[i + 1], system)
                         i += 2
                     if i < n:
-                        raise _syntax(line_no, f"unexpected token {toks[i]!r}", toks[i])
+                        raise _syntax(f"unexpected token {toks[i]!r}", toks[i])
                     answers.append(Answer(name, window, expect_m, line_no))
 
             else:
-                raise _syntax(line_no, f"unknown directive {kw!r}", kw)
+                raise _syntax(f"unknown directive {kw!r}", kw)
         except ParseError as e:
-            # textio places every refusal on line 1 of its text; this is the
-            # one place a refusal gets its line in the script
-            e.diagnostic = e.diagnostic._replace(line=line_no)
-            raise
+            # _syntax and textio build every refusal on line 1; it moves here
+            raise _on_line(line_no, e)
 
     if tablet is None:
-        raise _syntax(1, "missing tablet directive")
+        raise _on_line(1, _syntax("missing tablet directive"))
     for conf, conf_line in configs.values():
         unanchored = [g.name for g in givens if g.name not in conf.exponents]
         if unanchored:
             msg = f"configuration {conf.name!r} does not anchor given {unanchored[0]!r}"
-            raise _syntax(conf_line, msg, conf.name)
+            raise _on_line(conf_line, _syntax(msg, conf.name))
     return ProcedureScript(
         tablet=tablet,
         givens=tuple(givens),
@@ -371,15 +373,15 @@ def parse_script(text: str) -> ProcedureScript:
     )
 
 
-def _expect_tail(toks, i, end, line_no):
+def _expect_tail(toks, i, end):
     """The expect and attested numbers of ``toks[i:end]``, or None each."""
     expect = attested = None
     while i < end:
         key = toks[i]
         if i + 1 == end or key != "expect" and key != "attested":
-            raise _syntax(line_no, f"unexpected token {key!r}", key)
+            raise _syntax(f"unexpected token {key!r}", key)
         if (expect if key == "expect" else attested) is not None:
-            raise _syntax(line_no, f"duplicate {key!r}", key)
+            raise _syntax(f"duplicate {key!r}", key)
         value = textio.parse_number(toks[i + 1])
         if key == "expect":
             expect = value
@@ -532,7 +534,7 @@ def _read_script(path: str | Path) -> ProcedureScript:
     except UnicodeDecodeError as e:
         # the error's offset counts from after any byte-order mark
         line = len(_lines(e.object[: e.start].decode("utf-8")))
-        raise _syntax(line, f"not UTF-8 text: {e.reason}") from None
+        raise _on_line(line, _syntax(f"not UTF-8 text: {e.reason}")) from None
 
 
 def run_file(path: str | Path, config: str | None = None) -> Trace:
@@ -570,9 +572,7 @@ def verify_corpus(directory: str | Path) -> CorpusSummary:
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
     paths = sorted(directory.glob("*.tab"))
-    warnings = ()
-    if not paths:
-        warnings = (f"no corpus files found in {directory}",)
+    warnings = () if paths else (f"no corpus files found in {directory}",)
     reports = []
     for path in paths:
         try:

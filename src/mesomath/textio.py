@@ -22,9 +22,10 @@ summed, as it is read, so a measurement is built by the trusted builder
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
 arbitrary text.  A diagnostic reports a position within the parser's
-text, always on line 1; the caller places it in a file, as
-:func:`~mesomath.procedures.parse_script` sets the script line of every
-refusal it raises.
+text, always on line 1, and the message names no line; the caller
+places it in a file, as :func:`~mesomath.procedures.parse_script` sets
+the script line of every refusal it raises, in the diagnostic and at the
+head of the message.
 
 Importing this module loads ``re``, ``spvn`` and ``errors`` only.  The
 measurement parsers reach ``metrology``, and :func:`parse_number`

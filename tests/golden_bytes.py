@@ -67,8 +67,10 @@ TABLETS = {
         'tablet "t"\ngiven-spvn a 2\nstep square a as r\nconfig A: a=e0, r=e5\n'
     ),
     "bad-digit.tab": 'tablet "t"\ngiven-spvn a 1:2:77\n',
+    "bad-exponent.tab": 'tablet "t"\ngiven-spvn a 2\nstep recip a expect 6:30e as r\n',
     "bad-quote.tab": 'tablet "t\n',
     "bad-unit.tab": 'tablet "t"\ngiven L a "3 kuz" expect 3\n',
+    "bad-window.tab": 'tablet "t"\ngiven-spvn a 2\nanswer a L window "1 kush"\n',
     "defined-twice.tab": 'tablet "t"\ngiven-spvn a 2\ngiven-spvn a 3\n',
     "duplicate-config.tab": (
         'tablet "t"\ngiven-spvn a 2\nconfig A: a=e0\nconfig A: a=e1\n'

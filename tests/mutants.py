@@ -104,6 +104,16 @@ MUTANTS = (
         "canonical.append(Term(unit.name, whole, frac))",
         "canonical.append(Term(t.unit, whole, frac))", ("tests/test_metrology.py",),
     ),
+    Mutant(
+        "script-line-message-dropped", "procedures.py",
+        'e.args = (f"line {line_no}: {e}", *e.args[1:])', "pass",
+        ("tests/test_procedures.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "empty-measurement-class", "metrology.py",
+        'raise EmptyInput("empty measurement")',
+        'raise UnitOrderViolation("empty measurement")', ("tests/test_metrology.py",),
+    ),
 )
 
 

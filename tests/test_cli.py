@@ -581,11 +581,36 @@ class TestRunAndCheck:
             f'tablet "x"\ngiven-spvn a 2\nstep recip a expect {token} as r\n'
         )
         assert run_cli(capsys, "run", str(tmp_path / "x.tab")) == (
+            EXIT_USAGE, "", f"error: line 3: {message}\n"
+        )
+        assert run_cli(capsys, "check", str(tmp_path)) == (
+            EXIT_VERIFY, f"x: ERROR line 3: {message}\n0/1 tablets pass\n", ""
+        )
+
+    def test_a_textio_refusal_names_its_line(self, capsys, tmp_path):
+        (tmp_path / "bad.tab").write_text('tablet "t"\ngiven-spvn a 1:2:77\n')
+        message = "line 2: digit 77 outside 0..59"
+        assert run_cli(capsys, "run", str(tmp_path / "bad.tab")) == (
             EXIT_USAGE, "", f"error: {message}\n"
         )
         assert run_cli(capsys, "check", str(tmp_path)) == (
-            EXIT_VERIFY, f"x: ERROR {message}\n0/1 tablets pass\n", ""
+            EXIT_VERIFY, f"bad: ERROR {message}\n0/1 tablets pass\n", ""
         )
+
+    def test_check_names_the_file_of_a_shared_tablet_id(self, capsys, tmp_path):
+        head = 'tablet "t"\ngiven-spvn a 2\nstep square a expect {} as b\n'
+        (tmp_path / "mismatch.tab").write_text(head.format(5))
+        (tmp_path / "right.tab").write_text(head.format(4))
+        (tmp_path / "u.tab").write_text('tablet "u"\ngiven-spvn a 2\n')
+        code, out, err = run_cli(capsys, "check", str(tmp_path))
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "t (mismatch.tab): FAIL",
+            "  mismatch in step b: expected 5, computed 4",
+            "t (right.tab): pass",
+            "u: pass",
+            "2/3 tablets pass",
+        ]
 
     def test_undefined_operand_is_refused(self, capsys, tmp_path):
         path = tmp_path / "undefined.tab"

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mesomath.errors import (
     AmbiguousReading,
     BadFraction,
+    EmptyInput,
     MeasurementSyntax,
     NoReading,
     ReadingTooLong,
@@ -96,7 +97,10 @@ class TestMeasurementValueRefusals:
     @pytest.mark.parametrize(
         "terms, message",
         [
-            ((), "a measurement needs at least one term"),
+            # the id keeps the row's first message
+            pytest.param(
+                (), "empty measurement", id="terms0-a measurement needs at least one term"
+            ),
             ((Term("kuš", 1, 5),), "fraction 5/12 of 'kuš' not allowed"),
             ((Term("ninda", 1, 1),), "fraction 1/12 of 'ninda' not allowed"),
             ((Term("kuš", 1), Term("ninda", 1)), "units out of descending order at 'ninda'"),
@@ -105,8 +109,10 @@ class TestMeasurementValueRefusals:
         ],
     )
     def test_refusal(self, terms, message):
-        # a disallowed fraction is a BadFraction, as the parser refuses it
+        # no term is EmptyInput and a disallowed fraction BadFraction, as
+        # the parser refuses them
         cls = BadFraction if message.startswith("fraction") else UnitOrderViolation
+        cls = EmptyInput if not terms else cls
         with pytest.raises(cls) as e:
             MeasurementValue("L", terms)
         assert type(e.value) is cls and str(e.value) == message

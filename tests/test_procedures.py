@@ -79,6 +79,12 @@ class TestParseScript:
         s = parse_script("# nothing\n\ntablet \"t\"\ngiven-spvn a 5  # inline\n")
         assert s.givens[0].expect == fn("5")
 
+    def test_missing_tablet_is_refused_on_line_1(self):
+        with pytest.raises(ScriptSyntax) as e:
+            parse_script("given-spvn a 2\n")
+        assert str(e.value) == "line 1: missing tablet directive"
+        assert e.value.diagnostic == ParseDiagnostic(1, 1, "missing tablet directive")
+
     def test_every_config_anchors_every_given(self):
         text = (
             'tablet "t"\ngiven-spvn a 2\nconfig c1: a=e0\n'
@@ -295,6 +301,7 @@ class TestCorruptedTablets:
             parse_script("\n".join(lines))
         except ParseError as e:
             assert e.diagnostic is not None and e.diagnostic.line == i + 1
+            assert str(e).startswith(f"line {i + 1}: ")
 
 
 class TestGivenTail:

@@ -387,8 +387,9 @@ _ALL_ZERO = "a digit sequence must contain a nonzero digit"
 
 class TestScriptLines:
     """A parser reports its refusal on line 1 of its text; ``parse_script``
-    moves it to the script line that holds the token, and changes nothing
-    else: not the class, the message, the column or the token."""
+    moves it to the script line that holds the token and puts ``line N:``
+    in front of its message, and changes nothing else: not the class, the
+    column, the token or the diagnostic's message."""
 
     @pytest.mark.parametrize(
         "parse, args, script_line, error, message, col, token",
@@ -429,8 +430,8 @@ class TestScriptLines:
             parse(*args)
         with pytest.raises(error) as scripted:
             parse_script(f"{_SCRIPT}{script_line}\n")
-        for e in (alone, scripted):
-            assert type(e.value) is error and str(e.value) == message
+        assert type(alone.value) is error and str(alone.value) == message
+        assert type(scripted.value) is error and str(scripted.value) == f"line 4: {message}"
         d = alone.value.diagnostic
         assert d is not None and (d.line, d.column, d.token) == (1, col, token)
         assert scripted.value.diagnostic == d._replace(line=4)
