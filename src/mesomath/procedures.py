@@ -441,6 +441,12 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
     return _run(script, script.configuration(config) if config is not None else None)
 
 
+def _located(e: SexagesimalError, tablet: str, what: str, line: int) -> SexagesimalError:
+    """``e`` with the tablet, the record it refused and its line before its message."""
+    e.args = (f"{tablet}: {what} at line {line}: {e}", *e.args[1:])
+    return e
+
+
 def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
     scope: dict[str, object] = {}
     records: list[TraceRecord] = []
@@ -475,8 +481,7 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
             spvn.check_product(op, *[_digits_of(x) for x in operands])
             result, fact = form(*operands)
         except SexagesimalError as e:
-            e.args = (f"{script.tablet}: step {op} at line {s.line}: {e}", *e.args[1:])
-            raise
+            raise _located(e, script.tablet, f"step {op}", s.line)
         if s.name:
             scope[s.name] = result
         records.append(TraceRecord(
@@ -489,7 +494,10 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
         op = "final"
         if a.window is not None:
             system = a.window.lo.system
-            computed = metrology.from_number(_digits_of(computed), system, a.window)
+            try:
+                computed = metrology.from_number(_digits_of(computed), system, a.window)
+            except SexagesimalError as e:
+                raise _located(e, script.tablet, f"answer {a.name}", a.line)
             op = f"read table {system} within {a.window}"
         records.append(TraceRecord(
             "answer", a.name, op, computed, a.expect, _matches(computed, a.expect)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AllZero, DigitOutOfRange, NonPositive, ProductTooLong
 
@@ -93,9 +93,6 @@ class FloatingNumber:
 
     def __len__(self) -> int:
         return len(self._digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._digits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FloatingNumber):

@@ -114,11 +114,6 @@ class CurriculumEntry(NamedTuple):
     kind: str  # "reciprocal" | "multiplication" | "squares" | "square-roots" | "cube-roots"
     head: FloatingNumber | None = None
 
-    def __str__(self) -> str:
-        if self.kind == "multiplication":
-            return f"multiplication table by {self.head}"
-        return f"{self.kind} table"
-
 
 @lru_cache(maxsize=None)
 def multiplication_heads() -> tuple[FloatingNumber, ...]:

@@ -63,6 +63,7 @@ STDIN = {
 
 #: tablets that run, fail or are refused; written to ``{tmp}``
 TABLETS = {
+    "ambiguous-answer.tab": 'tablet "t"\ngiven-spvn a 10\nanswer a L window "1 shu-si".."59 danna"\n',
     "anchored-step.tab": (
         'tablet "t"\ngiven-spvn a 2\nstep square a as r\nconfig A: a=e0, r=e5\n'
     ),

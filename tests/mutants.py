@@ -6,8 +6,9 @@
 Each entry names a module under ``src/mesomath``, a text that occurs in
 it exactly once, the text that replaces it, and the test files that must
 fail once it is replaced.  For each mutant the runner copies ``src``,
-``tests`` and ``pyproject.toml`` to a temporary directory, applies the
-mutant there and runs pytest on those files against that copy.  A mutant
+``tests``, ``benchmarks`` (whose oracle the tests read) and
+``pyproject.toml`` to a temporary directory, applies the mutant there
+and runs pytest on those files against that copy.  A mutant
 is killed when pytest reports a failing test.  An equivalent mutant
 changes no result; it carries the reason, runs the same way, and must
 survive.  The exit code is 1 when a mutant that should be killed
@@ -96,7 +97,7 @@ MUTANTS = (
     ),
     Mutant(
         "step-location-dropped", "procedures.py",
-        'e.args = (f"{script.tablet}: step {op} at line {s.line}: {e}", *e.args[1:])',
+        'e.args = (f"{tablet}: {what} at line {line}: {e}", *e.args[1:])',
         "pass", ("tests/test_procedures.py",),
     ),
     Mutant(
@@ -113,6 +114,15 @@ MUTANTS = (
         "empty-measurement-class", "metrology.py",
         'raise EmptyInput("empty measurement")',
         'raise UnitOrderViolation("empty measurement")', ("tests/test_metrology.py",),
+    ),
+    Mutant(
+        "anchor-gap-widened", "abacus.py",
+        "MAX_ANCHOR_GAP = 1000", "MAX_ANCHOR_GAP = 1001", ("tests/test_abacus.py",),
+    ),
+    Mutant(
+        "anchor-gap-summed", "abacus.py",
+        "abs(a.exponent - b.exponent)", "abs(a.exponent + b.exponent)",
+        ("tests/test_abacus.py",),
     ),
 )
 
@@ -131,7 +141,7 @@ def run(mutant: Mutant) -> bool:
     """Apply ``mutant`` to a copy of the tree; True when the result is as listed."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "benchmarks"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         apply(mutant, copy)

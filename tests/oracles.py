@@ -1,23 +1,23 @@
-"""Reference implementations the tests compare the library against.
+"""Former implementations the tests compare the library against.
 
-Each one is written straight from the rule it checks, on digits or on
-``Fraction``, with no shortcut the library takes; none is used by the
-library itself.  The speller is the search the library's one-pass
-spelling replaced: it backtracks, so it needs no rule on the units.  The
-two parsers are the library's own, as they read a token before they
-were made faster; the number rule is the one corpus files read an
-``expect`` or ``attested`` token by before ``textio.parse_number``; and
-the two table writers are the library's own, as they wrote a table
-through ``csv.writer`` and a generator.  The cycle walk and the cube
-root are the library's own too, as they were before the arithmetic
-ruled out their extra loops: the walk descended to the cycle below 2
-twelfths before it climbed, and the root corrected Newton's result by
-unit steps.
+The rules themselves are checked against one reference that shares no
+code with the library: ``benchmarks/oracle.py`` (``import oracle as O``),
+on plain integers and ``Fraction``.  This module keeps what it has no
+counterpart for: the library's own code from before it was made faster.
+The two parsers read a token one part at a time, and ``expect`` tokens
+were read by the number rule before ``textio.parse_number``.  The table
+writers went through ``csv.writer``.  The speller backtracks, so it needs
+no rule on the units; the cycle walk descended below 2 twelfths before
+it climbed; the cube root corrected Newton's result by unit steps.  Also
+the sweep population, the exponents of a regular number, and the peel
+under any table, on the reference's integers.
 """
 
 import csv
 import io
-from fractions import Fraction
+from math import prod
+
+import oracle as O
 
 from mesomath.abacus import AnchoredNumber
 from mesomath.errors import (
@@ -53,21 +53,6 @@ def regular_exponents(v: int) -> tuple[int, int, int] | None:
     if v != 1:
         return None
     return tuple(out)
-
-
-def is_wedge_suffix(t: FloatingNumber, n: FloatingNumber) -> bool:
-    """Can ``t`` be read in the final wedge groups of ``n``?
-
-    All digits of ``t`` but the first must equal the final digits of
-    ``n``, and ``t``'s leading digit must be at most the digit of ``n``
-    in that position: 6:40 is visible at the end of 4:26:40 because the
-    6 can be read inside the 26.
-    """
-    td, nd = t.digits, n.digits
-    if len(td) > len(nd):
-        return False
-    k = len(td)
-    return td[1:] == nd[len(nd) - k + 1 :] and td[0] <= nd[len(nd) - k]
 
 
 def parse_spvn_by_parts(text: str) -> FloatingNumber:
@@ -213,56 +198,33 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
         ) from None
 
 
-def digits_of(v: int) -> tuple[int, ...]:
-    """Base-60 digits of the positive integer ``v``'s canonical
-    representative, most significant first: trailing zeros stripped."""
-    while v % 60 == 0:
-        v //= 60
-    ds = []
-    while v:
-        v, d = divmod(v, 60)
-        ds.append(d)
-    return tuple(reversed(ds))
+def peel_whole(
+    v: int, recip_of: dict[int, int], wedge: bool
+) -> tuple[int, tuple[int, ...]] | None:
+    """(reciprocal, factors) of the regular representative ``v`` by the
+    peel, as representatives, when every test reads the whole quotient.
 
-
-def peel_whole(v: int, known: set[int], wedge: bool) -> tuple[int, ...] | None:
-    """Factors, as representatives, that the peel takes from the regular
-    representative ``v`` when every test reads the whole quotient.
-
-    ``known`` holds the table's representatives.  At each step the
-    candidates are the known values above 1 that divide the quotient,
-    largest first; under ``wedge`` the first that is also a wedge suffix
-    wins, else the first.  The quotient that is known ends the run.
-    None when no known value divides a quotient.
+    ``recip_of`` maps each value of a table, either side, to its
+    reciprocal.  At each step the candidates are the values above 1 that
+    divide the quotient, largest first; under ``wedge`` the first that is
+    also a wedge suffix of it wins, else the first.  The quotient that is
+    in the table ends the run, and the reciprocal is the canonical
+    product of the factors' reciprocals.  None when no value divides a
+    quotient.
     """
-    order = sorted((t for t in known if t > 1), reverse=True)
-    lead = {t: 60 ** (len(digits_of(t)) - 1) for t in order}
+    order = sorted((t for t in recip_of if t > 1), reverse=True)
     factors = []
-    while v not in known:
+    while v not in recip_of:
         divisors = [t for t in order if v % t == 0]
         if not divisors:
             return None
         pick = divisors[0]
         if wedge:
-            for t in divisors:
-                m = lead[t]
-                if v >= m and v % m == t % m and v // m % 60 >= t // m:
-                    pick = t
-                    break
+            pick = next((t for t in divisors if O.wedge_suffix(t, v)), pick)
         factors.append(pick)
         v //= pick
     factors.append(v)
-    return tuple(factors)
-
-
-def sixty_log(v: int) -> int:
-    """The k with 60**k <= v < 60**(k + 1), for positive ``v``: the loop
-    that anchored reciprocals ran over their product's digits."""
-    k = 0
-    while v > 1:
-        v //= 60
-        k += 1
-    return k
+    return O.canon(prod(recip_of[f] for f in factors)), tuple(factors)
 
 
 def smooth_numbers(limit: int) -> list[int]:
@@ -279,25 +241,6 @@ def smooth_numbers(limit: int) -> list[int]:
             b *= 3
         a *= 2
     return sorted(out)
-
-
-def canonical_integer(q: Fraction) -> int | None:
-    """Canonical integer of the positive ``q``'s floating class, or None.
-
-    Found with Fractions alone: scale by 60 until the value is whole,
-    then strip the factors of 60.  A scaling that leaves the denominator
-    unchanged shows it is prime to 60, so ``q`` has no finite base-60
-    form and the answer is None.
-    """
-    while q.denominator != 1:
-        scaled = q * 60
-        if scaled.denominator == q.denominator:
-            return None
-        q = scaled
-    v = q.numerator
-    while v % 60 == 0:
-        v //= 60
-    return v
 
 
 def spell(system: UnitSystem, t: int) -> MeasurementValue | None:

@@ -67,6 +67,15 @@ class TestAddSub:
         assert add(a, b).value() == a.value() + b.value()
         assert sub(b, a).value() == b.value() - a.value()
 
+    def test_the_documented_bound(self):
+        # 1000 columns, as the README says; two operands anchored high
+        # are close to each other, however far both are from the units
+        assert add(an("1e600"), an("1e600")) == an("2e600")
+        assert add(an("1e0"), an("1e1000")).value() == 1 + Fraction(60) ** 1000
+        with pytest.raises(AnchorGap) as e:
+            add(an("1e0"), an("1e1001"))
+        assert str(e.value) == "1e0 and 1e1001 are anchored 1001 columns apart, more than 1000"
+
     @pytest.mark.parametrize("op", [add, sub])
     def test_wider_gap_refused(self, op):
         for a, b in ((an("1e0"), an(f"1e{MAX_ANCHOR_GAP + 1}")),

@@ -19,7 +19,7 @@ from mesomath.procedures import disk_area, parse_script, run, shipped_corpus_dir
 from mesomath.recip import reciprocal, reciprocal_loop, running_products
 from mesomath.spvn import from_integer, mul, square, to_integer
 from mesomath.textio import parse_measurement, parse_spvn as fn
-from oracles import regular_exponents
+from oracles import regular_exponents, smooth_numbers
 
 
 def _ok(n, text):
@@ -216,17 +216,7 @@ def test_criterion_11_orders_of_magnitude_table():
 
 
 def test_criterion_12_property_sweep():
-    values = []
-    a = 1
-    while a <= 60**4:
-        b = a
-        while b <= 60**4:
-            c = b
-            while c <= 60**4:
-                values.append(c)
-                c *= 5
-            b *= 3
-        a *= 2
+    values = smooth_numbers(60**4)
     one = fn("1")
     for v in values:
         n = from_integer(v)

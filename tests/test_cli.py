@@ -18,7 +18,8 @@ from mesomath.procedures import parse_script, run, shipped_corpus_dir
 from mesomath.recip import ElementaryTable, reciprocal
 from mesomath.tables import gen_multiplication_table
 from mesomath.textio import parse_spvn as fn
-from oracles import digits_of, smooth_numbers
+import oracle as O
+from oracles import smooth_numbers
 
 
 def run_cli(capsys, *argv):
@@ -79,7 +80,7 @@ class TestArithmeticCommands:
 
 
 def _sexagesimal(v):
-    return ":".join(map(str, digits_of(v)))
+    return O.show(O.canon(v))
 
 
 # 2**a * 3**b * 5**c, from 5 to 40 digits after stripping factors of 60
@@ -516,6 +517,15 @@ class TestRunAndCheck:
         code, out, _ = run_cli(capsys, "check", str(tmp_path))
         assert code == EXIT_VERIFY
         assert "drift: ERROR step add differs" in out and "0/1" in out
+
+    def test_an_answer_refusal_names_its_tablet_and_line(self, capsys, tmp_path):
+        path = tmp_path / "wide.tab"
+        path.write_text('tablet "t"\ngiven-spvn a 10\nanswer a L window "1 shu-si".."59 danna"\n')
+        message = ("t: answer a at line 3: 5 readings of 10 in L within 1 šu-si .. 59 danna:"
+                   " 1 šu-si; 2 kuš; 10 ninda; 10 uš; 20 danna")
+        assert run_cli(capsys, "run", str(path)) == (EXIT_ARITH, "", f"error: {message}\n")
+        out = f"wide: ERROR {message}\n0/1 tablets pass\n"
+        assert run_cli(capsys, "check", str(tmp_path)) == (EXIT_VERIFY, out, "")
 
     def test_check_reports_refused_tablets_and_goes_on(self, capsys, tmp_path):
         (tmp_path / "good.tab").write_bytes((shipped_corpus_dir() / "ybc7302.tab").read_bytes())

@@ -41,8 +41,8 @@ from mesomath.metrology import (
 )
 from mesomath.spvn import FloatingNumber, from_integer, mul, to_integer
 from mesomath.textio import parse_measurement, parse_spvn as fn
+import oracle as O
 import oracles
-from oracles import canonical_integer
 
 
 def m(text, system):
@@ -466,14 +466,15 @@ class TestVolumes:
 
 class TestFractionBridge:
     def test_smooth_denominator(self):
-        assert canonical_integer(Fraction(1, 3)) == to_integer(fn("20"))
-        assert canonical_integer(Fraction(10, 3)) == to_integer(fn("3:20"))
-        assert canonical_integer(Fraction(1, 7)) is None
+        assert O.split(Fraction(1, 3))[0] == to_integer(fn("20"))
+        assert O.split(Fraction(10, 3))[0] == to_integer(fn("3:20"))
+        with pytest.raises(ValueError, match="no finite base-sixty form"):
+            O.split(Fraction(1, 7))
 
     def test_cannot_be_inexact_from_allowed_set(self):
         for system in SYSTEMS.values():
             for k in ALLOWED_FRACTIONS:
-                assert canonical_integer(Fraction(k, 12) * system.base) is not None
+                O.split(Fraction(k, 12) * system.base)  # raises when inexact
 
 
 def test_fractions_are_twelfths_and_sizes_whole():
@@ -649,22 +650,20 @@ def test_text_tables_pinned():
     assert digest == TEXT_TABLES_DIGEST
 
 
-def _fraction_route(mm):
-    return canonical_integer(mm.value() * get_system(mm.system).base)
-
-
 @settings(deadline=None, max_examples=300)
 @given(measured())
 def test_to_number_against_fraction_route(pair):
     mm, _ = pair
-    assert to_integer(to_number(mm)) == _fraction_route(mm)
+    terms = [(u, w, Fraction(f, 12)) for u, w, f in mm.terms]
+    assert to_integer(to_number(mm)) == O.number_of(mm.system, terms)
 
 
 @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
 def test_ladder_numbers_against_fraction_route(system):
     for mm, n in full_ladder(system).rows:
         assert n == to_number(mm)
-        assert to_integer(n) == _fraction_route(mm)
+        terms = [(u, w, Fraction(f, 12)) for u, w, f in mm.terms]
+        assert to_integer(n) == O.number_of(mm.system, terms)
 
 
 def test_formatting_and_to_number_render_and_build_nothing():
@@ -781,17 +780,6 @@ def test_spell_matches_search_up_to_1e40(system, t):
     assert _spell(s, t) == oracles.spell(s, t)
 
 
-def _first_spellable_cycle(n, s):
-    """The smallest magnitude of ``n``, in twelfths of the smallest unit,
-    that the search spells: walked up from below 2 twelfths in Fractions."""
-    q = 12 * Fraction(to_integer(n)) / s.base
-    while q >= 2:
-        q /= 60
-    while q.denominator != 1 or oracles.spell(s, q.numerator) is None:
-        q *= 60
-    return q.numerator
-
-
 @settings(deadline=None, max_examples=300)
 @given(
     st.sampled_from(sorted(SYSTEMS)),
@@ -801,7 +789,9 @@ def test_cycles_yield_only_spellable_magnitudes(system, digits):
     s = get_system(system)
     n = FloatingNumber(digits)
     ts = list(islice(_cycles(n, s), 6))
-    assert ts[0] == _first_spellable_cycle(n, s)
+    # the oracle's first reading, walked up from below 1/6 of the smallest unit
+    first = O.enumerate_readings(system, to_integer(n), 1)[0]
+    assert ts[0] == 12 * O.magnitude(system, first)
     assert ts == [ts[0] * 60**k for k in range(6)]
     for t in ts:
         mm = _spell(s, t)
@@ -826,7 +816,7 @@ def _first_cycles_agree_over(kind, p, d, v):
     prime factor other than 2, 3 and 5 (over which no cycle of a ``v``
     prime to it is whole, so neither walk would end), the base is
     refused."""
-    if oracles.regular_exponents(p) is None:
+    if not O.regular(p):
         with pytest.raises(ValueError, match="is not a positive product of 2, 3 and 5$"):
             _variant(kind, p, d)
     else:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mesomath import procedures, spvn
 from mesomath.errors import (
+    AmbiguousReading,
     DigitOutOfRange,
     Irregular,
     MeasurementSyntax,
@@ -153,6 +154,13 @@ class TestParseScript:
         with pytest.raises(ScriptSyntax, match="^line 20003: duplicate configuration 'c17'$"):
             parse_script(text + "config c17: a=e0\n")
 
+    def test_a_lone_comma_among_the_anchors_is_skipped(self):
+        # "a=e0 , b=e1" splits into "a=e0", "," and "b=e1"; the comma is a
+        # separator, as the one at the end of "a=e0," is
+        text = 'tablet "t"\ngiven-spvn a 2\ngiven-spvn b 3\nconfig A: a=e0 , b=e1\n'
+        (conf,) = parse_script(text).configurations
+        assert conf.exponents == {"a": 0, "b": 1}
+
     def test_given_anchored_twice_refused(self):
         text = 'tablet "t"\ngiven-spvn a 2\nconfig A: a=e0, a=e5\n'
         with pytest.raises(ScriptSyntax) as e:
@@ -210,6 +218,12 @@ class TestRefusalsNameTheirLine:
     # every refusal of parse_script carries its line, column 1 and the
     # offending token in a diagnostic, whatever its class
     HEAD = 'tablet "t"\ngiven-spvn a 2\n'
+
+    def test_a_number_refusal_keeps_its_column_and_token(self):
+        # textio's refusal of a digit, moved to the script line
+        with pytest.raises(ParseError) as e:
+            parse_script('tablet "t"\ngiven-spvn a 1:2:77\n')
+        assert str(e.value.diagnostic) == "line 2, column 5: digit outside 0..59 ('77')"
 
     @pytest.mark.parametrize(
         "line, cls, message, token",
@@ -424,6 +438,13 @@ class TestStepErrors:
             run(script)
         assert e.value is raised and e.value.operand == fn("2")
         assert e.value.args == ("t: step mul at line 3: no root of 2",)
+
+
+    def test_an_answer_error_names_its_tablet_and_line(self):
+        # as a step's does: the window holds five readings of 10
+        text = 'tablet "t"\ngiven-spvn a 10\n\nanswer a L window "1 shu-si".."59 danna"\n'
+        with pytest.raises(AmbiguousReading, match="^t: answer a at line 4: 5 readings of 10 in L "):
+            run(parse_script(text))
 
 
 def _product_script(op: str, lengths) -> str:

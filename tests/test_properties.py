@@ -3,7 +3,8 @@
 The population is every regular canonical value up to 60**4 (about six
 hundred numbers); each check is exact, so the whole module is a few
 seconds of work.  Hypothesis adds long regular numbers for the factor
-choice, checked against a reference picker written from the rule.
+choice, checked against the peel run on the benchmark's integer oracle,
+which imports nothing from mesomath.
 """
 
 import random
@@ -28,14 +29,8 @@ from mesomath.spvn import (
     to_integer,
 )
 from mesomath.textio import parse_spvn
-from oracles import (
-    digits_of,
-    is_wedge_suffix,
-    peel_whole,
-    regular_exponents,
-    sixty_log,
-    smooth_numbers,
-)
+import oracle as O
+from oracles import peel_whole, regular_exponents, smooth_numbers
 
 LIMIT = 60**4
 
@@ -152,31 +147,7 @@ long_regulars = st.builds(
 )
 
 
-def _reference_reciprocal(n, strategy, table):
-    """The documented rule on digits: scan the known values by descending
-    representative, take the first wedge suffix that divides, else the
-    largest divisor; stop when the quotient is in the table."""
-    known = sorted({t for pair in table.pairs for t in pair}, key=to_integer, reverse=True)
-    factors = []
-    cur = n
-    while cur not in table:
-        v = to_integer(cur)
-        divisors = [t for t in known if to_integer(t) > 1 and v % to_integer(t) == 0]
-        if not divisors:
-            raise NoProgress(str(cur))
-        pick = divisors[0]
-        if strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST:
-            pick = next((t for t in divisors if is_wedge_suffix(t, cur)), pick)
-        factors.append(pick)
-        cur = from_integer(v // to_integer(pick))
-    factors.append(cur)
-    answer = ONE
-    for f in factors:
-        answer = mul(answer, reciprocal(f, table=table)[0])
-    return answer, tuple(factors)
-
-
-# every regular number of 1 to 8 digits: the reference reads the wedge
+# every regular number of 1 to 8 digits: the oracle reads the wedge
 # suffixes on digits, so these meet each row's test at every length
 short_regulars = st.sampled_from(
     [from_integer(v) for v in smooth_numbers(60**8) if v % 60]
@@ -187,19 +158,17 @@ short_regulars = st.sampled_from(
 @settings(deadline=None, max_examples=300)
 @given(long_regulars | short_regulars)
 def test_factor_choice_matches_reference(strategy, n):
-    from mesomath.tables import gen_reciprocal_table
-
-    table = gen_reciprocal_table()
     r, fact = reciprocal(n, strategy)
-    assert (r, fact.factors) == _reference_reciprocal(n, strategy, table)
+    want = peel_whole(to_integer(n), O.RECIP_OF, strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST)
+    assert (to_integer(r), tuple(map(to_integer, fact.factors))) == want
     assert mul(n, r) == ONE
 
 
-def _anchored_by_loop(n: FloatingNumber, e: int) -> abacus.AnchoredNumber:
-    """The anchored reciprocal of ``n`` at ``e``, with the exponent found
-    by the loop over the product's digits."""
-    r, _ = reciprocal(n)
-    return abacus.AnchoredNumber(r, -e - sixty_log(to_integer(n) * to_integer(r)))
+def _anchored_by_fractions(n: FloatingNumber, e: int) -> abacus.AnchoredNumber:
+    """The anchored reciprocal of ``n`` at ``e``: 1 / (n * 60**e) as a
+    ``Fraction``, split into its digits and the anchor of the last."""
+    v, exponent = O.split(1 / O.anchored(to_integer(n), e))
+    return abacus.AnchoredNumber(from_integer(v), exponent)
 
 
 def test_anchored_reciprocal_exponent_short():
@@ -208,14 +177,14 @@ def test_anchored_reciprocal_exponent_short():
     for n in SMOOTH_NUMBERS:
         for e in (-2, 0, 3):
             a = abacus.AnchoredNumber(n, e)
-            assert abacus.recip_anchored(a)[0] == _anchored_by_loop(n, e)
+            assert abacus.recip_anchored(a)[0] == _anchored_by_fractions(n, e)
 
 
 @settings(deadline=None, max_examples=150)
 @given(long_regulars, st.integers(-50, 50))
 def test_anchored_reciprocal_exponent_long(n, e):
     a = abacus.AnchoredNumber(n, e)
-    assert abacus.recip_anchored(a)[0] == _anchored_by_loop(n, e)
+    assert abacus.recip_anchored(a)[0] == _anchored_by_fractions(n, e)
 
 
 @settings(deadline=None)
@@ -230,31 +199,32 @@ def test_integer_wedge_form_agrees_with_digits(td, nd):
     ti = to_integer(t)
     m, M = 60 ** (len(t) - 1), 60 ** len(t)
     s = to_integer(n) % 60**4
-    assert (s % m == ti % m and s % M >= ti) == is_wedge_suffix(t, n)
+    assert (s % m == ti % m and s % M >= ti) == O.wedge_suffix(ti, to_integer(n))
 
 
 # Standard pairs without the one-place numbers below 9: many quotients
 # stall, and many have divisors but no wedge suffix among them (1:4 and 32
 # both divide 2:8), which the standard table never leaves to the fallback.
-VARIANT = ElementaryTable(
-    (parse_spvn(e), parse_spvn(r))
-    for e, r in (("9", "6:40"), ("16", "3:45"), ("27", "2:13:20"),
-                 ("32", "1:52:30"), ("1:4", "56:15"))
-)
+_VARIANT_PAIRS = (("9", "6:40"), ("16", "3:45"), ("27", "2:13:20"),
+                  ("32", "1:52:30"), ("1:4", "56:15"))
+VARIANT = ElementaryTable((parse_spvn(e), parse_spvn(r)) for e, r in _VARIANT_PAIRS)
+#: the variant's values, either side, to their reciprocals, on the oracle's integers
+VARIANT_RECIP = {
+    O.parse(a): O.parse(b) for e, r in _VARIANT_PAIRS for a, b in ((e, r), (r, e))
+}
 
 
 @pytest.mark.parametrize("strategy", list(FactorStrategy))
 @settings(deadline=None, max_examples=300)
 @given(long_regulars)
 def test_variant_table_matches_reference_or_stalls(strategy, n):
-    try:
-        expected = _reference_reciprocal(n, strategy, VARIANT)
-    except NoProgress:
+    want = peel_whole(to_integer(n), VARIANT_RECIP, strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST)
+    if want is None:
         with pytest.raises(NoProgress):
             reciprocal(n, strategy, VARIANT)
     else:
         r, fact = reciprocal(n, strategy, VARIANT)
-        assert (r, fact.factors) == expected
+        assert (to_integer(r), tuple(map(to_integer, fact.factors))) == want
 
 
 @pytest.mark.parametrize("which", ["standard", "variant"])
@@ -284,7 +254,7 @@ def test_wedge_index_lists_exactly_the_possible_suffixes(which):
 
     table = gen_reciprocal_table() if which == "standard" else VARIANT
     known = {to_integer(t) for pair in table.pairs for t in pair}
-    rows = [(t, 60 ** (len(digits_of(t)) - 1), 60 ** len(digits_of(t))) for t in known]
+    rows = [(t, 60 ** (len(O.digits(t)) - 1), 60 ** len(O.digits(t))) for t in known]
     assert table._divisors == tuple(sorted((r for r in rows if r[0] > 1), reverse=True))
     # The digit oracle reads only a number's last len(t) digits, and a hit
     # needs all of them but the one under t's lead to be t's, so these
@@ -298,7 +268,7 @@ def test_wedge_index_lists_exactly_the_possible_suffixes(which):
             for x in range(60)
             for d in range(60)
             for n in [FloatingNumber((1, x, *tail, d))]
-            if is_wedge_suffix(t, n)
+            if O.wedge_suffix(row[0], to_integer(n))
         }
     assert len(table._wedge_by_last) == 60
     for d in range(60):
@@ -343,35 +313,33 @@ def _regulars_of_5_to_300_digits(draw):
 def test_windowed_peel_matches_whole_quotient_peel(which, strategy, n):
     from mesomath.tables import gen_reciprocal_table
 
-    table = gen_reciprocal_table() if which == "standard" else VARIANT
-    known = {to_integer(t) for pair in table.pairs for t in pair}
-    want = peel_whole(
-        to_integer(n), known, strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST
+    table, recip_of = (
+        (gen_reciprocal_table(), O.RECIP_OF) if which == "standard" else (VARIANT, VARIANT_RECIP)
     )
+    want = peel_whole(to_integer(n), recip_of, strategy is FactorStrategy.WEDGE_SUFFIX_LONGEST)
     if want is None:
         with pytest.raises(NoProgress):
             reciprocal(n, strategy, table)
     else:
-        _, fact = reciprocal(n, strategy, table)
-        assert tuple(map(to_integer, fact.factors)) == want
+        r, fact = reciprocal(n, strategy, table)
+        assert (to_integer(r), tuple(map(to_integer, fact.factors))) == want
 
 
 def test_variant_table_reaches_the_fallback():
     # 34:8 (= 2048 = 1:4 * 32): 1:4, 32 and 16 divide it, but none is a
     # wedge suffix of it, so the pick is the largest divisor, 1:4, which
     # leaves 32 (2:8 = 1:4 * 2 reaches the same pick, then stalls on 2)
-    n = parse_spvn("34:8")
-    known = {t for pair in VARIANT.pairs for t in pair}
-    divisors = [t for t in known if to_integer(n) % to_integer(t) == 0]
-    assert divisors and not any(is_wedge_suffix(t, n) for t in divisors)
-    assert max(divisors, key=to_integer) == parse_spvn("1:4")
-    _, fact = reciprocal(n, FactorStrategy.WEDGE_SUFFIX_LONGEST, VARIANT)
+    v = O.parse("34:8")
+    divisors = [t for t in VARIANT_RECIP if v % t == 0]
+    assert divisors and not any(O.wedge_suffix(t, v) for t in divisors)
+    assert max(divisors) == O.parse("1:4")
+    _, fact = reciprocal(parse_spvn("34:8"), FactorStrategy.WEDGE_SUFFIX_LONGEST, VARIANT)
     assert fact.factors == (parse_spvn("1:4"), parse_spvn("32"))
     with pytest.raises(NoProgress, match="divides 2$"):
         reciprocal(parse_spvn("2:8"), FactorStrategy.WEDGE_SUFFIX_LONGEST, VARIANT)
 
 
-# --- regularity by one modular power, against the exponent oracle --------------
+# --- regularity by one modular power, against the integer oracle ---------------
 
 _smooth_ints = st.builds(
     lambda a, b, c: 2**a * 3**b * 5**c,
@@ -385,34 +353,23 @@ _smooth_ints = st.builds(
 @given(_smooth_ints, st.sampled_from((7, 11, 13, 49, 59, 61, 7919, 2**61 - 1)))
 def test_regularity_by_pow_matches_exponents(v, p):
     assert recip._is_regular_rep(v) is True
-    assert regular_exponents(v) is not None
+    assert O.regular(v)
     assert recip._is_regular_rep(v * p) is False
-    assert regular_exponents(v * p) is None
+    assert not O.regular(v * p)
 
 
 def test_regularity_by_pow_below_20000():
     assert recip._is_regular_rep(1)
     for v in range(1, 20_000):
-        assert recip._is_regular_rep(v) == (regular_exponents(v) is not None), v
+        assert recip._is_regular_rep(v) == O.regular(v), v
 
 
 # --- the integer bridge against an integer oracle ------------------------------
 
-def _oracle_fold(ds):
-    """Strip zeros at both ends, then fold the digits into an integer."""
-    ds = list(ds)
-    while ds and ds[0] == 0:
-        del ds[0]
-    while ds and ds[-1] == 0:
-        del ds[-1]
-    v = 0
-    for d in ds:
-        v = v * 60 + d
-    return tuple(ds), v
-
-
-def _check_bridge(x, want_digits, want_int):
-    """x agrees with the oracle and with both construction paths."""
+def _check_bridge(x, want_int):
+    """x agrees with the oracle's canonical integer ``want_int`` and with
+    both construction paths."""
+    want_digits = O.digits(want_int)
     assert x.digits == want_digits
     assert to_integer(x) == want_int
     for y in (FloatingNumber(want_digits), from_integer(want_int)):
@@ -462,7 +419,7 @@ def _at_boundaries(*rest):
 @given(_padded_digits)
 @_at_boundaries()
 def test_bridge_constructor_matches_oracle(ds):
-    _check_bridge(FloatingNumber(ds), *_oracle_fold(ds))
+    _check_bridge(FloatingNumber(ds), O.canon(O.from_digits(ds)))
 
 
 @settings(deadline=None, max_examples=150)
@@ -473,24 +430,23 @@ def test_bridge_constructor_matches_oracle(ds):
 @example((1,), 5)
 @example((1,), 10)
 def test_bridge_from_integer_matches_oracle(ds, k):
-    want_digits, v = _oracle_fold(ds)
-    _check_bridge(from_integer(v * 60**k), want_digits, v)
+    v = O.canon(O.from_digits(ds))
+    _check_bridge(from_integer(v * 60**k), v)
 
 
 @settings(deadline=None, max_examples=150)
 @given(_padded_digits, _padded_digits)
 @_at_boundaries((59,) * 5)
 def test_bridge_mul_matches_oracle(da, db):
-    (_, va), (_, vb) = _oracle_fold(da), _oracle_fold(db)
-    want = _oracle_fold(digits_of(va * vb))
-    _check_bridge(mul(FloatingNumber(da), FloatingNumber(db)), *want)
+    want = O.canon(O.from_digits(da) * O.from_digits(db))
+    _check_bridge(mul(FloatingNumber(da), FloatingNumber(db)), want)
 
 
 @settings(deadline=None, max_examples=150)
 @given(_padded_digits, st.sampled_from(":."))
 @_at_boundaries(":")
 def test_bridge_parse_matches_oracle(ds, sep):
-    _check_bridge(parse_spvn(sep.join(map(str, ds))), *_oracle_fold(ds))
+    _check_bridge(parse_spvn(sep.join(map(str, ds))), O.canon(O.from_digits(ds)))
 
 
 def _seeded_digits(seed: int, n: int) -> tuple[int, ...]:
@@ -523,7 +479,8 @@ def test_parse_builds_what_the_constructor_builds(ds, seed):
         text = "".join(p + rng.choice(":.") for p in parts)[:-1]
     x, want = parse_spvn(text), FloatingNumber(ds)
     assert type(x) is FloatingNumber
-    assert (x.digits, to_integer(x)) == _oracle_fold(ds)
+    v = O.canon(O.from_digits(ds))
+    assert (x.digits, to_integer(x)) == (O.digits(v), v)
     assert x.digits == want.digits and to_integer(x) == to_integer(want)
 
 
@@ -550,13 +507,13 @@ def _long_digits() -> tuple[int, ...]:
 
 def test_bridge_long_digits_to_integer():
     ds = _long_digits()
-    want_digits, v = _oracle_fold(ds)
-    assert len(want_digits) > 4_900
+    v = O.canon(O.from_digits(ds))
+    assert len(O.digits(v)) > 4_900
     x = FloatingNumber(ds)
-    assert x.digits == want_digits and to_integer(x) == v
+    assert x.digits == O.digits(v) and to_integer(x) == v
 
 
 def test_bridge_long_integer_to_digits():
-    _, v = _oracle_fold(_long_digits())
+    v = O.canon(O.from_digits(_long_digits()))
     x = from_integer(v * 60**7)
-    assert x.digits == digits_of(v) and to_integer(x) == v
+    assert x.digits == O.digits(v) and to_integer(x) == v

@@ -28,7 +28,8 @@ from mesomath.recip import (
 from mesomath.spvn import SimplerOrdering, compare_simpler, from_integer, mul, to_integer
 from mesomath.tables import gen_reciprocal_table
 from mesomath.textio import parse_spvn as fn
-from oracles import icbrt_corrected, is_wedge_suffix, regular_exponents
+import oracle as O
+from oracles import icbrt_corrected
 
 
 class TestIsRegular:
@@ -49,29 +50,25 @@ class TestIsRegular:
 
 
 class TestWedgeSuffix:
+    """The rule the peel reads, on the integer oracle."""
+
     def test_equal_tail(self):
-        assert is_wedge_suffix(fn("40"), fn("4:26:40"))
+        assert O.wedge_suffix(O.parse("40"), O.parse("4:26:40"))
 
     def test_subcount_leading_digit(self):
         # the 6 of 6:40 is readable inside the 26 of 4:26:40
-        assert is_wedge_suffix(fn("6:40"), fn("4:26:40"))
+        assert O.wedge_suffix(O.parse("6:40"), O.parse("4:26:40"))
 
     def test_larger_leading_digit_fails(self):
-        assert not is_wedge_suffix(fn("50"), fn("4:26:40"))
+        assert not O.wedge_suffix(O.parse("50"), O.parse("4:26:40"))
 
     def test_tail_mismatch_fails(self):
-        assert not is_wedge_suffix(fn("1:4"), fn("4:26:40"))
+        assert not O.wedge_suffix(O.parse("1:4"), O.parse("4:26:40"))
 
 
 def _oracle_divisors(n):
-    """All table values (either side) exactly dividing the representative."""
-    v = to_integer(n)
-    return {
-        t
-        for pair in gen_reciprocal_table().pairs
-        for t in pair
-        if to_integer(t) > 1 and v % to_integer(t) == 0
-    }
+    """The standard table's values above 1, either side, that divide ``n``."""
+    return {t for t in O.RECIP_OF if t > 1 and to_integer(n) % t == 0}
 
 
 class TestTrailingCandidates:
@@ -80,21 +77,21 @@ class TestTrailingCandidates:
     def test_candidates_4_26_40(self):
         n = fn("4:26:40")
         _, fact = reciprocal(n)
-        wedge = {t for t in _oracle_divisors(n) if is_wedge_suffix(t, n)}
-        assert {fn("40"), fn("6:40")} <= wedge
+        wedge = {t for t in _oracle_divisors(n) if O.wedge_suffix(t, to_integer(n))}
+        assert {O.parse("40"), O.parse("6:40")} <= wedge
         # the largest divisor readable at the end is peeled first
-        assert fact.factors[0] == fn("6:40") == max(wedge, key=to_integer)
+        assert to_integer(fact.factors[0]) == O.parse("6:40") == max(wedge)
 
     def test_candidates_45_30_40(self):
         n = fn("45:30:40")
         _, fact = reciprocal(n)
         # 6:40 does not divide 163840 exactly, so 40 is the first peel
-        assert fn("6:40") not in _oracle_divisors(n)
+        assert O.parse("6:40") not in _oracle_divisors(n)
         assert fact.factors[0] == fn("40")
 
     def test_candidates_16(self):
         # 8, 4 and 2 divide 16 too, but 16 is in the table: nothing is peeled
-        assert {str(t) for t in _oracle_divisors(fn("16"))} == {"16", "8", "4", "2"}
+        assert {O.show(t) for t in _oracle_divisors(fn("16"))} == {"16", "8", "4", "2"}
         for strategy in FactorStrategy:
             assert reciprocal(fn("16"), strategy)[1].factors == (fn("16"),)
 
@@ -164,7 +161,7 @@ class TestReciprocal:
     @pytest.mark.parametrize("s", ["7", "1:10", "5:3:24:26:41", "59:59:59:59:59:59"])
     def test_irregular_message(self, s):
         n = fn(s)
-        assert regular_exponents(to_integer(n)) is None
+        assert not O.regular(to_integer(n))
         with pytest.raises(Irregular, match=f"^{s} is without reciprocal$"):
             reciprocal(n)
 
@@ -234,15 +231,6 @@ def _count_conversions(monkeypatch) -> list:
     return calls
 
 
-def _product_chain(recs):
-    """The running products by plain floating multiplication."""
-    out, acc = [], recs[-1]
-    for r in reversed(recs[:-1]):
-        acc = mul(acc, r)
-        out.append(acc)
-    return out
-
-
 class TestConversionsSaved:
     @pytest.mark.parametrize("s", ["1", "2", "4:26:40", "45:30:40", "5:3:24:26:40"])
     def test_each_answer_converted_once(self, monkeypatch, s):
@@ -257,7 +245,8 @@ class TestConversionsSaved:
             assert calls == [] and products == factor_reciprocals(fact)
         else:
             assert len(calls) == k - 2
-            assert list(products) == _product_chain(factor_reciprocals(fact))
+            factors = tuple(map(to_integer, fact.factors))
+            assert list(map(to_integer, products)) == list(O.running_products(factors))
             assert products[-1] is r
 
 
