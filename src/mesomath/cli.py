@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from . import recip, spvn, textio
-from .errors import ParseError, SexagesimalError, TraceTooLong
+from .errors import ParseError, SexagesimalError, TraceTooLong, _clip
 from .recip import FactorStrategy
 
 if TYPE_CHECKING:
@@ -219,6 +219,21 @@ def _cmd_check(directory: str | None) -> int:
     return EXIT_OK if summary.passed else EXIT_VERIFY
 
 
+def _unbindable(target: str) -> str | None:
+    """Why the REPL cannot bind the name ``target``, or None if it can.
+
+    A token is looked up as a name before it is read as a number, so a
+    bound number would change what that number means on every later line.
+    """
+    if len(target.split()) > 1:
+        return "it holds whitespace"
+    try:
+        textio.parse_spvn(target)
+    except ParseError:
+        return None
+    return "it reads as a number"
+
+
 def _repl() -> int:
     """One command per line, with named results: ``x = mul 9 7``."""
     scope: dict[str, spvn.FloatingNumber] = {}
@@ -245,6 +260,10 @@ def _repl() -> int:
             target, _, line = line.partition("=")
             target = target.strip()
             line = line.strip()
+            why = _unbindable(target)
+            if why:
+                print(f"error: cannot bind {_clip(repr(target))}: {why}", file=sys.stderr)
+                continue
         toks = line.split()
         try:
             if len(toks) == 1:
@@ -254,7 +273,7 @@ def _repl() -> int:
                 spvn.check_product(toks[0], *operands)
                 value = _ARITH[toks[0]][0](*operands)
             else:
-                print(f"error: cannot evaluate {line!r}", file=sys.stderr)
+                print(f"error: cannot evaluate {_clip(repr(line))}", file=sys.stderr)
                 continue
         except SexagesimalError as e:
             print(f"error: {e}", file=sys.stderr)

@@ -195,7 +195,7 @@ class UnitSystem(_Record):
         try:
             return self._positions[name]
         except KeyError:
-            raise UnknownUnit(f"unknown unit {name!r} in system {self.kind}") from None
+            raise UnknownUnit(f"unknown unit {_clip(repr(name))} in system {self.kind}") from None
 
     def unit(self, name: str) -> Unit:
         return self.units[self.position(name)]
@@ -337,7 +337,7 @@ def get_system(kind: str) -> UnitSystem:
     try:
         return SYSTEMS[kind]
     except KeyError:
-        raise UnknownUnit(f"unknown unit system {kind!r}") from None
+        raise UnknownUnit(f"unknown unit system {_clip(repr(kind))}") from None
 
 
 # --- conversion ---------------------------------------------------------------

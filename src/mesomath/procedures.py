@@ -13,8 +13,9 @@ A step may carry both ``expect`` (the correct number) and ``attested``
 expectation but the tablet disagrees, that is a scribal error: the trace
 notes it and the tablet still passes.
 
-Every refusal of :func:`parse_script` begins ``line N:`` and its
-diagnostic holds line N, whichever module raised it.
+Every refusal of :func:`parse_script` or :func:`run` begins ``line N:``
+and its diagnostic, if any, holds line N, whichever module raised it; a
+run names the refused record next (``line 3: step recip: …``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     SexagesimalError,
     UnknownName,
     UnknownOp,
+    _clip,
 )
 from .recip import Factorization
 from .spvn import FloatingNumber
@@ -84,7 +86,7 @@ class ProcedureScript(NamedTuple):
         for c in self.configurations:
             if c.name == name:
                 return c
-        raise UnknownName(f"no configuration {name!r} in {self.tablet}")
+        raise UnknownName(f"no configuration {_clip(repr(name))} in {_clip(self.tablet)}")
 
 
 class TraceRecord(NamedTuple):
@@ -207,17 +209,19 @@ def _syntax(msg: str, token: str = "", error=ScriptSyntax) -> ParseError:
     return error(msg, ParseDiagnostic(line=1, column=1, message=msg, token=token))
 
 
-def _on_line(line_no: int, e: ParseError) -> ParseError:
-    """``e`` on script line ``line_no``, in its diagnostic and its message."""
-    e.diagnostic = e.diagnostic._replace(line=line_no)
-    e.args = (f"line {line_no}: {e}", *e.args[1:])
+def _on_line(line_no: int, e: SexagesimalError, record: str = "") -> SexagesimalError:
+    """``e`` on script line ``line_no``, in its diagnostic if it has one and
+    at the head of its message, with the ``record`` a run refused after it."""
+    if e.diagnostic is not None:
+        e.diagnostic = e.diagnostic._replace(line=line_no)
+    e.args = (f"line {line_no}: {record}{e}", *e.args[1:])
     return e
 
 
 def _define(defined: dict[str, bool], name: str, given: bool) -> None:
     """Enter ``name``, a given or not, in ``defined``: a name is defined once."""
     if name in defined:
-        raise _syntax(f"name {name!r} defined twice", name)
+        raise _syntax(f"name {_clip(repr(name))} defined twice", name)
     defined[name] = given
 
 
@@ -256,7 +260,7 @@ def parse_script(text: str) -> ProcedureScript:
                     raise _syntax("empty step")
                 op = toks[1]
                 if op not in _OPS:
-                    raise _syntax(f"unknown operation {op!r}", op, UnknownOp)
+                    raise _syntax(f"unknown operation {_clip(repr(op))}", op, UnknownOp)
                 arity = _OPS[op][0]
                 end = 2 + arity
                 args = tuple(toks[2:end])
@@ -264,7 +268,7 @@ def parse_script(text: str) -> ProcedureScript:
                     raise _syntax(f"{op} takes {arity} operand name(s)")
                 for a in args:
                     if a not in defined:
-                        raise _syntax(f"undefined name {a!r}", a, UnknownName)
+                        raise _syntax(f"undefined name {_clip(repr(a))}", a, UnknownName)
                 new_name = None
                 stop = n
                 if n - end >= 2 and toks[-2] == "as":
@@ -308,7 +312,7 @@ def parse_script(text: str) -> ProcedureScript:
                     raise _syntax("config needs: <name>: given=e<int>, ...")
                 cname = toks[1][:-1]
                 if cname in configs:
-                    raise _syntax(f"duplicate configuration {cname!r}", cname)
+                    raise _syntax(f"duplicate configuration {_clip(repr(cname))}", cname)
                 exps: dict[str, int] = {}
                 for item in islice(toks, 2, None):
                     item = item.rstrip(",")
@@ -316,15 +320,15 @@ def parse_script(text: str) -> ProcedureScript:
                         continue
                     gname, _, etext = item.partition("=")
                     if not gname or not etext.startswith("e"):
-                        raise _syntax(f"bad anchor {item!r}", item)
+                        raise _syntax(f"bad anchor {_clip(repr(item))}", item)
                     if not defined.get(gname):
-                        msg = f"configuration anchors unknown given {gname!r}"
+                        msg = f"configuration anchors unknown given {_clip(repr(gname))}"
                         raise _syntax(msg, gname, UnknownName)
                     if gname in exps:
-                        raise _syntax(f"given {gname!r} anchored twice", item)
+                        raise _syntax(f"given {_clip(repr(gname))} anchored twice", item)
                     exponent = textio.read_exponent(etext[1:])
                     if exponent is None:
-                        raise _syntax(f"bad exponent {etext!r}", item)
+                        raise _syntax(f"bad exponent {_clip(repr(etext))}", item)
                     exps[gname] = exponent
                 configs[cname] = (Configuration(cname, exps), line_no)
 
@@ -333,7 +337,7 @@ def parse_script(text: str) -> ProcedureScript:
                     raise _syntax("answer needs a name")
                 name = toks[1]
                 if name not in defined:
-                    raise _syntax(f"undefined name {name!r}", name, UnknownName)
+                    raise _syntax(f"undefined name {_clip(repr(name))}", name, UnknownName)
                 if n == 2:
                     answers.append(Answer(name, None, None, line_no))
                 else:
@@ -348,11 +352,11 @@ def parse_script(text: str) -> ProcedureScript:
                         expect_m = textio.parse_measurement(toks[i + 1], system)
                         i += 2
                     if i < n:
-                        raise _syntax(f"unexpected token {toks[i]!r}", toks[i])
+                        raise _syntax(f"unexpected token {_clip(repr(toks[i]))}", toks[i])
                     answers.append(Answer(name, window, expect_m, line_no))
 
             else:
-                raise _syntax(f"unknown directive {kw!r}", kw)
+                raise _syntax(f"unknown directive {_clip(repr(kw))}", kw)
         except ParseError as e:
             # _syntax and textio build every refusal on line 1; it moves here
             raise _on_line(line_no, e)
@@ -362,7 +366,8 @@ def parse_script(text: str) -> ProcedureScript:
     for conf, conf_line in configs.values():
         unanchored = [g.name for g in givens if g.name not in conf.exponents]
         if unanchored:
-            msg = f"configuration {conf.name!r} does not anchor given {unanchored[0]!r}"
+            msg = (f"configuration {_clip(repr(conf.name))}"
+                   f" does not anchor given {_clip(repr(unanchored[0]))}")
             raise _on_line(conf_line, _syntax(msg, conf.name))
     return ProcedureScript(
         tablet=tablet,
@@ -379,7 +384,7 @@ def _expect_tail(toks, i, end):
     while i < end:
         key = toks[i]
         if i + 1 == end or key != "expect" and key != "attested":
-            raise _syntax(f"unexpected token {key!r}", key)
+            raise _syntax(f"unexpected token {_clip(repr(key))}", key)
         if (expect if key == "expect" else attested) is not None:
             raise _syntax(f"duplicate {key!r}", key)
         value = textio.parse_number(toks[i + 1])
@@ -408,8 +413,12 @@ def _matches(computed, expected) -> bool:
     return _digits_of(computed) == expected
 
 
+def _needs_configuration(a, b):
+    raise MissingConfig("needs a configuration")
+
+
 #: op -> (arity, floating form, anchored form).  Each form returns
-#: (result, factorization-or-None); add and sub have no floating form.
+#: (result, factorization-or-None); a floating add or sub is refused.
 #: The forms look their functions up on the module at call time, so a
 #: patched ``spvn.mul`` or ``abacus.recip_anchored`` is the one that runs.
 _OPS = {
@@ -426,8 +435,8 @@ _OPS = {
                   lambda a: (abacus.mul_anchored(a, a), None)),
     "sqrt": (1, lambda a: (recip.sqrt(a), None),
                 lambda a: (abacus.sqrt_anchored(a), None)),
-    "add": (2, None, lambda a, b: (abacus.add(a, b), None)),
-    "sub": (2, None, lambda a, b: (abacus.sub(a, b), None)),
+    "add": (2, _needs_configuration, lambda a, b: (abacus.add(a, b), None)),
+    "sub": (2, _needs_configuration, lambda a, b: (abacus.sub(a, b), None)),
 }
 
 
@@ -436,15 +445,9 @@ def run(script: ProcedureScript, config: str | None = None) -> Trace:
 
     With a configuration every value is anchored and additive steps are
     allowed; without one the run stays floating, and any add/sub step
-    raises :class:`MissingConfig`.
+    raises :class:`MissingConfig`.  A refusal names its line and record.
     """
     return _run(script, script.configuration(config) if config is not None else None)
-
-
-def _located(e: SexagesimalError, tablet: str, what: str, line: int) -> SexagesimalError:
-    """``e`` with the tablet, the record it refused and its line before its message."""
-    e.args = (f"{tablet}: {what} at line {line}: {e}", *e.args[1:])
-    return e
 
 
 def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
@@ -470,18 +473,12 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
     # value is anchored; so the step loop knows each operand's type.
     for s in script.steps:
         op = s.op
-        _, floating, anchored = _OPS[op]
-        form = floating if conf is None else anchored
-        if form is None:
-            raise MissingConfig(
-                f"{script.tablet}: step {op} at line {s.line} needs a configuration"
-            )
         operands = [scope[a] for a in s.args]
         try:
             spvn.check_product(op, *[_digits_of(x) for x in operands])
-            result, fact = form(*operands)
+            result, fact = _OPS[op][1 if conf is None else 2](*operands)
         except SexagesimalError as e:
-            raise _located(e, script.tablet, f"step {op}", s.line)
+            raise _on_line(s.line, e, f"step {op}: ")
         if s.name:
             scope[s.name] = result
         records.append(TraceRecord(
@@ -497,7 +494,7 @@ def _run(script: ProcedureScript, conf: Configuration | None) -> Trace:
             try:
                 computed = metrology.from_number(_digits_of(computed), system, a.window)
             except SexagesimalError as e:
-                raise _located(e, script.tablet, f"answer {a.name}", a.line)
+                raise _on_line(a.line, e, f"answer {_clip(a.name)}: ")
             op = f"read table {system} within {a.window}"
         records.append(TraceRecord(
             "answer", a.name, op, computed, a.expect, _matches(computed, a.expect)
@@ -558,8 +555,9 @@ def _divergence(traces: tuple[Trace, ...]) -> str | None:
             got = _digits_of(r.computed)
             if got != want:
                 return (
-                    f"{r.kind} {r.name} differs across configurations: "
-                    f"{first.configuration} gives {want}, {t.configuration} gives {got}"
+                    f"{r.kind} {_clip(r.name)} differs across configurations: "
+                    f"{_clip(first.configuration)} gives {_clip(str(want))}, "
+                    f"{_clip(t.configuration)} gives {_clip(str(got))}"
                 )
     return None
 
@@ -583,14 +581,15 @@ def verify_corpus(directory: str | Path) -> CorpusSummary:
     warnings = () if paths else (f"no corpus files found in {directory}",)
     reports = []
     for path in paths:
+        tablet, traces = path.stem, ()
         try:
             script = _read_script(path)
+            tablet = script.tablet
             traces = tuple(_run(script, c) for c in script.configurations or [None])
-            reports.append(
-                TabletReport(path, script.tablet, traces, error=_divergence(traces))
-            )
+            error = _divergence(traces)
         except (SexagesimalError, OSError) as e:
-            reports.append(TabletReport(path, path.stem, (), error=str(e)))
+            error = str(e)
+        reports.append(TabletReport(path, tablet, traces, error))
     reports.sort(key=lambda r: r.tablet)
     return CorpusSummary(tuple(reports), warnings)
 

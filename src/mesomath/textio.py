@@ -53,6 +53,7 @@ from .errors import (
     ParseError,
     UnitOrderViolation,
     UnknownUnit,
+    _clip,
 )
 from .spvn import BASE, FloatingNumber, _fold
 
@@ -145,7 +146,7 @@ def _spvn_refusal(text: str, s: str) -> ParseError:
     for part in s.replace(".", ":").split(":"):
         if not _ascii_digits(part):
             return MalformedSeparator(
-                f"malformed digit sequence {text!r}",
+                f"malformed digit sequence {_clip(repr(text))}",
                 _diag(col, "expected a base-60 digit", part),
             )
         # leading zeros are insignificant; a third significant digit is
@@ -153,7 +154,7 @@ def _spvn_refusal(text: str, s: str) -> ParseError:
         sig = part.lstrip("0") or "0"
         if len(sig) > 2 or int(sig) > 59:
             return DigitOutOfRange(
-                f"digit {sig} outside 0..59",
+                f"digit {_clip(sig)} outside 0..59",
                 _diag(col, "digit outside 0..59", part),
             )
         col += len(part) + 1
@@ -172,13 +173,13 @@ def parse_number(text: str) -> FloatingNumber | AnchoredNumber:
     head, _, tail = s.rpartition("e")
     if not head:
         raise MalformedSeparator(
-            f"anchored literal needs digits and exponent: {text!r}",
+            f"anchored literal needs digits and exponent: {_clip(repr(text))}",
             _diag(1, "expected <digits>e<exponent>", s),
         )
     exponent = read_exponent(tail)
     if exponent is None:
         raise MalformedSeparator(
-            f"bad exponent in {text!r}",
+            f"bad exponent in {_clip(repr(text))}",
             _diag(len(head) + 2, "exponent must be an integer", tail),
         )
     return _pkg.AnchoredNumber(parse_spvn(head), exponent)
@@ -199,13 +200,13 @@ def _parse_fraction_token(tok: str, system, col: int) -> int | None:
     d = _decimal(den) if _ascii_digits(den) else None
     if n is None or not d:
         raise BadFraction(
-            f"bad fraction {tok!r}",
+            f"bad fraction {_clip(repr(tok))}",
             _diag(col, "fraction must look like 1/3", tok),
         )
     f, r = divmod(12 * n, d)
     if r or f not in _pkg.metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
-            f"fraction {tok} is not used in system {system.kind}",
+            f"fraction {_clip(tok)} is not used in system {system.kind}",
             _diag(col, "fraction not in the allowed set", tok),
         )
     return f
@@ -247,7 +248,7 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
         if idx is not None:
             if whole is None and frac is None:
                 raise MeasurementSyntax(
-                    f"unit {tok!r} has no count",
+                    f"unit {_clip(repr(tok))} has no count",
                     _diag(col, "missing count before unit", tok),
                 )
             unit = units[idx]
@@ -265,7 +266,7 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
         elif tok.isascii() and tok.isdigit():
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
-                    f"expected a unit before {tok!r}",
+                    f"expected a unit before {_clip(repr(tok))}",
                     _diag(col, "two counts in a row", tok),
                 )
             whole = _decimal(tok)
@@ -278,19 +279,19 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
             f = _parse_fraction_token(tok, system, col)
             if f is None:
                 raise UnknownUnit(
-                    f"unknown unit {tok!r} in system {system.kind}",
+                    f"unknown unit {_clip(repr(tok))} in system {system.kind}",
                     _diag(col, "unknown unit", tok),
                 )
             if frac is not None:
                 raise MeasurementSyntax(
-                    f"two fractions in a row at {tok!r}",
+                    f"two fractions in a row at {_clip(repr(tok))}",
                     _diag(col, "two fractions in a row", tok),
                 )
             frac = f
         col += len(tok) + 1
     if whole is not None or frac is not None:
         raise MeasurementSyntax(
-            f"dangling count at end of {text!r}",
+            f"dangling count at end of {_clip(repr(text))}",
             _diag(col, "count without a unit", toks[-1]),
         )
     if order is not None:
@@ -303,7 +304,7 @@ def parse_window(text: str, system_kind: str) -> metrology.Window:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise MeasurementSyntax(
-            f'window must look like "<m>".."<m>": {text!r}',
+            f'window must look like "<m>".."<m>": {_clip(repr(text))}',
             _diag(1, 'window needs "<m>".."<m>"', text),
         )
     lo_m = parse_measurement(lo.strip().strip('"'), system_kind)

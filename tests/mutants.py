@@ -97,8 +97,17 @@ MUTANTS = (
     ),
     Mutant(
         "step-location-dropped", "procedures.py",
-        'e.args = (f"{tablet}: {what} at line {line}: {e}", *e.args[1:])',
-        "pass", ("tests/test_procedures.py",),
+        'raise _on_line(s.line, e, f"step {op}: ")', "raise e",
+        ("tests/test_procedures.py",),
+    ),
+    Mutant(
+        "unanchored-add-returns", "procedures.py",
+        'raise MissingConfig("needs a configuration")', "return a, None",
+        ("tests/test_procedures.py",),
+    ),
+    Mutant(
+        "check-names-by-stem", "procedures.py",
+        "tablet = script.tablet", "pass", ("tests/test_procedures.py",),
     ),
     Mutant(
         "alias-kept", "metrology.py",
@@ -107,7 +116,7 @@ MUTANTS = (
     ),
     Mutant(
         "script-line-message-dropped", "procedures.py",
-        'e.args = (f"line {line_no}: {e}", *e.args[1:])', "pass",
+        'e.args = (f"line {line_no}: {record}{e}", *e.args[1:])', "pass",
         ("tests/test_procedures.py", "tests/test_cli.py"),
     ),
     Mutant(

@@ -30,6 +30,7 @@ from mesomath.errors import (
     ParseDiagnostic,
     UnitOrderViolation,
     UnknownUnit,
+    _clip,
 )
 from mesomath.metrology import (
     ALLOWED_FRACTIONS,
@@ -67,13 +68,13 @@ def parse_spvn_by_parts(text: str) -> FloatingNumber:
     for part in s.replace(".", ":").split(":"):
         if not (part.isascii() and part.isdigit()):
             raise MalformedSeparator(
-                f"malformed digit sequence {text!r}",
+                f"malformed digit sequence {_clip(repr(text))}",
                 ParseDiagnostic(1, col, "expected a base-60 digit", part),
             )
         sig = part.lstrip("0") or "0"
         if len(sig) > 2 or int(sig) > 59:
             raise DigitOutOfRange(
-                f"digit {sig} outside 0..59",
+                f"digit {_clip(sig)} outside 0..59",
                 ParseDiagnostic(1, col, "digit outside 0..59", part),
             )
         digits.append(int(sig))
@@ -123,13 +124,13 @@ def _fraction_by_text(tok: str, kind: str, col: int) -> int | None:
     d = _count(den) if den.isascii() and den.isdigit() else None
     if n is None or not d:
         raise BadFraction(
-            f"bad fraction {tok!r}",
+            f"bad fraction {_clip(repr(tok))}",
             ParseDiagnostic(1, col, "fraction must look like 1/3", tok),
         )
     f, r = divmod(12 * n, d)
     if r or f not in ALLOWED_FRACTIONS:
         raise BadFraction(
-            f"fraction {tok} is not used in system {kind}",
+            f"fraction {_clip(tok)} is not used in system {kind}",
             ParseDiagnostic(1, col, "fraction not in the allowed set", tok),
         )
     return f
@@ -152,7 +153,7 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
         if tok.isascii() and tok.isdigit():
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
-                    f"expected a unit before {tok!r}",
+                    f"expected a unit before {_clip(repr(tok))}",
                     ParseDiagnostic(1, col, "two counts in a row", tok),
                 )
             whole = _count(tok)
@@ -166,7 +167,7 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
             if f is not None:
                 if frac is not None:
                     raise MeasurementSyntax(
-                        f"two fractions in a row at {tok!r}",
+                        f"two fractions in a row at {_clip(repr(tok))}",
                         ParseDiagnostic(1, col, "two fractions in a row", tok),
                     )
                 frac = f
@@ -179,7 +180,7 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
                     ) from None
                 if whole is None and frac is None:
                     raise MeasurementSyntax(
-                        f"unit {tok!r} has no count",
+                        f"unit {_clip(repr(tok))} has no count",
                         ParseDiagnostic(1, col, "missing count before unit", tok),
                     )
                 terms.append(Term(unit.name, whole or 0, frac or 0))
@@ -187,7 +188,7 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
         col += len(tok) + 1
     if whole is not None or frac is not None:
         raise MeasurementSyntax(
-            f"dangling count at end of {text!r}",
+            f"dangling count at end of {_clip(repr(text))}",
             ParseDiagnostic(1, col, "count without a unit", toks[-1]),
         )
     try:

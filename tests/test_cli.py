@@ -268,7 +268,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ARITH and out == ""
         assert err.count("\n") == 1
-        assert "step square at line 16: operands of square hold" in err
+        assert err.startswith("error: line 16: step square: operands of square hold")
 
     @pytest.mark.parametrize("config", [[], ["--config", "A"]])
     def test_long_recip_exits_3_at_once(self, capsys, long_recip_tablet, config):
@@ -277,7 +277,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ARITH and out == ""
         assert err.count("\n") == 1
-        assert "step recip at line 4: operands of recip hold 36415 digits" in err
+        assert err.startswith("error: line 4: step recip: operands of recip hold 36415 digits")
 
     def test_long_recip_argument_exits_3_at_once(self, capsys, long_operand):
         start = time.perf_counter()
@@ -307,12 +307,25 @@ class TestExitCodes:
             ["convert", "to-spvn", "L", "1" * 5000 + " kush"],
             ["convert", "to-spvn", "L", "1" * 5000 + "/2 kush"],
             ["convert", "readings", "L", "1" * 5000],
+            ["mul", ":".join(["7"] * 5000) + ":x", "3"],
+            ["convert", "to-spvn", "L", "3 kush " + "x" * 20000],
+            ["convert", "from-spvn", "L", "7", "--window", "1 kush" + "y" * 20000],
         ],
     )
     def test_tokens_past_the_int_limit_exit_2(self, capsys, argv):
+        # a refusal echoes a long token clipped, in one short line
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    def test_long_directive_is_echoed_clipped(self, capsys, tmp_path):
+        path = tmp_path / "long.tab"
+        path.write_text('tablet "t"\n' + "z" * 20000 + "\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: line 2: unknown directive 'zzz") and err.count("\n") == 1
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize(
         "argv",
@@ -521,11 +534,30 @@ class TestRunAndCheck:
     def test_an_answer_refusal_names_its_tablet_and_line(self, capsys, tmp_path):
         path = tmp_path / "wide.tab"
         path.write_text('tablet "t"\ngiven-spvn a 10\nanswer a L window "1 shu-si".."59 danna"\n')
-        message = ("t: answer a at line 3: 5 readings of 10 in L within 1 šu-si .. 59 danna:"
+        message = ("line 3: answer a: 5 readings of 10 in L within 1 šu-si .. 59 danna:"
                    " 1 šu-si; 2 kuš; 10 ninda; 10 uš; 20 danna")
         assert run_cli(capsys, "run", str(path)) == (EXIT_ARITH, "", f"error: {message}\n")
-        out = f"wide: ERROR {message}\n0/1 tablets pass\n"
+        out = f"t: ERROR {message}\n0/1 tablets pass\n"
         assert run_cli(capsys, "check", str(tmp_path)) == (EXIT_VERIFY, out, "")
+
+    def test_check_names_a_run_refusal_by_its_tablet(self, capsys, tmp_path):
+        # two files hold tablet t and are refused while they run: each is
+        # named by the id and told apart by its file; a file refused while
+        # it parses has no id and keeps its stem
+        (tmp_path / "irregular.tab").write_text('tablet "t"\ngiven-spvn a 7\nstep recip a\n')
+        (tmp_path / "wide.tab").write_text(
+            'tablet "t"\ngiven-spvn a 10\nanswer a L window "1 shu-si".."59 danna"\n'
+        )
+        (tmp_path / "unparsed.tab").write_text('tablet "t"\nstep cube a\n')
+        code, out, err = run_cli(capsys, "check", str(tmp_path))
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "t (irregular.tab): ERROR line 3: step recip: 7 is without reciprocal",
+            "t (wide.tab): ERROR line 3: answer a: 5 readings of 10 in L within"
+            " 1 šu-si .. 59 danna: 1 šu-si; 2 kuš; 10 ninda; 10 uš; 20 danna",
+            "unparsed: ERROR line 2: unknown operation 'cube'",
+            "0/3 tablets pass",
+        ]
 
     def test_check_reports_refused_tablets_and_goes_on(self, capsys, tmp_path):
         (tmp_path / "good.tab").write_bytes((shipped_corpus_dir() / "ybc7302.tab").read_bytes())
@@ -707,8 +739,8 @@ class TestRunCheckPin:
     """Every byte and exit code of ``run`` and ``check`` on the shipped corpus.
 
     Each tablet runs with no configuration, under each configuration it
-    declares and under one it does not; the hash was taken before the
-    replay step ops moved into one table.
+    declares and under one it does not; with none, ``ybc4663-7.tab`` is
+    refused at its first ``sub`` step.
     """
 
     def test_corpus_outputs(self, capsys):
@@ -723,7 +755,7 @@ class TestRunCheckPin:
         code, out, err = run_cli(capsys, "check", str(corpus))
         h.update(f"check\n{code}\n{out}\n{err}\n".encode())
         assert h.hexdigest() == (
-            "7fb89ba1da4638e7c78d7a1963bdf85b1831b90b7dbd0bc003a08805af02fe01"
+            "a165f18d576241032d81a2ce8ee437305efc1c5e4aa3fbd14603c71a6631c167"
         )
 
 
@@ -792,6 +824,21 @@ class TestRepl:
         )
         assert proc.returncode == 0 and proc.stdout.decode().splitlines() == ["6"]
         assert proc.stderr.decode().splitlines() == ["error: cannot evaluate ''"] * 2
+
+    @pytest.mark.parametrize(
+        "binding, why",
+        [("5 = mul 2 3", "'5': it reads as a number"),
+         ("x y = mul 2 2", "'x y': it holds whitespace")],
+    )
+    def test_a_target_no_token_can_name_is_refused(self, capsys, monkeypatch, binding, why):
+        # a token is looked up as a name first, so a bound 5 would turn
+        # every later 5 into the bound value; the right side is not run
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{binding}\nmul 5 5\nx\n"))
+        code, out, err = run_cli(capsys, "repl")
+        assert code == EXIT_OK and out == "25\n"
+        assert err.splitlines() == [
+            f"error: cannot bind {why}", "error: malformed digit sequence 'x'"
+        ]
 
     def test_long_operands_are_refused_and_the_session_goes_on(
         self, capsys, monkeypatch, long_operand

@@ -420,8 +420,8 @@ class TestStepErrors:
         script = parse_script('tablet "t"\ngiven-spvn a 2\nstep mul a a expect 4\n')
         with pytest.raises(DigitOutOfRange) as e:
             run(script)
-        assert str(e.value) == "t: step mul at line 3: digit 75 out of range"
-        assert e.value.diagnostic is diag
+        assert str(e.value) == "line 3: step mul: digit 75 out of range"
+        assert e.value.diagnostic == diag._replace(line=3)
 
     def test_the_step_error_is_the_one_raised(self, monkeypatch):
         # the step's place is put in front of the message of the raised
@@ -437,14 +437,26 @@ class TestStepErrors:
         with pytest.raises(NotASquare) as e:
             run(script)
         assert e.value is raised and e.value.operand == fn("2")
-        assert e.value.args == ("t: step mul at line 3: no root of 2",)
+        assert e.value.args == ("line 3: step mul: no root of 2",)
 
-
-    def test_an_answer_error_names_its_tablet_and_line(self):
-        # as a step's does: the window holds five readings of 10
+    def test_an_answer_error_names_its_tablet_and_line(self, tmp_path):
+        # as a step's does: the window holds five readings of 10; the run
+        # names the line and the record, the corpus report the tablet
         text = 'tablet "t"\ngiven-spvn a 10\n\nanswer a L window "1 shu-si".."59 danna"\n'
-        with pytest.raises(AmbiguousReading, match="^t: answer a at line 4: 5 readings of 10 in L "):
+        with pytest.raises(AmbiguousReading, match="^line 4: answer a: 5 readings of 10 in L "):
             run(parse_script(text))
+        (tmp_path / "wide.tab").write_text(text, encoding="utf-8")
+        (report,) = verify_corpus(tmp_path).reports
+        assert report.tablet == "t" and report.error.startswith("line 4: answer a: 5 readings")
+
+    def test_a_floating_add_needs_a_configuration(self, tmp_path):
+        text = 'tablet "t"\ngiven-spvn a 2\ngiven-spvn b 3\nstep add a b as c\n'
+        with pytest.raises(MissingConfig) as e:
+            run(parse_script(text))
+        assert str(e.value) == "line 4: step add: needs a configuration"
+        (tmp_path / "add.tab").write_text(text, encoding="utf-8")
+        (report,) = verify_corpus(tmp_path).reports
+        assert (report.tablet, report.error) == ("t", str(e.value))
 
 
 def _product_script(op: str, lengths) -> str:
@@ -493,7 +505,7 @@ class TestProductBound:
         with pytest.raises(ProductTooLong) as e:
             run(script, config)
         assert str(e.value) == (
-            f"t: step {op} at line {line}: operands of {op} hold {total} digits"
+            f"line {line}: step {op}: operands of {op} hold {total} digits"
             f" together, more than {limit}"
         )
 
@@ -696,6 +708,18 @@ class TestVerifyCorpus:
         assert report.error == (
             "step add differs across configurations: A gives 2, B gives 1:1"
         )
+
+    def test_a_long_divergence_is_echoed_clipped(self, tmp_path):
+        # the record's name, the configurations and both digit sequences
+        ones, name, conf = ":".join(["1"] * 3000), "r" * 3000, "C" * 3000
+        (tmp_path / "drift.tab").write_text(
+            f'tablet "drift"\ngiven-spvn a {ones}\ngiven-spvn b 1\n'
+            f"config A: a=e0, b=e0\nconfig {conf}: a=e1, b=e0\nstep add a b as {name}\n",
+            encoding="utf-8",
+        )
+        (report,) = verify_corpus(tmp_path).reports
+        assert report.error.startswith(f"step {'r' * 24}…{'r' * 24} (3000 characters) differs")
+        assert len(report.error) < 400
 
     def test_refused_files_are_reported_not_raised(self, tmp_path):
         (tmp_path / "good.tab").write_text(corpus_text("ybc7302.tab"), encoding="utf-8")
