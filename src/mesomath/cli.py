@@ -197,10 +197,13 @@ def _cmd_check(directory: str | None) -> int:
     summary = procedures.verify_corpus(directory)
     for w in summary.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    # a tablet id that more than one file holds is told apart by the file
+    # a tablet id that more than one file holds is told apart by the file;
+    # the id is echoed clipped, as every other echo is
     shared = Counter(rep.tablet for rep in summary.reports)
     for rep in summary.reports:
-        name = rep.tablet if shared[rep.tablet] == 1 else f"{rep.tablet} ({rep.path.name})"
+        name = _clip(rep.tablet)
+        if shared[rep.tablet] > 1:
+            name += f" ({rep.path.name})"
         if rep.error is not None:
             print(f"{name}: ERROR {rep.error}")
             continue

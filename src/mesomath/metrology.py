@@ -32,6 +32,15 @@ checks each term as it reads it.  Each system's ladder is expanded
 once, on first use, together with the printed text of every row, so
 formatting a table renders nothing.  Nothing here rounds.
 
+Each :class:`UnitSystem` works out, when it is built, every constant
+the measurement path reads: a token table from each unit name and alias
+to the unit's index, name and size, which the parser reads a unit token
+from in one lookup; the integer scale of :func:`to_number`; the ratio
+and the spellable remainders of the cycle walk; and each unit's
+spelling step in twelfths.  Conversion, reverse readings and spelling
+then do integer arithmetic only, and a measurement prints its terms in
+one loop.
+
 Reading a table backwards needs no search.  A :class:`UnitSystem`
 refuses any spelling fraction, on a unit above the smallest, that is not
 a whole number of smallest units, so the units above the smallest only
@@ -147,18 +156,21 @@ class UnitSystem(_Record):
     customary unit (ninda, kuš, gin, sar, sila) at 1e0.
     """
 
-    __slots__ = ("kind", "units", "base", "anchor_offset", "_positions")
+    __slots__ = (
+        "kind", "units", "base", "anchor_offset",
+        "_tokens", "_scale", "_ratio", "_spellable", "_steps",
+    )
     _fields = ("kind", "units", "base", "anchor_offset")
 
     def __init__(
         self, kind: str, units: tuple[Unit, ...], base: Fraction, anchor_offset: int = 0
     ):
-        if BASE % base.denominator:
+        d, n = base.denominator, base.numerator
+        if BASE % d:
             raise ValueError(
                 f"system {kind}: the denominator of base {base}"
                 f" does not divide {BASE}"
             )
-        n = base.numerator
         # a positive n is a product of 2, 3 and 5 exactly when it divides
         # 60**k, k its bit length: no exponent in n reaches k
         if n <= 0 or pow(BASE, n.bit_length(), n):
@@ -168,10 +180,10 @@ class UnitSystem(_Record):
             )
         # measurements are split on whitespace, and CSV rows are not quoted
         for u in units:
-            for n in (u.name, *u.aliases):
-                if n.split() != [n] or "," in n or '"' in n:
+            for name in (u.name, *u.aliases):
+                if name.split() != [name] or "," in name or '"' in name:
                     raise ValueError(
-                        f"system {kind}: unit name {n!r} is empty or holds"
+                        f"system {kind}: unit name {name!r} is empty or holds"
                         " whitespace, a comma or a double quote"
                     )
         for u in units[:-1]:
@@ -186,19 +198,39 @@ class UnitSystem(_Record):
         init(self, "units", units)
         init(self, "base", base)
         init(self, "anchor_offset", anchor_offset)
-        init(self, "_positions", {
-            n: i for i, u in enumerate(units) for n in (u.name, *u.aliases)
+        # What parsing, conversion and spelling read, worked out once.
+        # Each name and alias -> (index, name, size) of its unit:
+        init(self, "_tokens", {
+            a: (i, u.name, u.size) for i, u in enumerate(units) for a in (u.name, *u.aliases)
         })
+        # t twelfths are the number t / 12 * n / d, times 60**2 the
+        # integer t * _scale, as d divides 60:
+        init(self, "_scale", 5 * n * (BASE // d))
+        # (p, q): the integer v of a number, read at the units place, is
+        # v * p / q twelfths of the smallest unit:
+        init(self, "_ratio", (12 * d, n))
+        # the remainders, in twelfths, that the smallest unit spells:
+        init(self, "_spellable", frozenset((0, *units[-1].spelling_fractions)))
+        # each unit's spelling step: (name, its twelfths, and each of its
+        # spelling fractions with that fraction's twelfths):
+        init(self, "_steps", tuple(
+            (u.name, 12 * u.size, tuple((f, f * u.size) for f in u.spelling_fractions))
+            for u in units
+        ))
 
-    def position(self, name: str) -> int:
-        """Index in ``units`` of the unit with this name or alias."""
+    def _token(self, name: str) -> tuple[int, str, int]:
+        """(index in ``units``, name, size) of the unit with this name or alias."""
         try:
-            return self._positions[name]
+            return self._tokens[name]
         except KeyError:
             raise UnknownUnit(f"unknown unit {_clip(repr(name))} in system {self.kind}") from None
 
+    def position(self, name: str) -> int:
+        """Index in ``units`` of the unit with this name or alias."""
+        return self._token(name)[0]
+
     def unit(self, name: str) -> Unit:
-        return self.units[self.position(name)]
+        return self.units[self._token(name)[0]]
 
 
 class Term(NamedTuple):
@@ -210,12 +242,20 @@ class Term(NamedTuple):
     frac: int = 0
 
     def __str__(self) -> str:
-        bits = []
-        if self.whole:
-            bits.append(str(self.whole))
-        if self.frac:
-            bits.append(_FRACTION_TEXT[self.frac])
-        return " ".join(bits) + " " + self.unit
+        return _term_text(*self)
+
+
+def _term_text(unit: str, whole: int, frac: int) -> str:
+    """A term as printed: its whole part, its fraction, then its unit."""
+    if frac:
+        text = f"{_FRACTION_TEXT[frac]} {unit}"
+        return f"{whole!s} {text}" if whole else text
+    return f"{whole!s} {unit}" if whole else f" {unit}"
+
+
+# a term built from its fields with no call of ``Term.__new__``:
+# ``_new_term(Term, (unit, whole, frac))``
+_new_term = tuple.__new__
 
 
 class MeasurementValue(_Record):
@@ -236,14 +276,14 @@ class MeasurementValue(_Record):
     _fields = ("system", "terms")
 
     def __init__(self, system: str, terms: tuple[Term, ...]):
-        sys = get_system(system)
+        unit_system = get_system(system)
         if not terms:
             raise EmptyInput("empty measurement")
         canonical = []
         last_index = -1
         twelfths = 0
         for t in terms:
-            idx = sys.position(t.unit)
+            idx, name, size = unit_system._token(t.unit)
             if idx <= last_index:
                 raise UnitOrderViolation(
                     f"units out of descending order at {t.unit!r}"
@@ -258,9 +298,8 @@ class MeasurementValue(_Record):
                 raise UnitOrderViolation(f"count of {t.unit!r} must be positive")
             if frac and frac not in ALLOWED_FRACTIONS:
                 raise BadFraction(f"fraction {frac}/12 of {t.unit!r} not allowed")
-            unit = sys.units[idx]
-            twelfths += count * unit.size
-            canonical.append(Term(unit.name, whole, frac))
+            twelfths += count * size
+            canonical.append(Term(name, whole, frac))
         _measurement(system, tuple(canonical), twelfths, self)
 
     def value(self) -> Fraction:
@@ -268,7 +307,7 @@ class MeasurementValue(_Record):
         return Fraction(self.twelfths, 12)
 
     def __str__(self) -> str:
-        return " ".join(str(t) for t in self.terms)
+        return " ".join([_term_text(*t) for t in self.terms])
 
 
 def _measurement(
@@ -349,8 +388,7 @@ def _number(system: UnitSystem, t: int) -> FloatingNumber:
     exact ``t / 12 * base`` is taken times 60**2: the integer below, as
     the base's denominator divides 60.  No ``Fraction`` is built.
     """
-    base = system.base
-    return from_integer(t * 5 * base.numerator * (BASE // base.denominator))
+    return from_integer(t * system._scale)
 
 
 def to_number(m: MeasurementValue) -> FloatingNumber:
@@ -397,16 +435,16 @@ def _spell(system: UnitSystem, t: int) -> MeasurementValue | None:
         _check_printable(system, t)
     terms = []
     rest = t
-    for u in system.units:
-        whole, rest = divmod(rest, 12 * u.size)
-        for f in u.spelling_fractions:
-            if f * u.size <= rest:
-                rest -= f * u.size
+    for name, twelfths, fractions in system._steps:
+        whole, rest = divmod(rest, twelfths)
+        for f, part in fractions:
+            if part <= rest:
+                rest -= part
                 break
         else:
             f = 0
         if whole or f:
-            terms.append(Term(u.name, whole, f))
+            terms.append(_new_term(Term, (name, whole, f)))
     if rest:
         return None
     return _measurement(system.kind, tuple(terms), t)
@@ -453,9 +491,9 @@ def _cycles(n: FloatingNumber, system: UnitSystem) -> Iterator[int]:
     ``12 * d`` holds at most 2**4, 3**2 and 5, j <= 1 if 5 does not
     divide ``v``, j <= 2 if 3 does not, and 2j <= 5 if 4 does not.
     """
-    spellable = {0, *system.units[-1].spelling_fractions}
-    num = 12 * to_integer(n) * system.base.denominator
-    den = system.base.numerator * BASE**2
+    spellable = system._spellable
+    p, q = system._ratio
+    num, den = to_integer(n) * p, q * BASE**2
     while num < 2 * den or num % den or num // den % 12 not in spellable:
         num *= BASE
     t = num // den
@@ -494,8 +532,8 @@ def from_number(
     system = get_system(system_kind)
     if isinstance(hint, AnchorHint):
         k = hint.exponent - system.anchor_offset
-        num = 12 * to_integer(n) * system.base.denominator * BASE ** max(k, 0)
-        t, r = divmod(num, system.base.numerator * BASE ** max(-k, 0))
+        p, q = system._ratio
+        t, r = divmod(to_integer(n) * p * BASE ** max(k, 0), q * BASE ** max(-k, 0))
         m = None if r else _spell(system, t)
         if m is None:
             raise NoReading(

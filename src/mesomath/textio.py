@@ -10,14 +10,16 @@ A number token is built from its match: the regular expression that
 accepts it bounds every part to 0..59, so its digits and its canonical
 integer are filled in with no second check.
 
-A measurement token is looked up once as a unit name, and read as a
-count or a fraction only when it is none.  A fraction token ("1/2",
-"2/4" or the glyph "½") is read straight into the twelfths of its unit
-that :class:`~mesomath.metrology.Term` keeps: ``12 * num`` divided by
-``den`` must leave no remainder and land in the allowed set, so no
-``Fraction`` is built.  Each term is checked, and the magnitude
-summed, as it is read, so a measurement is built by the trusted builder
-``metrology._measurement`` with no second check.
+A measurement token is looked up once in its system's token table,
+which gives a unit's index, name and size, and read as a count or a
+fraction only when it is none.  A fraction token is read into the
+twelfths of its unit that :class:`~mesomath.metrology.Term` keeps: a
+glyph ("½") or a canonical spelling ("1/2") from one table, any other
+spelling ("2/4") by dividing ``12 * num`` by ``den``, which must leave
+no remainder and land in the allowed set, so no ``Fraction`` is built.
+Each term is checked, and the magnitude summed, as it is read, so a
+measurement is built by the trusted builder ``metrology._measurement``
+with no second check.
 
 Every parser either returns a value or raises exactly one error carrying
 a :class:`~mesomath.errors.ParseDiagnostic`; nothing here crashes on
@@ -185,14 +187,16 @@ def parse_number(text: str) -> FloatingNumber | AnchoredNumber:
     return _pkg.AnchoredNumber(parse_spvn(head), exponent)
 
 
-# each glyph as twelfths of its unit
-_FRACTION_GLYPHS = {"½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10}
+# each glyph and canonical spelling as twelfths of its unit
+_FRACTIONS = {
+    "½": 6, "⅓": 4, "⅔": 8, "¼": 3, "⅙": 2, "⅚": 10,
+    "1/2": 6, "1/3": 4, "2/3": 8, "1/4": 3, "1/6": 2, "5/6": 10,
+}
 
 
 def _parse_fraction_token(tok: str, system, col: int) -> int | None:
-    """The fraction ``tok`` names, in twelfths; None if it names none."""
-    if tok in _FRACTION_GLYPHS:
-        return _FRACTION_GLYPHS[tok]
+    """The fraction ``tok`` names, in twelfths, when ``_FRACTIONS`` does
+    not hold it; None if it names none."""
     if "/" not in tok:
         return None
     num, _, den = tok.partition("/")
@@ -230,9 +234,9 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
     except UnknownUnit as e:
         e.diagnostic = _diag(1, "unknown unit system", system_kind)
         raise
-    positions = system._positions
-    units = system.units
+    tokens = system._tokens
     Term = metrology.Term
+    new_term = metrology._new_term
     toks = text.split()
     if not toks:
         raise EmptyInput("empty measurement", _diag(1, "empty measurement", text))
@@ -244,23 +248,23 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
     order = None  # the message of the first term out of order or zero
     col = 1
     for tok in toks:
-        idx = positions.get(tok)
-        if idx is not None:
+        unit = tokens.get(tok)
+        if unit is not None:
             if whole is None and frac is None:
                 raise MeasurementSyntax(
                     f"unit {_clip(repr(tok))} has no count",
                     _diag(col, "missing count before unit", tok),
                 )
-            unit = units[idx]
+            idx, name, size = unit
             count = 12 * (whole or 0) + (frac or 0)
             if order is None:
                 if idx <= last:
-                    order = f"units out of descending order at {unit.name!r}"
+                    order = f"units out of descending order at {name!r}"
                 elif not count:
-                    order = f"count of {unit.name!r} must be positive"
+                    order = f"count of {name!r} must be positive"
             last = idx
-            twelfths += count * unit.size
-            terms.append(Term(unit.name, whole or 0, frac or 0))
+            twelfths += count * size
+            terms.append(new_term(Term, (name, whole or 0, frac or 0)))
             whole = None
             frac = None
         elif tok.isascii() and tok.isdigit():
@@ -276,12 +280,14 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
                     _diag(col, "count too long", tok),
                 )
         else:
-            f = _parse_fraction_token(tok, system, col)
+            f = _FRACTIONS.get(tok)
             if f is None:
-                raise UnknownUnit(
-                    f"unknown unit {_clip(repr(tok))} in system {system.kind}",
-                    _diag(col, "unknown unit", tok),
-                )
+                f = _parse_fraction_token(tok, system, col)
+                if f is None:
+                    raise UnknownUnit(
+                        f"unknown unit {_clip(repr(tok))} in system {system.kind}",
+                        _diag(col, "unknown unit", tok),
+                    )
             if frac is not None:
                 raise MeasurementSyntax(
                     f"two fractions in a row at {_clip(repr(tok))}",

@@ -111,8 +111,18 @@ MUTANTS = (
     ),
     Mutant(
         "alias-kept", "metrology.py",
-        "canonical.append(Term(unit.name, whole, frac))",
+        "canonical.append(Term(name, whole, frac))",
         "canonical.append(Term(t.unit, whole, frac))", ("tests/test_metrology.py",),
+    ),
+    Mutant(
+        "token-size-twelfths", "metrology.py",
+        "a: (i, u.name, u.size) for i, u in", "a: (i, u.name, 12 * u.size) for i, u in",
+        ("tests/test_textio.py", "tests/test_metrology.py"),
+    ),
+    Mutant(
+        "spell-step-unit", "metrology.py",
+        "(u.name, 12 * u.size, tuple(", "(u.name, u.size, tuple(",
+        ("tests/test_textio.py", "tests/test_metrology.py"),
     ),
     Mutant(
         "script-line-message-dropped", "procedures.py",

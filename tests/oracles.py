@@ -8,7 +8,8 @@ The two parsers read a token one part at a time, and ``expect`` tokens
 were read by the number rule before ``textio.parse_number``.  The table
 writers went through ``csv.writer``.  The speller backtracks, so it needs
 no rule on the units; the cycle walk descended below 2 twelfths before
-it climbed; the cube root corrected Newton's result by unit steps.  Also
+it climbed; a measurement printed each term's ``str``; the cube root
+corrected Newton's result by unit steps.  Also
 the sweep population, the exponents of a regular number, and the peel
 under any table, on the reference's integers.
 """
@@ -33,6 +34,7 @@ from mesomath.errors import (
     _clip,
 )
 from mesomath.metrology import (
+    _FRACTION_TEXT,
     ALLOWED_FRACTIONS,
     MeasurementValue,
     Term,
@@ -277,6 +279,23 @@ def spell(system: UnitSystem, t: int) -> MeasurementValue | None:
     if terms is None:
         return None
     return MeasurementValue(system.kind, tuple(terms))
+
+
+def term_text(t: Term) -> str:
+    """``str`` of a term as ``Term.__str__`` printed it before it shared
+    its helper with the measurement's ``str``."""
+    bits = []
+    if t.whole:
+        bits.append(str(t.whole))
+    if t.frac:
+        bits.append(_FRACTION_TEXT[t.frac])
+    return " ".join(bits) + " " + t.unit
+
+
+def measurement_text(m: MeasurementValue) -> str:
+    """``str`` of a measurement as it printed before it rendered its
+    terms in one loop: each term's ``str``, joined by spaces."""
+    return " ".join(str(t) for t in m.terms)
 
 
 def csv_text(header: tuple[str, ...], rows) -> str:

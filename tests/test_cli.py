@@ -559,6 +559,22 @@ class TestRunAndCheck:
             "0/3 tablets pass",
         ]
 
+    def test_check_clips_a_long_tablet_id(self, capsys, tmp_path):
+        # a 20,000-character id refused while it runs is echoed clipped;
+        # an id of 64 characters prints whole
+        long_id, id_64 = "x" * 20_000, "y" * 64
+        (tmp_path / "long.tab").write_text(f'tablet "{long_id}"\ngiven-spvn a 7\nstep recip a\n')
+        (tmp_path / "short.tab").write_text(f'tablet "{id_64}"\ngiven-spvn a 7\nstep recip a\n')
+        code, out, err = run_cli(capsys, "check", str(tmp_path))
+        assert code == EXIT_VERIFY and err == ""
+        lines = out.splitlines()
+        assert lines[0] == (
+            f"{'x' * 24}…{'x' * 24} (20000 characters): ERROR line 3: step recip:"
+            " 7 is without reciprocal"
+        )
+        assert len(lines[0].encode()) < 200
+        assert lines[1] == f"{id_64}: ERROR line 3: step recip: 7 is without reciprocal"
+
     def test_check_reports_refused_tablets_and_goes_on(self, capsys, tmp_path):
         (tmp_path / "good.tab").write_bytes((shipped_corpus_dir() / "ybc7302.tab").read_bytes())
         (tmp_path / "latin1.tab").write_bytes(b'tablet "t"\n# caf\xe9\n')

@@ -36,6 +36,7 @@ from mesomath.metrology import (
     get_system,
     _FRACTION_TEXT,
     _cycles,
+    _number,
     _spell,
     to_number,
 )
@@ -695,6 +696,7 @@ def test_formatting_and_to_number_render_and_build_nothing():
         "seen.clear()\n"
         "sys.setprofile(hook)\n"
         "str(w)\n"
+        "str(Term('še', 5, 3))\n"
         "str(FloatingNumber((1, 30)))\n"
         "Fraction(1, 3)\n"
         "sys.setprofile(None)\n"
@@ -796,6 +798,36 @@ def test_cycles_yield_only_spellable_magnitudes(system, digits):
     for t in ts:
         mm = _spell(s, t)
         assert mm is not None and mm.twelfths == t and to_number(mm) == n
+
+
+def test_a_variant_system_works_out_its_own_tables(monkeypatch):
+    # what a system reads on the measurement path is worked out from its
+    # units, base and anchor offset: over the L units with another base
+    # and offset, every conversion agrees with the Fraction route
+    units, base, offset = O.SYSTEMS["L"][0], Fraction(3, 4), 1
+    x = UnitSystem("X", get_system("L").units, base, offset)
+    monkeypatch.setitem(SYSTEMS, "X", x)
+    monkeypatch.setitem(O.SYSTEMS, "X", (units, base, offset))
+    for t in range(1, 1500):
+        q = Fraction(t, 12)
+        assert to_integer(_number(x, t)) == O.split(q * base)[0]
+        got, want = _spell(x, t), O.spell("X", q)
+        assert got is None if want is None else str(got) == O.text(want)
+    for n in map(from_integer, (*range(1, 200), 3**9, 2**20 * 7, 59 * 60 + 1)):
+        v = to_integer(n)
+        spelled = O.enumerate_readings("X", v, 4)
+        assert list(islice(_cycles(n, x), 4)) == [12 * O.magnitude("X", r) for r in spelled]
+        readings = enumerate_readings(n, "X", 4)
+        assert [str(r) for r in readings] == [O.text(r) for r in spelled]
+        assert all(to_number(r) == n for r in readings)
+        for e in range(-4, 5):
+            try:
+                want = O.text(O.from_anchor("X", v, e))
+            except O.Refusal:
+                with pytest.raises(NoReading):
+                    from_number(n, "X", AnchorHint(e))
+            else:
+                assert str(from_number(n, "X", AnchorHint(e))) == want
 
 
 # --- the climb from two cycles down against the descent it replaced -------------

@@ -18,11 +18,17 @@ from mesomath.errors import (
     UnitOrderViolation,
     UnknownUnit,
 )
-from mesomath.metrology import SYSTEMS, MeasurementValue
+from mesomath.metrology import SYSTEMS, MeasurementValue, Term, enumerate_readings
 from mesomath.procedures import parse_script
 from mesomath.spvn import FloatingNumber
 from mesomath.textio import parse_measurement, parse_number, parse_spvn, parse_window
-from oracles import expect_number_by_rule, parse_measurement_by_kinds, parse_spvn_by_parts
+from oracles import (
+    expect_number_by_rule,
+    measurement_text,
+    parse_measurement_by_kinds,
+    parse_spvn_by_parts,
+    term_text,
+)
 
 
 class TestParseSpvn:
@@ -307,6 +313,25 @@ class TestParseMeasurement:
         assert outcome(parse_measurement) == outcome(parse_measurement_by_kinds)
 
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.data(), st.sampled_from(sorted(SYSTEMS)))
+    def test_prints_as_the_former_renderer(self, data, kind):
+        # str renders every term in one loop; it prints what joining each
+        # term's str printed, and each term prints as it did
+        try:
+            m = parse_measurement(" ".join(data.draw(_measurement_tokens(kind))), kind)
+        except SexagesimalError:
+            assume(False)
+        assert str(m) == measurement_text(m)
+        assert [str(t) for t in m.terms] == [term_text(t) for t in m.terms]
+
+    def test_a_term_prints_as_it_did(self):
+        for whole in (0, 7):
+            for frac in (0, 2, 6, 10):
+                t = Term("kuš", whole, frac)
+                assert str(t) == term_text(t)
+
+
 class TestTrustedMeasurement:
     """``parse_measurement`` checks each term as it reads it and builds the
     value with no second check; the validating constructor agrees."""
@@ -330,6 +355,18 @@ class TestTrustedMeasurement:
         m = parse_measurement(text, kind)
         checked = MeasurementValue(m.system, m.terms)
         assert m == checked == want and m.twelfths == checked.twelfths
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from(sorted(SYSTEMS)),
+        st.lists(st.integers(0, 59), min_size=1, max_size=4).filter(any),
+    )
+    def test_a_spelled_reading_reads_back(self, kind, digits):
+        # the speller builds a reading with no check; its text parses to
+        # the same terms and the same magnitude
+        for r in enumerate_readings(FloatingNumber(digits), kind, 3):
+            m = parse_measurement(str(r), kind)
+            assert m == r and m.twelfths == r.twelfths
 
     @pytest.mark.parametrize(
         "text, error, message, col, token",
