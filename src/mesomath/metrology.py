@@ -225,10 +225,6 @@ class UnitSystem(_Record):
         except KeyError:
             raise UnknownUnit(f"unknown unit {_clip(repr(name))} in system {self.kind}") from None
 
-    def position(self, name: str) -> int:
-        """Index in ``units`` of the unit with this name or alias."""
-        return self._token(name)[0]
-
     def unit(self, name: str) -> Unit:
         return self.units[self._token(name)[0]]
 

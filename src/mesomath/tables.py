@@ -3,15 +3,19 @@
 The standard reciprocal table, multiplication tables, squares and root
 tables, and the ordered list a student worked through.  Everything is a
 pure generator over the spvn core, so outputs are deterministic and the
-text/CSV emitters are diff-stable.  The tables that take no input (the
-reciprocal and squares tables, the heads and the curriculum) are built
-once per process, on first use, and the square roots are read off the
-squares table; nothing is built at import.  The squares table's text
-is rendered once per format, too.  Every two-column table, here and in
-``metrology``, is written by ``_write`` from its printed rows: a CSV row
-is one f-string with no ``csv`` module, since digits, integers, fraction
-names and unit names (which ``UnitSystem`` holds free of whitespace,
-commas and quotes) hold no character that needs quoting.
+text/CSV emitters are diff-stable.  Each curriculum table is built once
+per process, on first use, and each text it prints is rendered once per
+format: the tables that take no input (the reciprocal, squares and
+cube-roots tables, the heads and the curriculum) and the multiplication
+table of each of the 38 curriculum heads, stored by the head's canonical
+integer.  The square roots are read off the squares table on each call,
+converting no number.  Any other head's table, or a variant reciprocal
+table, is built and printed on every call; nothing is built at import.
+Every two-column table, here and in ``metrology``, is written by
+``_write`` from its printed rows: a CSV row is one f-string with no
+``csv`` module, since digits, integers, fraction names and unit names
+(which ``UnitSystem`` holds free of whitespace, commas and quotes) hold
+no character that needs quoting.
 """
 
 from __future__ import annotations
@@ -87,11 +91,20 @@ def gen_multiplication_table(head: FloatingNumber) -> MultiplicationTable:
     """Products of the head by 1..20, 30, 40, 50, all normalized.
 
     Normalization is what the originals show: times 20, the table by 9
-    reads simply "3", the same sign as three.
+    reads simply "3", the same sign as three.  A curriculum head's rows
+    are built once per process.
     """
     h = to_integer(head)
-    rows = tuple([(m, from_integer(h * m)) for m in MULTIPLIERS])
-    return MultiplicationTable(head=head, rows=rows)
+    held = _curriculum_store().get(h)
+    if held is None:
+        return MultiplicationTable(head, _products(h))
+    if None not in held:
+        held[None] = _products(h)
+    return MultiplicationTable(head, held[None])
+
+
+def _products(h: int) -> tuple[tuple[int, FloatingNumber], ...]:
+    return tuple([(m, from_integer(h * m)) for m in MULTIPLIERS])
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +118,7 @@ def gen_square_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     return tuple([(s, n) for n, s in gen_squares_table()])
 
 
+@lru_cache(maxsize=None)
 def gen_cube_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """Cubes of 1..59 inverted to their roots."""
     return tuple((from_integer(n**3), n) for n in range(1, 60))
@@ -117,9 +131,14 @@ class CurriculumEntry(NamedTuple):
 
 @lru_cache(maxsize=None)
 def multiplication_heads() -> tuple[FloatingNumber, ...]:
-    from .textio import parse_spvn
+    return tuple([FloatingNumber(map(int, s.split(":"))) for s in _HEAD_STRINGS])
 
-    return tuple([parse_spvn(s) for s in _HEAD_STRINGS])
+
+@lru_cache(maxsize=None)
+def _curriculum_store() -> dict[int, dict]:
+    """An empty slot per curriculum head, by its canonical integer: the
+    head's rows go under None and its text under each format."""
+    return {to_integer(h): {} for h in multiplication_heads()}
 
 
 @lru_cache(maxsize=None)
@@ -153,10 +172,35 @@ def _write(rows: Sequence[tuple[str, str]], header: str, fmt: str) -> str:
 
 
 def format_reciprocal_table(table: ElementaryTable, fmt: str = "text") -> str:
+    """The standard table's text is rendered once per format; a variant
+    table's on every call."""
+    if table is gen_reciprocal_table():
+        return _standard_reciprocal_text(fmt)
+    return _render_reciprocal(table, fmt)
+
+
+@lru_cache(maxsize=None)
+def _standard_reciprocal_text(fmt: str) -> str:
+    return _render_reciprocal(gen_reciprocal_table(), fmt)
+
+
+def _render_reciprocal(table: ElementaryTable, fmt: str) -> str:
     return _write([(str(e), str(r)) for e, r in table.pairs], "entry,reciprocal\n", fmt)
 
 
 def format_multiplication_table(t: MultiplicationTable, fmt: str = "text") -> str:
+    """A curriculum head's text is rendered once per format, when ``t``
+    holds the stored rows; any other table is rendered on every call."""
+    held = _curriculum_store().get(to_integer(t.head))
+    if held is None or held.get(None) is not t.rows:
+        return _render_multiplication(t, fmt)
+    text = held.get(fmt)
+    if text is None:
+        text = held[fmt] = _render_multiplication(t, fmt)
+    return text
+
+
+def _render_multiplication(t: MultiplicationTable, fmt: str) -> str:
     # a CSV row's first printed column is the head and the multiplier
     head = f"{t.head}," if fmt == "csv" else ""
     return _write(

@@ -194,7 +194,12 @@ _FRACTIONS = {
 }
 
 
-def _parse_fraction_token(tok: str, system, col: int) -> int | None:
+def _column(text: str, i: int) -> int:
+    """The column, from 1, at which token ``i`` of ``text.split()`` starts."""
+    return [m.start() for m in re.finditer(r"\S+", text)][i] + 1
+
+
+def _parse_fraction_token(tok: str, system, text: str, i: int) -> int | None:
     """The fraction ``tok`` names, in twelfths, when ``_FRACTIONS`` does
     not hold it; None if it names none."""
     if "/" not in tok:
@@ -205,13 +210,13 @@ def _parse_fraction_token(tok: str, system, col: int) -> int | None:
     if n is None or not d:
         raise BadFraction(
             f"bad fraction {_clip(repr(tok))}",
-            _diag(col, "fraction must look like 1/3", tok),
+            _diag(_column(text, i), "fraction must look like 1/3", tok),
         )
     f, r = divmod(12 * n, d)
     if r or f not in _pkg.metrology.ALLOWED_FRACTIONS:
         raise BadFraction(
             f"fraction {_clip(tok)} is not used in system {system.kind}",
-            _diag(col, "fraction not in the allowed set", tok),
+            _diag(_column(text, i), "fraction not in the allowed set", tok),
         )
     return f
 
@@ -226,7 +231,8 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
 
     The first unit out of order or zero count is raised only after the
     last token, as :class:`UnitOrderViolation` at column 1 over the whole
-    text, so an error in a later token wins over it.
+    text, so an error in a later token wins over it.  A refused token's
+    column is worked out from the text only when it is refused.
     """
     metrology = _pkg.metrology
     try:
@@ -246,14 +252,13 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
     last = -1
     twelfths = 0
     order = None  # the message of the first term out of order or zero
-    col = 1
-    for tok in toks:
+    for i, tok in enumerate(toks):
         unit = tokens.get(tok)
         if unit is not None:
             if whole is None and frac is None:
                 raise MeasurementSyntax(
                     f"unit {_clip(repr(tok))} has no count",
-                    _diag(col, "missing count before unit", tok),
+                    _diag(_column(text, i), "missing count before unit", tok),
                 )
             idx, name, size = unit
             count = 12 * (whole or 0) + (frac or 0)
@@ -271,34 +276,34 @@ def parse_measurement(text: str, system_kind: str) -> metrology.MeasurementValue
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
                     f"expected a unit before {_clip(repr(tok))}",
-                    _diag(col, "two counts in a row", tok),
+                    _diag(_column(text, i), "two counts in a row", tok),
                 )
             whole = _decimal(tok)
             if whole is None:
                 raise MeasurementSyntax(
                     "count has too many digits",
-                    _diag(col, "count too long", tok),
+                    _diag(_column(text, i), "count too long", tok),
                 )
         else:
             f = _FRACTIONS.get(tok)
             if f is None:
-                f = _parse_fraction_token(tok, system, col)
+                f = _parse_fraction_token(tok, system, text, i)
                 if f is None:
                     raise UnknownUnit(
                         f"unknown unit {_clip(repr(tok))} in system {system.kind}",
-                        _diag(col, "unknown unit", tok),
+                        _diag(_column(text, i), "unknown unit", tok),
                     )
             if frac is not None:
                 raise MeasurementSyntax(
                     f"two fractions in a row at {_clip(repr(tok))}",
-                    _diag(col, "two fractions in a row", tok),
+                    _diag(_column(text, i), "two fractions in a row", tok),
                 )
             frac = f
-        col += len(tok) + 1
     if whole is not None or frac is not None:
+        # the missing unit's place: one blank past the last token
         raise MeasurementSyntax(
             f"dangling count at end of {_clip(repr(text))}",
-            _diag(col, "count without a unit", toks[-1]),
+            _diag(len(text.rstrip()) + 2, "count without a unit", toks[-1]),
         )
     if order is not None:
         raise UnitOrderViolation(order, _diag(1, order, text))

@@ -143,6 +143,21 @@ MUTANTS = (
         "abs(a.exponent - b.exponent)", "abs(a.exponent + b.exponent)",
         ("tests/test_abacus.py",),
     ),
+    Mutant(
+        "curriculum-rows-rebuilt", "tables.py",
+        "return MultiplicationTable(head, held[None])",
+        "return MultiplicationTable(head, _products(h))", ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "curriculum-text-rerendered", "tables.py",
+        "    return text\n", "    return _render_multiplication(t, fmt)\n",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "curriculum-store-unbounded", "tables.py",
+        "held = _curriculum_store().get(h)", "held = _curriculum_store().setdefault(h, {})",
+        ("tests/test_tables.py",),
+    ),
 )
 
 

@@ -150,8 +150,10 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
         )
     terms = []
     whole = frac = None
-    col = 1
+    end = 0  # where the tokens read so far end in ``text``
     for tok in toks:
+        col = text.index(tok, end) + 1
+        end = col - 1 + len(tok)
         if tok.isascii() and tok.isdigit():
             if whole is not None or frac is not None:
                 raise MeasurementSyntax(
@@ -187,11 +189,10 @@ def parse_measurement_by_kinds(text: str, system_kind: str) -> MeasurementValue:
                     )
                 terms.append(Term(unit.name, whole or 0, frac or 0))
                 whole = frac = None
-        col += len(tok) + 1
     if whole is not None or frac is not None:
         raise MeasurementSyntax(
             f"dangling count at end of {_clip(repr(text))}",
-            ParseDiagnostic(1, col, "count without a unit", toks[-1]),
+            ParseDiagnostic(1, end + 2, "count without a unit", toks[-1]),
         )
     try:
         return MeasurementValue(system.kind, tuple(terms))

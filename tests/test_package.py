@@ -73,6 +73,20 @@ class TestLazyImports:
         }
         assert not new & {"dataclasses", "inspect", "fractions"}
 
+    def test_curriculum_tables_load_only_their_layers(self):
+        # the heads are read off their digit strings, not through textio
+        new = _new_modules(
+            "import mesomath; t = mesomath.tables\n"
+            "for h in t.multiplication_heads():\n"
+            "    t.format_multiplication_table(t.gen_multiplication_table(h), 'csv')\n"
+            "t.curriculum(); t.gen_cube_roots_table(); t.format_squares_table()\n"
+            "t.format_reciprocal_table(t.gen_reciprocal_table())"
+        )
+        assert _layers(new) == {
+            "mesomath", "mesomath.errors", "mesomath.spvn", "mesomath.recip",
+            "mesomath.tables",
+        }
+
     def test_recip_command_leaves_out_the_replay_layer(self):
         new = _new_modules(
             "from mesomath import cli; assert cli.main(['recip', '7:30']) == 0"

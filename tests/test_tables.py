@@ -1,8 +1,10 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mesomath.tables
 from mesomath.metrology import format_metrological_table, gen_metrological_table
 from mesomath.recip import reciprocal
 from mesomath.spvn import FloatingNumber, from_integer, mul, to_integer
@@ -130,24 +132,130 @@ class TestCurriculum:
         assert len(curriculum()) == 42
 
 
+def _counted(monkeypatch):
+    """Count the numbers ``tables`` converts and the tables it writes."""
+    calls = {"from_integer": 0, "_write": 0}
+
+    def counter(name):
+        real = getattr(mesomath.tables, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mesomath.tables, name, counted)
+
+    counter("from_integer")
+    counter("_write")
+    return calls
+
+
+def _held():
+    """The tables and the texts the curriculum store holds."""
+    slots = mesomath.tables._curriculum_store().values()
+    return sum(None in s for s in slots), sum(len(s) - (None in s) for s in slots)
+
+
+@pytest.fixture
+def fresh_store():
+    mesomath.tables._curriculum_store.cache_clear()
+    yield
+    mesomath.tables._curriculum_store.cache_clear()
+
+
+_CONSTANT = [
+    gen_reciprocal_table,
+    gen_squares_table,
+    gen_cube_roots_table,
+    multiplication_heads,
+    curriculum,
+    pytest.param(lambda: format_squares_table("text"), id="format_squares_text"),
+    pytest.param(lambda: format_squares_table("csv"), id="format_squares_csv"),
+    pytest.param(
+        lambda: format_reciprocal_table(gen_reciprocal_table(), "text"), id="format_recip_text"
+    ),
+    pytest.param(
+        lambda: format_reciprocal_table(gen_reciprocal_table(), "csv"), id="format_recip_csv"
+    ),
+    pytest.param(lambda: gen_multiplication_table(fn("7:12")).rows, id="mult_rows"),
+    pytest.param(
+        lambda: format_multiplication_table(gen_multiplication_table(fn("7:12")), "text"),
+        id="format_mult_text",
+    ),
+    pytest.param(
+        lambda: format_multiplication_table(gen_multiplication_table(fn("7:12")), "csv"),
+        id="format_mult_csv",
+    ),
+]
+
+
 class TestConstantTables:
-    @pytest.mark.parametrize(
-        "gen",
-        [
-            gen_reciprocal_table,
-            gen_squares_table,
-            multiplication_heads,
-            curriculum,
-            pytest.param(lambda: format_squares_table("text"), id="format_squares_text"),
-            pytest.param(lambda: format_squares_table("csv"), id="format_squares_csv"),
-        ],
-    )
-    def test_built_once(self, gen):
-        assert gen() is gen()
+    @pytest.mark.parametrize("gen", _CONSTANT)
+    def test_built_once(self, gen, monkeypatch):
+        first = gen()
+        calls = _counted(monkeypatch)
+        # a second call converts no number and writes no table
+        assert gen() is first
+        assert calls == {"from_integer": 0, "_write": 0}
+
+    def test_a_curriculum_table_keeps_the_callers_head(self):
+        for head in (fn("7:12"), fn("7:12:0"), from_integer(432)):
+            t = gen_multiplication_table(head)
+            assert t.head is head
+            assert t.rows is gen_multiplication_table(fn("7:12")).rows
+
+    def test_one_head_builds_one_table(self, fresh_store, monkeypatch):
+        calls = _counted(monkeypatch)
+        t = gen_multiplication_table(fn("9"))
+        assert calls["from_integer"] == len(MULTIPLIERS)
+        assert _held() == (1, 0)
+        format_multiplication_table(t, "csv")
+        assert _held() == (1, 1)
+        gen_multiplication_table(fn("9"))
+        assert calls["from_integer"] == len(MULTIPLIERS)
+
+    def test_a_head_outside_the_curriculum_is_built_every_time(self, monkeypatch):
+        head = fn("11")
+        assert head not in multiplication_heads()
+        calls = _counted(monkeypatch)
+        for n in (1, 2):
+            t = gen_multiplication_table(head)
+            for fmt in ("text", "csv"):
+                format_multiplication_table(t, fmt)
+            assert calls == {"from_integer": n * len(MULTIPLIERS), "_write": 2 * n}
+        assert gen_multiplication_table(head).rows is not t.rows
+
+    def test_other_rows_are_rendered_as_they_are(self):
+        # the stored text is for the stored rows only: a table built by
+        # hand under a curriculum head prints its own rows
+        nine, eleven = gen_multiplication_table(fn("9")), gen_multiplication_table(fn("11"))
+        for fmt in ("text", "csv"):
+            format_multiplication_table(nine, fmt)  # the stored text
+        mixed = mesomath.tables.MultiplicationTable(nine.head, eleven.rows)
+        assert format_multiplication_table(mixed) == format_multiplication_table(eleven)
+        assert format_multiplication_table(mixed, "csv") == format_multiplication_table(
+            eleven, "csv"
+        ).replace("\n11,", "\n9,")
+        copied = mesomath.tables.MultiplicationTable(nine.head, tuple(list(nine.rows)))
+        for fmt in ("text", "csv"):
+            assert format_multiplication_table(copied, fmt) == format_multiplication_table(nine, fmt)
+
+    def test_the_store_holds_the_curriculum_only(self, fresh_store):
+        rng = random.Random(7)
+        heads = multiplication_heads()
+        for _ in range(200):
+            if rng.random() < 0.3:
+                head = rng.choice(heads)
+            else:
+                head = from_integer(rng.randrange(1, 60**4))
+            t = gen_multiplication_table(head)
+            for fmt in ("text", "csv"):
+                format_multiplication_table(t, fmt)
+        tables, texts = _held()
+        assert 0 < tables <= 38 and 0 < texts <= 76
+        assert set(mesomath.tables._curriculum_store()) == {to_integer(h) for h in heads}
 
     def test_squares_formatted_from_the_one_table(self, monkeypatch):
-        import mesomath.tables
-
         gen_squares_table()
         calls = []
 
@@ -160,8 +268,9 @@ class TestConstantTables:
             format_squares_table(fmt)
         gen_square_roots_table()
         assert calls == []
-        # the counter does count: a multiplication table converts each row
-        gen_multiplication_table(fn("9"))
+        # the counter does count: a multiplication table by a head outside
+        # the curriculum converts each row
+        gen_multiplication_table(fn("11"))
         assert len(calls) == len(MULTIPLIERS)
 
 
@@ -194,6 +303,9 @@ class TestEmitters:
                 with pytest.raises(ValueError, match="unknown table format"):
                     emit(fmt)
         assert format_squares_table.cache_info().currsize <= 2
+        assert mesomath.tables._standard_reciprocal_text.cache_info().currsize <= 2
+        for held in mesomath.tables._curriculum_store().values():
+            assert set(held) <= {None, "text", "csv"}
 
 
 class TestEmittersMatchOracles:

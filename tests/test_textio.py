@@ -382,6 +382,15 @@ class TestTrustedMeasurement:
             ("1 kuš 0 ninda xyz", UnknownUnit, "unknown unit 'xyz' in system L", 15, "xyz"),
             ("1 ninda 1 ninda 3", MeasurementSyntax,
              "dangling count at end of '1 ninda 1 ninda 3'", 19, "3"),
+            # a column counts the text's own whitespace, runs and leading
+            # blanks included
+            ("1  kush   xyz", UnknownUnit, "unknown unit 'xyz' in system L", 11, "xyz"),
+            ("  1 kush xyz", UnknownUnit, "unknown unit 'xyz' in system L", 10, "xyz"),
+            ("1 kush\t\t7/12 ninda", BadFraction,
+             "fraction 7/12 is not used in system L", 9, "7/12"),
+            (" 1 kush  3 3", MeasurementSyntax, "expected a unit before '3'", 12, "3"),
+            ("\t1 kush  3  ", MeasurementSyntax,
+             "dangling count at end of '\\t1 kush  3  '", 12, "3"),
         ],
     )
     def test_error_order_pinned(self, text, error, message, col, token):
