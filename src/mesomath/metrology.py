@@ -29,8 +29,10 @@ its terms and sums its magnitude, and the trusted builder
 :func:`_spell`, which spells a known magnitude canonically by
 construction, and for :func:`mesomath.textio.parse_measurement`, which
 checks each term as it reads it.  Each system's ladder is expanded
-once, on first use, together with the printed text of every row, so
-formatting a table renders nothing.  Nothing here rounds.
+once, on first use, together with the printed text of every row.  A
+generated table knows where it sits in its ladder and is printed as a
+slice of the whole ladder's CSV, or of its text at the table's column
+width, each written on first use and kept.  Nothing here rounds.
 
 Each :class:`UnitSystem` works out, when it is built, every constant
 the measurement path reads: a token table from each unit name and alias
@@ -56,7 +58,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import accumulate, islice
 from operator import attrgetter, index
 from typing import Iterator, NamedTuple
 
@@ -638,10 +640,11 @@ _Row = tuple[MeasurementValue, FloatingNumber]
 @cache
 def _ladder(
     kind: str,
-) -> tuple[tuple[_Row, ...], tuple[int, ...], tuple[tuple[str, str], ...]]:
+) -> tuple[tuple[_Row, ...], tuple[int, ...], tuple[tuple[str, str], ...], tuple[int, ...]]:
     """The system's table rows as (measurement, number), ascending, with
-    two parallel tuples: their magnitudes in twelfths, and their printed
-    (measurement, number) texts."""
+    three parallel tuples: their magnitudes in twelfths, their printed
+    (measurement, number) texts, and the length of each printed
+    measurement."""
     system = get_system(kind)
     rows, keys, texts = [], [], []
     for name, wholes, fractions in _LADDERS[kind]:
@@ -654,13 +657,19 @@ def _ladder(
                     rows.append((m, n))
                     keys.append(t)
                     texts.append((str(m), str(n)))
-    return tuple(rows), tuple(keys), tuple(texts)
+    return tuple(rows), tuple(keys), tuple(texts), tuple([len(a) for a, _ in texts])
 
 
 class MetrologicalTable(_Record):
-    """Rows of a system's table; ``texts`` holds each row as printed."""
+    """Rows of a system's table; ``texts`` holds each row as printed.
 
-    __slots__ = ("system", "rows", "texts")
+    ``_span`` is None, or ``(kind, i, j)`` when the rows are
+    ``_ladder(kind)`` rows ``i`` to ``j``, ``i < j``: only
+    :func:`gen_metrological_table` sets it, and a copy or a pickle of the
+    table leaves it None.
+    """
+
+    __slots__ = ("system", "rows", "texts", "_span")
     _fields = ("system", "rows")
 
     def __init__(
@@ -670,6 +679,7 @@ class MetrologicalTable(_Record):
         init(self, "system", system)
         init(self, "rows", rows)
         init(self, "texts", texts)
+        init(self, "_span", None)
 
     def __reduce__(self):
         return type(self), (self.system, self.rows, self.texts)
@@ -687,10 +697,43 @@ def gen_metrological_table(
     lo, hi = start.twelfths, stop.twelfths
     if hi < lo:
         raise MeasurementSyntax("empty range: stop is below start")
-    rows, keys, texts = _ladder(system.kind)
+    rows, keys, texts, _ = _ladder(system.kind)
     i, j = bisect_left(keys, lo), bisect_right(keys, hi)
-    return MetrologicalTable(system=system_kind, rows=rows[i:j], texts=texts[i:j])
+    table = MetrologicalTable(system=system_kind, rows=rows[i:j], texts=texts[i:j])
+    if i < j:
+        object.__setattr__(table, "_span", (system.kind, i, j))
+    return table
+
+
+_HEADER = "measurement,number\n"
+
+
+@cache
+def _rendering(kind: str, fmt: str, width: int) -> tuple[str, tuple[int, ...]]:
+    """The whole ladder printed in ``fmt``, a text table's first column
+    padded to ``width``: one string, and the offset in it of each row and
+    of its end."""
+    lines = _pkg.tables._printed(_ladder(kind)[2], fmt, width)
+    return "".join(lines), tuple(accumulate(map(len, lines), initial=0))
 
 
 def format_metrological_table(table: MetrologicalTable, fmt: str = "text") -> str:
-    return _pkg.tables._write(table.texts, "measurement,number\n", fmt)
+    """The table as CSV under its header, or as two text columns.
+
+    A table from :func:`gen_metrological_table` is a slice of its
+    ladder's rendering in ``fmt``: the CSV, or the text padded to the
+    widest measurement of the table, each rendered on first use and kept
+    (one CSV per ladder, one text per width).  Any other table, built by
+    hand or loaded from a pickle, is written row by row by the same
+    writer, to the same bytes.
+    """
+    span = table._span
+    if span is None:
+        return _pkg.tables._write(table.texts, _HEADER, fmt)
+    kind, i, j = span
+    if fmt == "csv":
+        head, width = _HEADER, 0
+    else:
+        head, width = "", max(_ladder(kind)[3][i:j])
+    body, offsets = _rendering(kind, fmt, width)
+    return head + body[offsets[i]:offsets[j]]

@@ -5,17 +5,18 @@ tables, and the ordered list a student worked through.  Everything is a
 pure generator over the spvn core, so outputs are deterministic and the
 text/CSV emitters are diff-stable.  Each curriculum table is built once
 per process, on first use, and each text it prints is rendered once per
-format: the tables that take no input (the reciprocal, squares and
-cube-roots tables, the heads and the curriculum) and the multiplication
-table of each of the 38 curriculum heads, stored by the head's canonical
-integer.  The square roots are read off the squares table on each call,
-converting no number.  Any other head's table, or a variant reciprocal
-table, is built and printed on every call; nothing is built at import.
-Every two-column table, here and in ``metrology``, is written by
-``_write`` from its printed rows: a CSV row is one f-string with no
-``csv`` module, since digits, integers, fraction names and unit names
-(which ``UnitSystem`` holds free of whitespace, commas and quotes) hold
-no character that needs quoting.
+format: the tables that take no input (the reciprocal, squares,
+square-roots and cube-roots tables, the heads and the curriculum) and the
+multiplication table of each of the 38 curriculum heads, stored by the
+head's canonical integer.  The square roots are read off the squares
+table, converting no number.  Any other head's table, or a variant
+reciprocal table, is built and printed on every call; nothing is built
+at import.  Every row of a two-column table, here and in ``metrology``,
+is printed by ``_printed``, and ``_write`` writes a table from its
+printed rows: a CSV row is one f-string with no ``csv`` module, since
+digits, integers, fraction names and unit names (which ``UnitSystem``
+holds free of whitespace, commas and quotes) hold no character that
+needs quoting.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ def gen_squares_table() -> tuple[tuple[int, FloatingNumber], ...]:
     return tuple([(n, from_integer(n * n)) for n in range(1, 60)])
 
 
+@lru_cache(maxsize=None)
 def gen_square_roots_table() -> tuple[tuple[FloatingNumber, int], ...]:
     """The squares table inverted: exact roots only."""
     return tuple([(s, n) for n, s in gen_squares_table()])
@@ -155,20 +157,27 @@ def curriculum() -> tuple[CurriculumEntry, ...]:
 
 # --- plain-text and CSV emitters -------------------------------------------
 
+def _printed(rows: Sequence[tuple[str, str]], fmt: str, width: int = 0) -> list[str]:
+    """Each printed row as a line of ``fmt``: a CSV record, or two text
+    columns with the first padded to ``width``."""
+    if fmt == "csv":
+        return [f"{a},{b}\n" for a, b in rows]
+    if fmt == "text":
+        return [f"{a.ljust(width)}  {b}\n" for a, b in rows]
+    raise ValueError(f"unknown table format {fmt!r}")
+
+
 def format_two_columns(rows: Sequence[tuple[str, str]]) -> str:
     if not rows:
         return ""
-    width = max([len(a) for a, _ in rows])
-    return "".join([f"{a.ljust(width)}  {b}\n" for a, b in rows])
+    return "".join(_printed(rows, "text", max([len(a) for a, _ in rows])))
 
 
 def _write(rows: Sequence[tuple[str, str]], header: str, fmt: str) -> str:
     """Printed rows as CSV under ``header``, or as two text columns."""
-    if fmt == "csv":
-        return header + "".join([f"{a},{b}\n" for a, b in rows])
     if fmt == "text":
         return format_two_columns(rows)
-    raise ValueError(f"unknown table format {fmt!r}")
+    return header + "".join(_printed(rows, fmt))
 
 
 def format_reciprocal_table(table: ElementaryTable, fmt: str = "text") -> str:

@@ -158,6 +158,20 @@ MUTANTS = (
         "held = _curriculum_store().get(h)", "held = _curriculum_store().setdefault(h, {})",
         ("tests/test_tables.py",),
     ),
+    Mutant(
+        "metro-width-whole-ladder", "metrology.py",
+        "max(_ladder(kind)[3][i:j])", "max(_ladder(kind)[3])", ("tests/test_metrology.py",),
+    ),
+    Mutant(
+        "metro-slice-short", "metrology.py",
+        "body[offsets[i]:offsets[j]]", "body[offsets[i]:offsets[j - 1]]",
+        ("tests/test_metrology.py",),
+    ),
+    Mutant(
+        "square-roots-rebuilt", "tables.py",
+        "@lru_cache(maxsize=None)\ndef gen_square_roots_table", "def gen_square_roots_table",
+        ("tests/test_tables.py",),
+    ),
 )
 
 

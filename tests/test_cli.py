@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import hashlib
 import io
+import random
 import subprocess
 import sys
 import tempfile
@@ -474,6 +476,36 @@ class TestTables:
         )
         assert out.splitlines()[0] == "measurement,number"
         assert len(out.splitlines()) == 19
+
+    @pytest.mark.parametrize("system", sorted(O.LADDERS))
+    def test_metro_slices_against_the_ladder(self, capsys, system):
+        # seeded slices of the oracle's ladder, bounds in ASCII spelling:
+        # the CSV holds the oracle's rows, each row's measurement converts
+        # to its number, and the text table holds the same rows in one
+        # column width
+        ladder = O.LADDERS[system]
+        rng = random.Random(f"table metro {system}")
+        for _ in range(8):
+            i, j = sorted(rng.sample(range(len(ladder)), 2))
+            bounds = ("--from", O.text(ladder[i], True), "--to", O.text(ladder[j], True))
+            code, out, err = run_cli(capsys, "table", "metro", system, *bounds, "--format", "csv")
+            assert (code, err) == (EXIT_OK, "")
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == ["measurement", "number"]
+            lo, hi = (O.magnitude(system, ladder[k]) for k in (i, j))
+            assert rows == [[O.text(t), O.show(v)] for t, v in O.table_rows(system, lo, hi)]
+            for measurement, number in rows:
+                assert run_cli(capsys, "convert", "to-spvn", system, measurement) == (
+                    EXIT_OK, number + "\n", ""
+                )
+            code, out, err = run_cli(capsys, "table", "metro", system, *bounds)
+            assert (code, err) == (EXIT_OK, "")
+            lines = out.splitlines()
+            assert [line.rsplit(None, 1) for line in lines] == rows
+            width = max(len(measurement) for measurement, _ in rows)
+            assert {len(line) - len(number) for line, (_, number) in zip(lines, rows)} == {
+                width + 2
+            }
 
 
 class TestConvert:

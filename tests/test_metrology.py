@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import re
 import subprocess
@@ -10,6 +11,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mesomath.tables
 from mesomath.errors import (
     AmbiguousReading,
     BadFraction,
@@ -37,6 +39,7 @@ from mesomath.metrology import (
     _FRACTION_TEXT,
     _cycles,
     _number,
+    _rendering,
     _spell,
     to_number,
 )
@@ -440,6 +443,91 @@ class TestFullLadders:
         i = data.draw(st.integers(0, len(t)))
         j = data.draw(st.integers(i, len(t)))
         self._check_emitter(MetrologicalTable(system, t.rows[i:j], t.texts[i:j]))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(FULL_LADDERS)), st.data())
+    def test_drawn_tables_match_the_oracles(self, system, data):
+        # bounds on the ladder, or a few smallest units off a row of it,
+        # spelled in the smallest unit alone
+        full = full_ladder(system)
+        smallest = get_system(system).units[-1].name
+
+        def bound():
+            mm, _ = data.draw(st.sampled_from(full.rows))
+            if data.draw(st.booleans()):
+                return mm
+            whole = max(mm.twelfths // 12 + data.draw(st.integers(-3, 3)), 0)
+            frac = data.draw(st.sampled_from((0, *sorted(ALLOWED_FRACTIONS))))
+            if not whole and not frac:
+                frac = 6
+            return MeasurementValue(system, (Term(smallest, whole, frac),))
+
+        lo, hi = sorted((bound(), bound()), key=lambda mm: mm.twelfths)
+        t = gen_metrological_table(system, lo, hi)
+        assert t.texts == tuple(
+            x for (mm, _), x in zip(full.rows, full.texts)
+            if lo.twelfths <= mm.twelfths <= hi.twelfths
+        )
+        self._check_emitter(t)
+
+    def test_every_slice_of_the_capacity_ladder(self):
+        full = full_ladder("C")
+        bounds = [mm for mm, _ in full.rows]
+        for i in range(len(bounds)):
+            for j in range(i + 1, len(bounds) + 1):
+                t = gen_metrological_table("C", bounds[i], bounds[j - 1])
+                assert t.texts == full.texts[i:j]
+                self._check_emitter(t)
+
+    @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
+    def test_built_by_hand_or_unpickled_prints_the_same(self, system, monkeypatch):
+        # a generated table is cut from its ladder's rendering; one built
+        # by hand or loaded from a pickle is written row by row
+        full = full_ladder(system)
+        bounds = [mm for mm, _ in full.rows]
+        rng = random.Random(system)
+        tables = []
+        for _ in range(20):
+            a, b = sorted(rng.sample(range(len(bounds)), 2))
+            tables.append(gen_metrological_table(system, bounds[a], bounds[b]))
+        written = []
+        real = mesomath.tables._write
+
+        def counted(*args):
+            written.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(mesomath.tables, "_write", counted)
+        for t in tables:
+            by_hand = MetrologicalTable(system, t.rows, t.texts)
+            loaded = pickle.loads(pickle.dumps(t))
+            assert by_hand == t == loaded and hash(by_hand) == hash(t) == hash(loaded)
+            assert repr(by_hand) == repr(t) == repr(loaded)
+            for fmt in ("text", "csv"):
+                want = format_metrological_table(t, fmt)
+                assert written == []
+                assert format_metrological_table(by_hand, fmt) == want
+                assert format_metrological_table(loaded, fmt) == want
+                assert written == [fmt, fmt]
+                written.clear()
+
+    def test_the_renderings_are_one_csv_and_one_text_per_width(self):
+        rng = random.Random(37)
+        widths = {}
+        for system in sorted(FULL_LADDERS):
+            full = full_ladder(system)
+            bounds = [mm for mm, _ in full.rows]
+            widths[system] = len({len(a) for a, _ in full.texts})
+            _rendering.cache_clear()
+            seen = set()
+            for _ in range(500):
+                a, b = sorted(rng.randrange(len(bounds)) for _ in range(2))
+                t = gen_metrological_table(system, bounds[a], bounds[b])
+                for fmt in ("text", "csv"):
+                    format_metrological_table(t, fmt)
+                seen.add(max(len(x) for x, _ in t.texts))
+            assert _rendering.cache_info().currsize == 1 + len(seen) <= 1 + widths[system]
+        assert widths == {"C": 4, "L": 8, "Lh": 8, "S": 7, "W": 7}
 
     @pytest.mark.parametrize("system", sorted(FULL_LADDERS))
     def test_rows_ascending_and_canonical(self, system):

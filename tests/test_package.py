@@ -87,6 +87,23 @@ class TestLazyImports:
             "mesomath.tables",
         }
 
+    def test_metro_table_formatting_loads_only_the_writer(self):
+        # printing a metrological table, cut from its ladder or built by
+        # hand, loads the writer's layers and nothing else
+        made = (
+            "from mesomath.metrology import MeasurementValue as M, Term,"
+            " gen_metrological_table as gen, format_metrological_table as fmt\n"
+            "t = gen('L', M('L', (Term('kuš', 1),)), M('L', (Term('ninda', 2),)))\n"
+        )
+        generated = _new_modules(made)
+        assert _layers(generated) == {
+            "mesomath", "mesomath.errors", "mesomath.spvn", "mesomath.metrology",
+        }
+        printed = _new_modules(
+            made + "fmt(t); fmt(t, 'csv'); fmt(type(t)(t.system, t.rows, t.texts))"
+        )
+        assert printed - generated == {"mesomath.recip", "mesomath.tables"}
+
     def test_recip_command_leaves_out_the_replay_layer(self):
         new = _new_modules(
             "from mesomath import cli; assert cli.main(['recip', '7:30']) == 0"

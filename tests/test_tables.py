@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mesomath.metrology
 import mesomath.tables
 from mesomath.metrology import format_metrological_table, gen_metrological_table
 from mesomath.recip import reciprocal
@@ -166,6 +167,7 @@ def fresh_store():
 _CONSTANT = [
     gen_reciprocal_table,
     gen_squares_table,
+    gen_square_roots_table,
     gen_cube_roots_table,
     multiplication_heads,
     curriculum,
@@ -290,18 +292,26 @@ class TestEmitters:
 
     def test_unknown_format_is_refused(self):
         # no other format falls back to text, and none is kept in the
-        # squares table's cache
+        # squares table's cache or among the metrological ladders' renderings
         one, two = (parse_measurement(t, "L") for t in ("1 ninda", "2 ninda"))
+        metro = gen_metrological_table("L", one, two)
+        for fmt in ("text", "csv"):
+            format_metrological_table(metro, fmt)
+        rendered = mesomath.metrology._rendering.cache_info().currsize
         emitters = [
             lambda fmt: format_reciprocal_table(gen_reciprocal_table(), fmt),
             lambda fmt: format_multiplication_table(gen_multiplication_table(fn("9")), fmt),
             format_squares_table,
-            lambda fmt: format_metrological_table(gen_metrological_table("L", one, two), fmt),
+            lambda fmt: format_metrological_table(metro, fmt),
+            lambda fmt: format_metrological_table(
+                mesomath.metrology.MetrologicalTable("L", metro.rows, metro.texts), fmt
+            ),
         ]
         for emit in emitters:
             for fmt in ("CSV", "", "txt"):
                 with pytest.raises(ValueError, match="unknown table format"):
                     emit(fmt)
+        assert mesomath.metrology._rendering.cache_info().currsize == rendered
         assert format_squares_table.cache_info().currsize <= 2
         assert mesomath.tables._standard_reciprocal_text.cache_info().currsize <= 2
         for held in mesomath.tables._curriculum_store().values():
